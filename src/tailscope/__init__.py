@@ -41,7 +41,6 @@ from .dist import (  # noqa: E402,F401
 from .empirics import (  # noqa: F401
     OrderedSample,
     PointSet2D,
-    TailMeasureView,
     centering_cnk,
     default_k,
     default_trim,

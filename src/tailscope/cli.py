@@ -9,8 +9,6 @@ over the environment.  Exit codes: 0 success, 2 configuration problem,
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 
@@ -47,6 +45,7 @@ from .pipeline import (
 )
 from .randset import Window, run_convergence
 from .svgplot import Series, render_plot
+from .tabular import read_csv, write_csv
 
 ENV_SEED = "TAILSCOPE_SEED"
 
@@ -186,42 +185,24 @@ def _parse_grid(raw: str) -> list[int]:
     return grid
 
 
-def write_manifest(path: str, command: str, params: dict) -> None:
-    """Enough key=value lines to reproduce the run exactly."""
-    lines = [f"tool=tailscope {__version__}", f"command={command}"]
-    lines += [f"{k}={params[k]}" for k in sorted(params)]
+def _write_lines(path: str, lines) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_values_csv(path: str, values: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("value\n")
-        for v in values:
-            fh.write(f"{v:.17g}\n")
-
-
-def _read_values_csv(path: str) -> np.ndarray:
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            tok = line.strip().split(",")[0]
-            if not tok or tok == "value":
-                continue
-            try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad value {tok!r}") from exc
-    if not values:
-        raise ParseError(f"{path}: no values")
-    return np.asarray(values)
+def write_manifest(path: str, command: str, params: dict) -> None:
+    """Enough key=value lines to reproduce the run exactly."""
+    _write_lines(path, [f"tool=tailscope {__version__}", f"command={command}",
+                        *(f"{k}={params[k]}" for k in sorted(params))])
 
 
 def _load_sample(opt: Options) -> tuple[np.ndarray, dict]:
     """Sample from --model/--n/--seed, or read --input."""
     input_path = opt.get("input")
     if input_path is not None:
-        values = _read_values_csv(input_path)
+        values = read_csv(input_path, "value").ravel()
+        if not values.size:
+            raise ParseError(f"{input_path}: no values")
         return values, {"input": input_path, "n": values.size}
     model = parse_model(opt.require("model"))
     n = opt.require("n", int)
@@ -233,11 +214,23 @@ def _load_sample(opt: Options) -> tuple[np.ndarray, dict]:
     return values, meta
 
 
-def _write_trace_csv(path: str, tr) -> None:
-    with open(path, "w") as fh:
-        fh.write("m,value\n")
-        for m, v in zip(tr.m, tr.value):
-            fh.write(f"{m},{v:.17g}\n")
+def _plot_fit(path: str, pts: PointSet2D, fit, **labels) -> None:
+    """Scatter of pts with the fitted line drawn across their x range."""
+    xs = np.array([pts.x.min(), pts.x.max()])
+    line = np.column_stack([xs, fit.intercept + fit.slope * xs])
+    render_plot(path, [Series(pts.points, "scatter"), Series(line, "line")], **labels)
+
+
+def _point_estimates(sample, m_ref: int) -> list[str]:
+    """Hill, Pickands and moment at m_ref (Pickands capped at n/4), or why not."""
+    lines = []
+    for kind, fn in (("hill", hill), ("pickands", pickands), ("moment", moment)):
+        m = min(m_ref, sample.n // 4) if kind == "pickands" else m_ref
+        try:
+            lines.append(f"{kind}={fn(sample, m):.17g}")
+        except TailscopeError as exc:
+            lines.append(f"{kind}=skipped ({exc})")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +246,7 @@ def cmd_simulate(opt: Options) -> int:
     opt.formats()  # the sample is always CSV, but reject bad --format early
     out = opt.out_dir()
     values = model.sample(n, seed)
-    _write_values_csv(os.path.join(out, "sample.csv"), values)
+    write_csv(os.path.join(out, "sample.csv"), "value", [values], ["%.17g"])
     write_manifest(
         os.path.join(out, "manifest.txt"),
         "simulate",
@@ -271,19 +264,13 @@ def cmd_meplot(opt: Options) -> int:
     n = sample.n
     trim_raw = opt.get("trim")
     i_min, i_max = _parse_trim(trim_raw, n) if trim_raw else default_trim(n)
-    try:
-        pts = me_plot(sample, i_min, i_max)
-    except TailscopeError:
-        raise
+    pts = me_plot(sample, i_min, i_max)
     fit = ls_fit(pts, "me")
     if "csv" in fmts:
         pts.write_csv(os.path.join(out, "me_plot.csv"))
     if "svg" in fmts:
-        xs = np.array([pts.x.min(), pts.x.max()])
-        line = np.column_stack([xs, fit.intercept + fit.slope * xs])
-        render_plot(
-            os.path.join(out, "me_plot.svg"),
-            [Series(pts.points, "scatter"), Series(line, "line")],
+        _plot_fit(
+            os.path.join(out, "me_plot.svg"), pts, fit,
             title="mean excess plot",
             xlabel="threshold",
             ylabel="mean excess",
@@ -293,12 +280,11 @@ def cmd_meplot(opt: Options) -> int:
                 f"trim={i_min}:{i_max}",
             ],
         )
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write(
-            f"n={n}\ntrim={i_min}:{i_max}\nslope={fit.slope:.17g}\n"
-            f"intercept={fit.intercept:.17g}\nxi_hat={fit.xi_hat:.17g}\n"
-            f"rss={fit.rss:.17g}\n"
-        )
+    _write_lines(os.path.join(out, "summary.txt"), [
+        f"n={n}", f"trim={i_min}:{i_max}", f"slope={fit.slope:.17g}",
+        f"intercept={fit.intercept:.17g}", f"xi_hat={fit.xi_hat:.17g}",
+        f"rss={fit.rss:.17g}",
+    ])
     meta.update({"trim": f"{i_min}:{i_max}", "format": ",".join(sorted(fmts))})
     write_manifest(os.path.join(out, "manifest.txt"), "meplot", meta)
     print(f"meplot: xi_hat={fit.xi_hat:.4f} over trim {i_min}:{i_max}")
@@ -319,7 +305,8 @@ def cmd_estimate(opt: Options) -> int:
         tr = trace(sample, kind, stride=stride)
         traces[kind] = tr
         if "csv" in fmts:
-            _write_trace_csv(os.path.join(out, f"{kind}_trace.csv"), tr)
+            write_csv(os.path.join(out, f"{kind}_trace.csv"), "m,value", [tr.m, tr.value],
+                      ["%d", "%.17g"])
     qq = qq_points_pos(sample, m_ref)
     qq_fit = ls_fit(qq, "qq-pos")
     if "csv" in fmts:
@@ -336,25 +323,16 @@ def cmd_estimate(opt: Options) -> int:
             xlabel="m",
             ylabel="estimate",
         )
-        xs = np.array([qq.x.min(), qq.x.max()])
-        line = np.column_stack([xs, qq_fit.intercept + qq_fit.slope * xs])
-        render_plot(
-            os.path.join(out, "qq_pos.svg"),
-            [Series(qq.points, "scatter"), Series(line, "line")],
+        _plot_fit(
+            os.path.join(out, "qq_pos.svg"), qq, qq_fit,
             title="exponential qq plot",
             xlabel="-log(i/m)",
             ylabel="log(X_(i)/X_(m))",
             annotations=[f"slope={qq_fit.slope:.4g} (m={m_ref})"],
         )
     lines = [f"n={n}", f"m={m_ref}", f"qq_slope={qq_fit.slope:.17g}"]
-    for kind, fn in (("hill", hill), ("pickands", pickands), ("moment", moment)):
-        try:
-            val = fn(sample, m_ref if kind != "pickands" else min(m_ref, n // 4))
-            lines.append(f"{kind}={val:.17g}")
-        except TailscopeError as exc:
-            lines.append(f"{kind}=skipped ({exc})")
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += _point_estimates(sample, m_ref)
+    _write_lines(os.path.join(out, "summary.txt"), lines)
     meta.update({"m": m_ref, "stride": stride, "format": ",".join(sorted(fmts))})
     write_manifest(os.path.join(out, "manifest.txt"), "estimate", meta)
     print(f"estimate: qq_slope={qq_fit.slope:.4f} at m={m_ref}")
@@ -378,17 +356,13 @@ def cmd_converge(opt: Options) -> int:
         model, case, n_grid, reps, seed, k_rule=k_exp, window=window,
         resolution=resolution,
     )
+    med = report.medians()
     if "csv" in fmts:
         report.write_csv(os.path.join(out, "distances.csv"))
     if "svg" in fmts:
-        med = report.medians()
-        cloud = np.column_stack(
-            [
-                np.repeat(np.log10(np.asarray(report.n_grid, float)), reps),
-                report.distances.T.ravel(),
-            ]
-        )
-        med_line = np.column_stack([np.log10(np.asarray(report.n_grid, float)), med])
+        log_n = np.log10(np.asarray(report.n_grid, float))
+        cloud = np.column_stack([np.repeat(log_n, reps), report.distances.T.ravel()])
+        med_line = np.column_stack([log_n, med])
         render_plot(
             os.path.join(out, "convergence.svg"),
             [Series(cloud, "scatter"), Series(med_line, "line")],
@@ -399,9 +373,7 @@ def cmd_converge(opt: Options) -> int:
                 f"median@{n}={m:.4g}" for n, m in zip(report.n_grid, med)
             ],
         )
-    with open(os.path.join(out, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(report.manifest_lines()) + "\n")
-    med = report.medians()
+    _write_lines(os.path.join(out, "manifest.txt"), report.manifest_lines())
     print(
         "converge: medians "
         + ", ".join(f"n={n}: {m:.4g}" for n, m in zip(report.n_grid, med))
@@ -445,46 +417,33 @@ def cmd_analyze(opt: Options) -> int:
     m_ref = opt.get("m", max(2, sample.n // 10), int)
 
     if "csv" in fmts:
-        with open(os.path.join(out, "profile.csv"), "w") as fh:
-            fh.write("month,day,scale\n")
-            for (mo, da), s in sorted(profile.scale.items()):
-                fh.write(f"{mo},{da},{s:.17g}\n")
-        _write_values_csv(os.path.join(out, "residuals.csv"), resid)
-        with open(os.path.join(out, "acf.csv"), "w") as fh:
-            fh.write("lag,rho\n")
-            for h, v in enumerate(rho):
-                fh.write(f"{h},{v:.17g}\n")
+        keys = sorted(profile.scale)
+        months, days = zip(*keys)
+        write_csv(os.path.join(out, "profile.csv"), "month,day,scale",
+                  [months, days, [profile.scale[k] for k in keys]], ["%d", "%d", "%.17g"])
+        write_csv(os.path.join(out, "residuals.csv"), "value", [resid], ["%.17g"])
+        write_csv(os.path.join(out, "acf.csv"), "lag,rho", [np.arange(rho.size), rho],
+                  ["%d", "%.17g"])
         pts.write_csv(os.path.join(out, "residual_me.csv"))
     if "svg" in fmts:
-        xs = np.array([pts.x.min(), pts.x.max()])
-        line = np.column_stack([xs, fit.intercept + fit.slope * xs])
-        render_plot(
-            os.path.join(out, "residual_me.svg"),
-            [Series(pts.points, "scatter"), Series(line, "line")],
+        _plot_fit(
+            os.path.join(out, "residual_me.svg"), pts, fit,
             title="mean excess plot of AR residuals",
             xlabel="threshold",
             ylabel="mean excess",
             annotations=[f"xi_hat={fit.xi_hat:.4g}", f"ar_order={order}"],
         )
 
-    with open(os.path.join(out, "ar.txt"), "w") as fh:
-        fh.write(f"order={order}\n")
-        coef = ",".join(f"{c:.17g}" for c in model.coefficients)
-        fh.write(f"coefficients={coef}\n")
-        fh.write(f"noise_variance={model.noise_variance:.17g}\n")
-        fh.write(f"mean={model.mean:.17g}\n")
-        for p, a in enumerate(aic):
-            fh.write(f"aic_{p}={a:.17g}\n")
+    coef = ",".join(f"{c:.17g}" for c in model.coefficients)
+    _write_lines(os.path.join(out, "ar.txt"), [
+        f"order={order}", f"coefficients={coef}",
+        f"noise_variance={model.noise_variance:.17g}", f"mean={model.mean:.17g}",
+        *(f"aic_{p}={a:.17g}" for p, a in enumerate(aic)),
+    ])
 
     lines = [f"n={ts.n}", f"ar_order={order}", f"xi_hat_me={fit.xi_hat:.17g}"]
-    for kind, fn in (("hill", hill), ("pickands", pickands), ("moment", moment)):
-        try:
-            mm = m_ref if kind != "pickands" else min(m_ref, sample.n // 4)
-            lines.append(f"{kind}={fn(sample, mm):.17g}")
-        except TailscopeError as exc:
-            lines.append(f"{kind}=skipped ({exc})")
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += _point_estimates(sample, m_ref)
+    _write_lines(os.path.join(out, "summary.txt"), lines)
     write_manifest(
         os.path.join(out, "manifest.txt"),
         "analyze",

@@ -421,8 +421,10 @@ class StableSkewed(DistributionModel):
     def _frozen(self):
         from scipy.stats import levy_stable
 
-        levy_stable.parameterization = "S1"
-        return levy_stable(self.alpha, 1.0)
+        # each frozen law owns its generator, so the S1 choice stays local
+        frozen = levy_stable(self.alpha, 1.0)
+        frozen.dist.parameterization = "S1"
+        return frozen
 
     def cdf(self, x):
         return self._frozen().cdf(x)

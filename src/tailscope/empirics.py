@@ -24,6 +24,7 @@ from .errors import (
     NormalizationError,
     ParameterError,
 )
+from .tabular import read_csv, write_csv
 
 __all__ = [
     "OrderedSample",
@@ -32,7 +33,6 @@ __all__ = [
     "empirical_me",
     "me_plot",
     "tail_measure",
-    "TailMeasureView",
     "normalize_positive",
     "normalize_heavy",
     "normalize_xi1",
@@ -97,22 +97,11 @@ class PointSet2D:
         return PointSet2D(self.points[window.contains(self.points)])
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,y\n")
-            for px, py in self.points:
-                fh.write(f"{px:.17g},{py:.17g}\n")
+        write_csv(path, "x,y", [self.x, self.y], ["%.17g", "%.17g"])
 
     @staticmethod
     def read_csv(path) -> "PointSet2D":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("x,"):
-                    continue
-                a, b = line.split(",")
-                rows.append((float(a), float(b)))
-        return PointSet2D(np.asarray(rows, dtype=float).reshape(-1, 2))
+        return PointSet2D(read_csv(path, "x", 2))
 
 
 def _exceed_counts(values_desc: np.ndarray, u) -> np.ndarray:
@@ -169,17 +158,6 @@ def tail_measure(sample: OrderedSample, k: int, x):
     counts = _exceed_counts(sample.values, x * xk)
     out = counts / k
     return out if x.ndim else float(out[0])
-
-
-@dataclass(frozen=True)
-class TailMeasureView:
-    """The empirical tail measure of a sample at level k, as a callable."""
-
-    sample: OrderedSample
-    k: int
-
-    def __call__(self, x):
-        return tail_measure(self.sample, self.k, x)
 
 
 def _top_k_me(sample: OrderedSample, k: int):

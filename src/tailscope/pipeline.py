@@ -106,9 +106,11 @@ def load_csv(
             values.append(v)
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
-    if len(set(dates)) != len(dates):
-        dup = next(d for i, d in enumerate(dates) if d in dates[:i])
-        raise ParseError(f"duplicate date {dup.isoformat()}")
+    seen: set = set()
+    for d in dates:
+        if d in seen:
+            raise ParseError(f"duplicate date {d.isoformat()}")
+        seen.add(d)
     order = np.argsort(np.asarray(dates))
     dates_arr = np.asarray(dates, dtype="datetime64[D]")[order]
     values_arr = np.asarray(values, dtype=float)[order]

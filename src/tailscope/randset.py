@@ -27,6 +27,7 @@ from .empirics import (
 )
 from .errors import ConfigError, EmptyWindowError, ParameterError
 from .estimators import ls_fit
+from .tabular import write_csv
 
 __all__ = [
     "Window",
@@ -46,21 +47,11 @@ __all__ = [
     "default_window",
 ]
 
-# Versioned experiment manifest.  The acceptance thresholds below are
-# pilot-calibrated medians/quantiles for the named seeded experiments, not
-# universal constants; reports embed this version string.
+# Versioned experiment manifest; reports embed this version string.
 EXPERIMENT_MANIFEST = {
     "version": "1",
     "k_rule": "floor(n**0.7)",
     "resolution": 512,
-    "thresholds": {
-        # calibrated to ~the 90th percentile of 50 seeded replications,
-        # rounded up: typical runs clear them, gross regressions do not
-        "positive-line:pareto(alpha=2):n=50000": 1.00,
-        "negative-segment:beta(a=2,b=2):n=50000": 0.05,
-        "zero-line:exp(mean=1):n=100000": 0.20,
-        "intercept-ks:pareto(alpha=0.5):reps=200": 0.15,
-    },
 }
 
 
@@ -340,11 +331,10 @@ class ConvergenceReport:
         return float(np.mean(self.distances[:, j] < threshold))
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("rep,n,distance\n")
-            for r in range(self.distances.shape[0]):
-                for j, n in enumerate(self.n_grid):
-                    fh.write(f"{r},{n},{self.distances[r, j]:.17g}\n")
+        reps, cols = self.distances.shape
+        rep, n = np.repeat(np.arange(reps), cols), np.tile(self.n_grid, reps)
+        write_csv(path, "rep,n,distance", [rep, n, self.distances.ravel()],
+                  ["%d", "%d", "%.17g"])
 
     def manifest_lines(self) -> list[str]:
         w = self.window.as_tuple()

@@ -1,7 +1,8 @@
 """Tiny deterministic SVG scatter/line plots.
 
 Hand-rolled so that identical inputs yield byte-identical files: no
-timestamps, no dict-order dependence, fixed decimal formatting.
+timestamps, no dict-order dependence, fixed decimal formatting.  Marks are
+formatted a chunk at a time from coordinate arrays.
 """
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tabular import write_records
 
 __all__ = ["Series", "render_plot"]
 
@@ -62,10 +65,8 @@ def render_plot(
     ml, mr, mt, mb = 62, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
 
-    finite = [
-        s.points[np.all(np.isfinite(s.points), axis=1)] for s in series if len(s.points)
-    ]
-    allpts = np.vstack([p for p in finite if p.shape[0]]) if finite else np.empty((0, 2))
+    finite = [s.points[np.all(np.isfinite(s.points), axis=1)] for s in series]
+    allpts = np.vstack([np.empty((0, 2)), *finite])
     if allpts.shape[0]:
         x_lo, x_hi = float(allpts[:, 0].min()), float(allpts[:, 0].max())
         y_lo, y_hi = float(allpts[:, 1].min()), float(allpts[:, 1].max())
@@ -114,46 +115,43 @@ def render_plot(
         )
     out.append("</g>")
 
-    for i, s in enumerate(series):
-        color = s.color or _PALETTE[i % len(_PALETTE)]
-        pts = s.points[np.all(np.isfinite(s.points), axis=1)]
-        out.append(f'<g class="series series-{s.kind}" id="series-{i}">')
-        if s.kind == "line" and pts.shape[0] >= 2:
-            coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                'stroke-width="1.5"/>'
-            )
-        else:
-            for x, y in pts:
-                out.append(
-                    f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{s.radius}" '
-                    f'fill="{color}" fill-opacity="0.55"/>'
-                )
-        out.append("</g>")
-
+    tail = []
     text_y = mt - 12
     if title:
-        out.append(
+        tail.append(
             f'<text x="{width / 2:.0f}" y="{text_y}" text-anchor="middle" '
             f'font-family="monospace" font-size="13" fill="#111111">{title}</text>'
         )
     if xlabel:
-        out.append(
+        tail.append(
             f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle" '
             f'font-family="monospace" font-size="12" fill="#111111">{xlabel}</text>'
         )
     if ylabel:
-        out.append(
+        tail.append(
             f'<text x="14" y="{mt + ph / 2:.0f}" text-anchor="middle" '
             f'font-family="monospace" font-size="12" fill="#111111" '
             f'transform="rotate(-90 14 {mt + ph / 2:.0f})">{ylabel}</text>'
         )
     for j, note in enumerate(annotations):
-        out.append(
+        tail.append(
             f'<text x="{ml + 8}" y="{mt + 16 + 14 * j}" font-family="monospace" '
             f'font-size="11" fill="#222222" class="annotation">{note}</text>'
         )
-    out.append("</svg>")
+    tail.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
+        for i, (s, pts) in enumerate(zip(series, finite)):
+            color = s.color or _PALETTE[i % len(_PALETTE)]
+            fh.write(f'<g class="series series-{s.kind}" id="series-{i}">\n')
+            xy = [sx(pts[:, 0]), sy(pts[:, 1])]
+            if s.kind == "line" and pts.shape[0] >= 2:
+                fh.write('<polyline points="')
+                write_records(fh, "%.2f,%.2f", xy, sep=" ")
+                fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+            else:
+                style = f'r="{s.radius}" fill="{color}" fill-opacity="0.55"/>\n'
+                circle = '<circle cx="%.2f" cy="%.2f" ' + style.replace("%", "%%")
+                write_records(fh, circle, xy)
+            fh.write("</g>\n")
+        fh.write("\n".join(tail) + "\n")

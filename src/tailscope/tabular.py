@@ -1,0 +1,62 @@
+"""The one CSV format, and chunked output of formatted records.
+
+A CSV file is a header line, then one row per record: floats as ``%.17g``,
+which reads back to the same double, and integers as ``%d``.  Records are
+formatted a chunk at a time, with one ``%`` on the record template repeated
+for the chunk; the bytes are those of formatting each record on its own.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ParseError
+
+__all__ = ["CHUNK", "write_records", "write_csv", "read_csv"]
+
+CHUNK = 1 << 15  # records formatted per call
+
+
+def write_records(fh, template: str, columns, sep: str = "") -> None:
+    """Write ``template % row`` for each row of equal-length columns, joined by sep."""
+    cols = [np.asarray(c) for c in columns]
+    width, n = len(cols), cols[0].shape[0]
+    for start in range(0, n, CHUNK):
+        m = min(CHUNK, n - start)
+        fields = [None] * (m * width)
+        for j, c in enumerate(cols):
+            fields[j::width] = c[start:start + m].tolist()
+        fh.write((sep if start else "") + sep.join([template] * m) % tuple(fields))
+
+
+def write_csv(path, header: str, columns, formats) -> None:
+    """Write columns under a header line, column j formatted by formats[j]."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        write_records(fh, ",".join(formats) + "\n", columns)
+
+
+def read_csv(path, header: str, width: int = 1) -> np.ndarray:
+    """Floats from the first ``width`` fields of each row, shape (rows, width).
+
+    Lines are stripped and skipped when their first field is empty or is
+    ``header``; fields past ``width`` are ignored.
+    """
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh.read().split("\n")]
+    if width == 1:  # no list kept per row: the garbage collector would rescan them all
+        fields = [f for f in [ln.split(",", 1)[0] for ln in lines] if f and f != header]
+    else:
+        rows = [ln.split(",", width)[:width] for ln in lines
+                if ln.split(",", 1)[0] not in ("", header)]
+        if any(len(r) < width for r in rows):
+            raise ParseError(f"{path}: a row has fewer than {width} fields")
+        fields = [f for r in rows for f in r]
+    try:
+        return np.fromiter(map(float, fields), float, len(fields)).reshape(-1, width)
+    except ValueError:
+        for tok in fields:
+            try:
+                float(tok)
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad value {tok!r}") from exc
+        raise

@@ -290,6 +290,19 @@ class TestStable:
             p = stats.ks_2samp(mine, ref).pvalue
             assert p > 0.01, f"alpha={alpha}: KS p={p}"
 
+    def test_cdf_leaves_global_parameterization_alone(self):
+        from scipy.stats import levy_stable
+
+        before = levy_stable.parameterization
+        levy_stable.parameterization = "S0"
+        try:
+            value = ts.StableSkewed(1.5).cdf(1.0)
+            assert levy_stable.parameterization == "S0"
+        finally:
+            levy_stable.parameterization = before
+        # the S1 value, whatever the caller's global setting
+        assert value == 0.8158030294189841
+
     def test_alpha_below_one_is_positive(self):
         x = ts.StableSkewed(0.7).sample(10_000, ts.RandomSeed(5))
         assert np.all(x > 0)

@@ -1,0 +1,451 @@
+"""Chunked CSV and SVG output against the per-value writers it replaced.
+
+The reference functions below are the earlier per-line implementations,
+kept verbatim: every file the chunked writers produce must match theirs
+byte for byte, and the one reader must read what they read.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import tailscope as ts
+from tailscope.cli import main
+from tailscope.errors import ParseError
+from tailscope.svgplot import _PALETTE, Series, _fmt, _nice_ticks, render_plot
+from tailscope.tabular import CHUNK, read_csv, write_csv
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def old_write_values_csv(path, values):
+    with open(path, "w") as fh:
+        fh.write("value\n")
+        for v in values:
+            fh.write(f"{v:.17g}\n")
+
+
+def old_read_values_csv(path):
+    values = []
+    with open(path) as fh:
+        for line in fh:
+            tok = line.strip().split(",")[0]
+            if not tok or tok == "value":
+                continue
+            try:
+                values.append(float(tok))
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad value {tok!r}") from exc
+    if not values:
+        raise ParseError(f"{path}: no values")
+    return np.asarray(values)
+
+
+def old_write_trace_csv(path, tr):
+    with open(path, "w") as fh:
+        fh.write("m,value\n")
+        for m, v in zip(tr.m, tr.value):
+            fh.write(f"{m},{v:.17g}\n")
+
+
+def old_point_set_write_csv(self, path):
+    with open(path, "w") as fh:
+        fh.write("x,y\n")
+        for px, py in self.points:
+            fh.write(f"{px:.17g},{py:.17g}\n")
+
+
+def old_point_set_read_csv(path):
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("x,"):
+                continue
+            a, b = line.split(",")
+            rows.append((float(a), float(b)))
+    return ts.PointSet2D(np.asarray(rows, dtype=float).reshape(-1, 2))
+
+
+def old_convergence_write_csv(self, path):
+    with open(path, "w") as fh:
+        fh.write("rep,n,distance\n")
+        for r in range(self.distances.shape[0]):
+            for j, n in enumerate(self.n_grid):
+                fh.write(f"{r},{n},{self.distances[r, j]:.17g}\n")
+
+
+def old_profile_csv(path, scale):
+    with open(path, "w") as fh:
+        fh.write("month,day,scale\n")
+        for (mo, da), s in sorted(scale.items()):
+            fh.write(f"{mo},{da},{s:.17g}\n")
+
+
+def old_acf_csv(path, rho):
+    with open(path, "w") as fh:
+        fh.write("lag,rho\n")
+        for h, v in enumerate(rho):
+            fh.write(f"{h},{v:.17g}\n")
+
+
+def old_render_plot(
+    path,
+    series: list[Series],
+    title: str = "",
+    xlabel: str = "",
+    ylabel: str = "",
+    annotations: list[str] = (),
+    size: tuple[int, int] = (640, 480),
+) -> None:
+    """Write an SVG scatter/line plot; output depends only on arguments."""
+    width, height = size
+    ml, mr, mt, mb = 62, 16, 34, 46
+    pw, ph = width - ml - mr, height - mt - mb
+
+    finite = [
+        s.points[np.all(np.isfinite(s.points), axis=1)] for s in series if len(s.points)
+    ]
+    allpts = np.vstack([p for p in finite if p.shape[0]]) if finite else np.empty((0, 2))
+    if allpts.shape[0]:
+        x_lo, x_hi = float(allpts[:, 0].min()), float(allpts[:, 0].max())
+        y_lo, y_hi = float(allpts[:, 1].min()), float(allpts[:, 1].max())
+    else:
+        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
+    if x_lo == x_hi:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_lo == y_hi:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    padx, pady = 0.04 * (x_hi - x_lo), 0.04 * (y_hi - y_lo)
+    x_lo, x_hi = x_lo - padx, x_hi + padx
+    y_lo, y_hi = y_lo - pady, y_hi + pady
+
+    def sx(x):
+        return ml + (x - x_lo) / (x_hi - x_lo) * pw
+
+    def sy(y):
+        return mt + ph - (y - y_lo) / (y_hi - y_lo) * ph
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
+        'stroke="#444444" stroke-width="1"/>',
+    ]
+
+    out.append('<g class="ticks" font-family="monospace" font-size="11" fill="#333333">')
+    for t in _nice_ticks(x_lo + padx, x_hi - padx):
+        px = sx(t)
+        out.append(
+            f'<line x1="{_fmt(px)}" y1="{mt + ph}" x2="{_fmt(px)}" y2="{mt + ph + 4}" '
+            'stroke="#444444" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{_fmt(px)}" y="{mt + ph + 17}" text-anchor="middle">{t:.4g}</text>'
+        )
+    for t in _nice_ticks(y_lo + pady, y_hi - pady):
+        py = sy(t)
+        out.append(
+            f'<line x1="{ml - 4}" y1="{_fmt(py)}" x2="{ml}" y2="{_fmt(py)}" '
+            'stroke="#444444" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{ml - 7}" y="{_fmt(py + 4)}" text-anchor="end">{t:.4g}</text>'
+        )
+    out.append("</g>")
+
+    for i, s in enumerate(series):
+        color = s.color or _PALETTE[i % len(_PALETTE)]
+        pts = s.points[np.all(np.isfinite(s.points), axis=1)]
+        out.append(f'<g class="series series-{s.kind}" id="series-{i}">')
+        if s.kind == "line" and pts.shape[0] >= 2:
+            coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+            out.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                'stroke-width="1.5"/>'
+            )
+        else:
+            for x, y in pts:
+                out.append(
+                    f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{s.radius}" '
+                    f'fill="{color}" fill-opacity="0.55"/>'
+                )
+        out.append("</g>")
+
+    text_y = mt - 12
+    if title:
+        out.append(
+            f'<text x="{width / 2:.0f}" y="{text_y}" text-anchor="middle" '
+            f'font-family="monospace" font-size="13" fill="#111111">{title}</text>'
+        )
+    if xlabel:
+        out.append(
+            f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle" '
+            f'font-family="monospace" font-size="12" fill="#111111">{xlabel}</text>'
+        )
+    if ylabel:
+        out.append(
+            f'<text x="14" y="{mt + ph / 2:.0f}" text-anchor="middle" '
+            f'font-family="monospace" font-size="12" fill="#111111" '
+            f'transform="rotate(-90 14 {mt + ph / 2:.0f})">{ylabel}</text>'
+        )
+    for j, note in enumerate(annotations):
+        out.append(
+            f'<text x="{ml + 8}" y="{mt + 16 + 14 * j}" font-family="monospace" '
+            f'font-size="11" fill="#222222" class="annotation">{note}</text>'
+        )
+    out.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+SPECIAL = np.array([
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 3.0, -7.0,
+    1e16, 2.0**53 + 1, math.pi, 1 / 3, 123456789.123456789,
+])
+LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+
+
+def mixed(n, seed=0):
+    """n doubles spanning many magnitudes, with the special values mixed in."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    x[: min(n, SPECIAL.size)] = SPECIAL[: min(n, SPECIAL.size)]
+    return x
+
+
+def same_bytes(write_new, write_old, tmp_path):
+    a, b = tmp_path / "new", tmp_path / "old"
+    write_new(a)
+    write_old(b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# writers
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_values(self, tmp_path, n):
+        v = mixed(n)
+        same_bytes(lambda p: write_csv(p, "value", [v], ["%.17g"]),
+                   lambda p: old_write_values_csv(p, v), tmp_path)
+
+    def test_values_with_non_finite(self, tmp_path):
+        v = np.array([np.nan, np.inf, -np.inf, 1.5])
+        same_bytes(lambda p: write_csv(p, "value", [v], ["%.17g"]),
+                   lambda p: old_write_values_csv(p, v), tmp_path)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_point_set(self, tmp_path, n):
+        pts = ts.PointSet2D(np.column_stack([mixed(n, 1), mixed(n, 2)]).reshape(-1, 2))
+        same_bytes(pts.write_csv, lambda p: old_point_set_write_csv(pts, p), tmp_path)
+
+    @pytest.mark.parametrize("n", [1, CHUNK + 1])
+    def test_int64_trace_columns(self, tmp_path, n):
+        m = np.arange(1, n + 1, dtype=np.int64) * 3
+        tr = ts.EstimatorTrace("hill", m, mixed(n))
+        same_bytes(lambda p: write_csv(p, "m,value", [tr.m, tr.value], ["%d", "%.17g"]),
+                   lambda p: old_write_trace_csv(p, tr), tmp_path)
+
+    def test_convergence_report(self, tmp_path):
+        rep = ts.run_convergence(
+            ts.Pareto(2), "positive", (1000, 2000), reps=2, seed=ts.RandomSeed(8)
+        )
+        same_bytes(rep.write_csv, lambda p: old_convergence_write_csv(rep, p), tmp_path)
+        grid = tuple(range(10, 10 * (CHUNK // 2 + 2), 10))  # 3 reps cross a chunk
+        wide = ts.ConvergenceReport(
+            rep.model, rep.case, grid, rep.k_rule, rep.window, rep.resolution,
+            rep.seed, mixed(3 * len(grid)).reshape(3, len(grid)),
+        )
+        same_bytes(wide.write_csv, lambda p: old_convergence_write_csv(wide, p), tmp_path)
+
+    def test_cli_outputs(self, tmp_path):
+        sample = tmp_path / "sample.csv"
+        old_write_values_csv(sample, ts.Pareto(2).sample(CHUNK + 2, ts.RandomSeed(3)))
+        out = tmp_path / "est"
+        assert main(["estimate", "--input", str(sample), "--format", "csv",
+                     "--out", str(out)]) == 0
+        ordered = ts.order_statistics(old_read_values_csv(sample))
+        for kind in ("hill", "pickands", "moment"):
+            old_write_trace_csv(tmp_path / "ref.csv", ts.trace(ordered, kind))
+            assert (out / f"{kind}_trace.csv").read_bytes() == (
+                tmp_path / "ref.csv").read_bytes(), kind
+
+    def test_analyze_outputs(self, tmp_path):
+        comp = ts.synthetic_composite(6, [0.5, -0.3], ts.Exponential(1), ts.RandomSeed(6))
+        src = tmp_path / "series.csv"
+        src.write_text("date,value\n" + "".join(
+            f"{d},{v:.17g}\n" for d, v in zip(comp.dates, comp.values)))
+        out = tmp_path / "a"
+        assert main(["analyze", "--input", str(src), "--format", "csv",
+                     "--out", str(out)]) == 0
+        _, profile = ts.deseasonalize(ts.load_csv(src))
+        old_profile_csv(tmp_path / "profile.csv", profile.scale)
+        resid = old_read_values_csv(out / "residuals.csv")
+        old_write_values_csv(tmp_path / "residuals.csv", resid)
+        old_acf_csv(tmp_path / "acf.csv", ts.acf(resid, min(40, resid.size - 1)))
+        for name in ("profile.csv", "residuals.csv", "acf.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def render_both(tmp_path, series, **labels):
+    new, old = tmp_path / "new.svg", tmp_path / "old.svg"
+    render_plot(new, series, **labels)
+    old_render_plot(old, series, **labels)
+    assert new.read_bytes() == old.read_bytes()
+    return new
+
+
+def cloud(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.standard_normal(n), rng.pareto(2.0, n)])
+
+
+class TestRenderPlotBytes:
+    LABELS = dict(title="t", xlabel="x", ylabel="y", annotations=["a=1", "b=2"])
+
+    def test_empty_point_set(self, tmp_path):
+        render_both(tmp_path, [Series(np.empty((0, 2)))], **self.LABELS)
+        render_both(tmp_path, [Series(np.empty((0, 2)), "line"),
+                               Series(cloud(5), "scatter")])
+
+    def test_one_point_line_falls_back_to_circles(self, tmp_path):
+        path = render_both(tmp_path, [Series(cloud(20), "scatter"),
+                                      Series(np.array([[0.5, 1.0]]), "line")])
+        assert path.read_text().count("<circle") == 21
+
+    def test_non_finite_rows_dropped(self, tmp_path):
+        pts = cloud(10)
+        pts[[1, 4], 0] = np.nan
+        pts[7, 1] = np.inf
+        pts[8, 0] = -np.inf
+        path = render_both(tmp_path, [Series(pts, "scatter"), Series(pts, "line")],
+                           **self.LABELS)
+        assert path.read_text().count("<circle") == 6
+
+    def test_series_with_no_finite_row(self, tmp_path):
+        pts = np.array([[np.nan, 1.0], [2.0, np.inf]])
+        with pytest.raises(ValueError):  # the per-mark renderer stacked no rows
+            old_render_plot(tmp_path / "old.svg", [Series(pts, "scatter")])
+        path = tmp_path / "new.svg"
+        render_plot(path, [Series(pts, "scatter"), Series(pts, "line")])
+        text = path.read_text()
+        assert "<circle" not in text and "<polyline" not in text
+        assert text.endswith("</g>\n</svg>\n")
+
+    def test_special_values(self, tmp_path):
+        x = np.array([-0.0, 0.0, 5e-324, 3.0, -7.0, 2.0, 1e16])
+        render_both(tmp_path, [Series(np.column_stack([x, x[::-1]]), "scatter"),
+                               Series(np.column_stack([x, x]), "line")])
+        huge = np.array([[0.0, -1.0], [1e308, 1.0], [5e307, 2.0**53]])
+        render_both(tmp_path, [Series(huge, "scatter"), Series(huge, "line")])
+
+    def test_int64_points(self, tmp_path):
+        m = np.arange(1, 40, dtype=np.int64)
+        render_both(tmp_path, [Series(np.column_stack([m, m * m]), "line"),
+                               Series(np.column_stack([m, 3 * m]), "scatter")])
+
+    def test_color_and_radius_with_percent(self, tmp_path):
+        render_both(tmp_path, [Series(cloud(30), "scatter", "rgb(10%,20%,30%)", 2.5),
+                               Series(cloud(30, 1), "line", "rgb(50%,0%,0%)")])
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunk_boundaries(self, tmp_path, n):
+        path = render_both(tmp_path, [Series(cloud(n, 2), "scatter"),
+                                      Series(cloud(n, 3), "line")], **self.LABELS)
+        text = path.read_text()
+        assert text.count("<circle") == n
+        points = text.split('<polyline points="')[1].split('"')[0]
+        assert len(points.split(" ")) == n
+
+
+# ---------------------------------------------------------------------------
+# reader
+
+
+class TestCsvReader:
+    MESSY = (
+        "value\n1.5\n\n  2.5  \n-0\nvalue\n3,ignored,fields\n,7\n 4e-3 ,x\n"
+        "1_000\ninf\r\n-inf\n5e-324\n"
+    )
+
+    def test_values_match_old_reader(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(self.MESSY)
+        got = read_csv(path, "value")
+        assert got.shape == (9, 1)
+        old = old_read_values_csv(path)
+        np.testing.assert_array_equal(got[:, 0].view(np.uint64), old.view(np.uint64))
+
+    def test_bad_value_message_matches_old_reader(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("value\n1.0\n2.0\n  abc ,1\n3.0\n")
+        with pytest.raises(ParseError) as old:
+            old_read_values_csv(path)
+        with pytest.raises(ParseError) as new:
+            read_csv(path, "value")
+        assert str(new.value) == str(old.value)
+
+    def test_no_values_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "v.csv"
+        path.write_text("value\n\n")
+        with pytest.raises(ParseError) as old:
+            old_read_values_csv(path)
+        assert main(["meplot", "--input", str(path), "--out", str(tmp_path)]) == 4
+        assert str(old.value) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK + 1])
+    def test_point_set_matches_old_reader(self, tmp_path, n):
+        pts = ts.PointSet2D(np.column_stack([mixed(n, 4), mixed(n, 5)]).reshape(-1, 2))
+        path = tmp_path / "p.csv"
+        pts.write_csv(path)
+        got = ts.PointSet2D.read_csv(path).points
+        old = old_point_set_read_csv(path).points
+        np.testing.assert_array_equal(got.view(np.uint64), old.view(np.uint64))
+
+    def test_point_set_short_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n1,2\n3\n")
+        with pytest.raises(ParseError, match="fewer than 2 fields"):
+            ts.PointSet2D.read_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# round trip
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE))
+def test_values_round_trip_exactly(scratch, values):
+    path = scratch / "values.csv"
+    write_csv(path, "value", [values], ["%.17g"])
+    back = read_csv(path, "value")[:, 0]
+    np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
+                         elements=FINITE))
+def test_point_set_round_trip_exactly(scratch, points):
+    path = scratch / "points.csv"
+    ts.PointSet2D(points).write_csv(path)
+    back = ts.PointSet2D.read_csv(path).points
+    assert back.shape == points.shape
+    np.testing.assert_array_equal(back.view(np.uint64), points.view(np.uint64))

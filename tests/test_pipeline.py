@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_toeplitz
@@ -56,6 +58,37 @@ class TestLoadCsv:
         p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-01,2"])
         with pytest.raises(ParseError, match="duplicate"):
             ts.load_csv(p)
+
+    def test_duplicate_names_first_repeat_in_file_order(self, tmp_path):
+        rows = ["2001-01-03,1", "2001-01-05,2", "2001-01-04,3", "2001-01-05,4",
+                "2001-01-03,5"]
+        p = write_series_csv(tmp_path / "s.csv", rows)
+        with pytest.raises(ParseError, match="duplicate date 2001-01-05$"):
+            ts.load_csv(p)
+
+    def test_duplicate_rejection_no_slower_than_load(self, tmp_path):
+        start = np.datetime64("1900-01-01")
+        days = np.arange(start, start + 50_000)
+        rows = [f"{d},{i % 7}" for i, d in enumerate(days)]
+        clean = write_series_csv(tmp_path / "clean.csv", rows)
+        rows[-2] = f"{days[-100]},0"
+        dup = write_series_csv(tmp_path / "dup.csv", rows)
+
+        def best_of(fn, reps=3):
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        def reject():
+            with pytest.raises(ParseError, match=f"duplicate date {days[-100]}"):
+                ts.load_csv(dup)
+
+        t_load = best_of(lambda: ts.load_csv(clean))
+        t_reject = best_of(reject)
+        assert t_reject <= 3 * t_load, f"reject {t_reject:.3f}s vs load {t_load:.3f}s"
 
     def test_bad_date(self, tmp_path):
         p = write_series_csv(tmp_path / "s.csv", ["2001-13-01,1", "2001-01-02,2"])
