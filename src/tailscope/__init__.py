@@ -32,9 +32,7 @@ from .dist import (  # noqa: E402,F401
     nonstd_quantile,
     nonstd_tail,
     quantile_b,
-    sample,
     skewed_unit_drift,
-    stable_cf,
     theoretical_me,
     truncated_mean,
 )
@@ -84,9 +82,11 @@ from .estimators import (  # noqa: F401
 from .pipeline import (  # noqa: F401
     ARModel,
     SeasonalProfile,
+    SeriesAnalysis,
     TimeSeries,
     acf,
     aic_table,
+    analyze_series,
     deseasonalize,
     load_csv,
     residuals,

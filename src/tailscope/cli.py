@@ -32,17 +32,9 @@ from .empirics import (
     me_plot,
     order_statistics,
 )
-from .errors import ConfigError, DegenerateDataError, ParseError, TailscopeError
+from .errors import ConfigError, ParseError, TailscopeError
 from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace
-from .pipeline import (
-    ARModel,
-    acf,
-    aic_table,
-    deseasonalize,
-    load_csv,
-    residuals,
-    yule_walker,
-)
+from .pipeline import analyze_series, load_csv
 from .randset import Window, run_convergence
 from .svgplot import Series, render_plot
 from .tabular import read_csv, write_csv
@@ -392,42 +384,24 @@ def cmd_analyze(opt: Options) -> int:
         value_col=opt.get("value_col", "value"),
         date_format=opt.get("date_format", "%Y-%m-%d"),
     )
-    # the autoregression below assumes one observation per day with no gaps
-    span = int((ts.dates[-1] - ts.dates[0]).astype(int)) + 1
-    if span != ts.n:
-        raise DegenerateDataError(
-            f"series has {span - ts.n} missing day(s) in {ts.dates[0]}..{ts.dates[-1]}; "
-            "AR fitting needs a contiguous daily series"
-        )
-    scaled, profile = deseasonalize(ts)
-    aic = aic_table(scaled.values, p_max)
-    order = int(np.argmin(aic))
-    if order >= 1:
-        model = yule_walker(scaled.values, order)
-    else:
-        model = ARModel(0, np.empty(0), float(np.var(scaled.values)),
-                        float(scaled.values.mean()))
-    resid = residuals(scaled.values, model)
-    rho = acf(resid, min(40, resid.size - 1))
-
-    sample = order_statistics(resid)
-    i_min, i_max = default_trim(sample.n)
-    pts = me_plot(sample, i_min, i_max)
-    fit = ls_fit(pts, "me")
+    an = analyze_series(ts, p_max)
+    model, fit, sample = an.model, an.me_fit, an.sample
+    order, (i_min, i_max) = model.order, an.trim
     m_ref = opt.get("m", max(2, sample.n // 10), int)
 
     if "csv" in fmts:
-        keys = sorted(profile.scale)
+        scale = an.profile.scale
+        keys = sorted(scale)
         months, days = zip(*keys)
         write_csv(os.path.join(out, "profile.csv"), "month,day,scale",
-                  [months, days, [profile.scale[k] for k in keys]], ["%d", "%d", "%.17g"])
-        write_csv(os.path.join(out, "residuals.csv"), "value", [resid], ["%.17g"])
-        write_csv(os.path.join(out, "acf.csv"), "lag,rho", [np.arange(rho.size), rho],
+                  [months, days, [scale[k] for k in keys]], ["%d", "%d", "%.17g"])
+        write_csv(os.path.join(out, "residuals.csv"), "value", [an.residuals], ["%.17g"])
+        write_csv(os.path.join(out, "acf.csv"), "lag,rho", [np.arange(an.acf.size), an.acf],
                   ["%d", "%.17g"])
-        pts.write_csv(os.path.join(out, "residual_me.csv"))
+        an.me_points.write_csv(os.path.join(out, "residual_me.csv"))
     if "svg" in fmts:
         _plot_fit(
-            os.path.join(out, "residual_me.svg"), pts, fit,
+            os.path.join(out, "residual_me.svg"), an.me_points, fit,
             title="mean excess plot of AR residuals",
             xlabel="threshold",
             ylabel="mean excess",
@@ -438,7 +412,7 @@ def cmd_analyze(opt: Options) -> int:
     _write_lines(os.path.join(out, "ar.txt"), [
         f"order={order}", f"coefficients={coef}",
         f"noise_variance={model.noise_variance:.17g}", f"mean={model.mean:.17g}",
-        *(f"aic_{p}={a:.17g}" for p, a in enumerate(aic)),
+        *(f"aic_{p}={a:.17g}" for p, a in enumerate(an.aic)),
     ])
 
     lines = [f"n={ts.n}", f"ar_order={order}", f"xi_hat_me={fit.xi_hat:.17g}"]
@@ -501,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="replicated distance-to-limit experiment")
     common(p)
     p.add_argument("--model", help="model spec")
-    p.add_argument("--case", choices=("positive", "negative", "zero"))
+    p.add_argument("--case", help="positive, negative or zero")
     p.add_argument("--n-grid", dest="n_grid", help="comma list of sample sizes")
     p.add_argument("--reps", type=int)
     p.add_argument("--k", type=float, help="k-rule exponent (default 0.7)")

@@ -44,13 +44,11 @@ __all__ = [
     "QuantileDefined",
     "PositiveStable",
     "SkewedUnitIndex",
-    "stable_cf",
     "skewed_unit_drift",
     "theoretical_me",
     "excess_cdf",
     "quantile_b",
     "truncated_mean",
-    "sample",
 ]
 
 _XI_ZERO_TOL = 1e-12  # below this |xi| the GPD is treated as exponential
@@ -583,11 +581,6 @@ class SkewedUnitIndex:
         return "skewed-unit-index"
 
 
-def stable_cf(t, law):
-    """Characteristic function of a stable limit law at t."""
-    return law.cf(t)
-
-
 # ---------------------------------------------------------------------------
 # theoretical tail functionals
 
@@ -712,7 +705,3 @@ def truncated_mean(model: DistributionModel, t: float) -> float:
     tail_t = f(t) if t < hi else 0.0
     return lo + body - t * tail_t
 
-
-def sample(model: DistributionModel, n: int, seed: RandomSeed) -> np.ndarray:
-    """Draw n observations from the model under the given seed."""
-    return model.sample(n, seed)

@@ -2,27 +2,30 @@
 
 The intended flow: load a dated series, divide out a per-calendar-day
 scale profile, fit an autoregression by Yule-Walker with the order chosen
-by AIC, and hand the residuals to the estimators module.  The seasonal
-profile is multiplicative (a standard deviation per calendar day), so the
-shape of the innovation tail survives every stage.
+by AIC, and hand the residuals to the estimators module;
+``analyze_series`` runs the whole chain.  The seasonal profile is
+multiplicative (a standard deviation per calendar day), so the shape of
+the innovation tail survives every stage.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date, datetime
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .dist import DistributionModel, RandomSeed
+from .empirics import OrderedSample, PointSet2D, default_trim, me_plot, order_statistics
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
     ParseError,
 )
+from .estimators import FitResult, ls_fit
 
 __all__ = [
     "TimeSeries",
@@ -35,6 +38,8 @@ __all__ = [
     "select_order_aic",
     "residuals",
     "acf",
+    "SeriesAnalysis",
+    "analyze_series",
     "synthetic_composite",
 ]
 
@@ -61,7 +66,7 @@ class SeasonalProfile:
     scale: dict
 
     def lookup(self, month: int, day: int) -> float:
-        return self.scale[_pool_day(month, day)]
+        return self.scale[(2, 28) if (month, day) == (2, 29) else (month, day)]
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,6 @@ class ARModel:
     coefficients: np.ndarray
     noise_variance: float
     mean: float
-
-
-def _pool_day(month: int, day: int) -> tuple[int, int]:
-    return (2, 28) if (month, day) == (2, 29) else (month, day)
 
 
 def load_csv(
@@ -127,24 +128,21 @@ def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
     """
     months = ts.dates.astype("datetime64[M]").astype(int) % 12 + 1
     days = (ts.dates - ts.dates.astype("datetime64[M]")).astype(int) + 1
-    keys = [_pool_day(m, d) for m, d in zip(months, days)]
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(ts.values[i])
+    keys = months * 100 + days
+    keys[keys == 229] = 228  # Feb 29 pools with Feb 28
+    pooled, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    # a stable sort keeps each calendar day's observations in date order
+    groups = np.split(ts.values[np.argsort(keys, kind="stable")], np.cumsum(counts)[:-1])
     scale = {}
-    for key in sorted(groups):
-        obs = np.asarray(groups[key])
+    for key, obs in zip(pooled.tolist(), groups):
+        day = f"calendar day {key // 100:02d}-{key % 100:02d}"
         if obs.size < 2:
-            raise DegenerateDataError(
-                f"calendar day {key[0]:02d}-{key[1]:02d} has fewer than two observations"
-            )
+            raise DegenerateDataError(f"{day} has fewer than two observations")
         s = float(np.std(obs, ddof=1))
         if s == 0.0:
-            raise DegenerateDataError(
-                f"calendar day {key[0]:02d}-{key[1]:02d} has zero spread"
-            )
-        scale[key] = s
-    scaled = ts.values / np.asarray([scale[k] for k in keys])
+            raise DegenerateDataError(f"{day} has zero spread")
+        scale[divmod(key, 100)] = s
+    scaled = ts.values / np.fromiter(scale.values(), float, len(scale))[inverse]
     return TimeSeries(ts.dates, scaled), SeasonalProfile(scale)
 
 
@@ -242,6 +240,51 @@ def acf(x, h_max: int) -> np.ndarray:
     return r / r[0]
 
 
+@dataclass(frozen=True)
+class SeriesAnalysis:
+    """Every stage of a daily series' analysis, up to its residual tail."""
+
+    profile: SeasonalProfile
+    aic: np.ndarray  # AIC of AR orders 0..p_max
+    model: ARModel  # the order AIC picks
+    residuals: np.ndarray
+    acf: np.ndarray  # of the residuals, lags 0..min(40, n - 1)
+    sample: OrderedSample  # the residuals' order statistics
+    trim: tuple[int, int]  # default_trim of the residual sample
+    me_points: PointSet2D
+    me_fit: FitResult
+
+
+def analyze_series(ts: TimeSeries, p_max: int) -> SeriesAnalysis:
+    """Deseasonalize, fit the AR order AIC picks in 0..p_max, read the residuals.
+
+    The series needs one observation per day with no gaps.  Order 0, which
+    Yule-Walker does not fit, leaves the mean-centred series: no
+    coefficients, and its variance as the noise variance.
+    """
+    span = int((ts.dates[-1] - ts.dates[0]).astype(int)) + 1
+    if span != ts.n:
+        raise DegenerateDataError(
+            f"series has {span - ts.n} missing day(s) in {ts.dates[0]}..{ts.dates[-1]}; "
+            "AR fitting needs a contiguous daily series"
+        )
+    scaled, profile = deseasonalize(ts)
+    x = scaled.values
+    aic = aic_table(x, p_max)
+    order = int(np.argmin(aic))
+    if order >= 1:
+        model = yule_walker(x, order)
+    else:
+        model = ARModel(0, np.empty(0), float(np.var(x)), float(x.mean()))
+    resid = residuals(x, model)
+    rho = acf(resid, min(40, resid.size - 1))
+    sample = order_statistics(resid)
+    trim = default_trim(sample.n)
+    pts = me_plot(sample, *trim)
+    fit = ls_fit(pts, "me")
+    return SeriesAnalysis(profile, aic, model, resid, rho, sample, trim, pts, fit)
+
+
 def synthetic_composite(
     years: int,
     phi,
@@ -267,12 +310,9 @@ def synthetic_composite(
         raise ParameterError("amplitude must lie in [0, 1)")
     if not innovations.has_finite_mean:
         raise ParameterError("innovation law must have a finite mean to be centered")
-    start = datetime(start_year, 1, 1).date()
-    end = datetime(start_year + years, 1, 1).date()
-    n_days = (end - start).days
-    dates = np.asarray(
-        [start + timedelta(days=i) for i in range(n_days)], dtype="datetime64[D]"
-    )
+    dates = np.arange(np.datetime64(date(start_year, 1, 1)),
+                      np.datetime64(date(start_year + years, 1, 1)))
+    n_days = dates.size
     eps = innovations.sample(n_days + burn_in, seed)
     eps = eps - eps.mean()
     # x_t = sum_j phi_j x_{t-j} + eps_t with zero initial state

@@ -9,7 +9,7 @@ experiments around them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from scipy.spatial import cKDTree
 from .dist import DistributionModel, PositiveStable, RandomSeed, quantile_b
 from .empirics import (
     PointSet2D,
-    default_k,
     normalize_negative,
     normalize_positive,
     normalize_heavy,
@@ -48,11 +47,7 @@ __all__ = [
 ]
 
 # Versioned experiment manifest; reports embed this version string.
-EXPERIMENT_MANIFEST = {
-    "version": "1",
-    "k_rule": "floor(n**0.7)",
-    "resolution": 512,
-}
+EXPERIMENT_MANIFEST = {"version": "1"}
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,8 @@ class _Limit:
         raise NotImplementedError
 
     def t_for_x_range(self, x_lo: float, x_hi: float) -> tuple[float, float] | None:
-        """Parameter interval whose x-coordinates fall in [x_lo, x_hi]."""
-        raise NotImplementedError
+        """Parameter interval whose x-coordinates fall in [x_lo, x_hi] (default: x = t)."""
+        return self._clip(x_lo, x_hi)
 
     def _clip(self, lo: float, hi: float) -> tuple[float, float] | None:
         lo = max(lo, self.t_domain[0])
@@ -124,9 +119,6 @@ class PositiveLine(_Limit):
     def points_at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.column_stack([t, self.slope * t])
-
-    def t_for_x_range(self, x_lo, x_hi):
-        return self._clip(x_lo, x_hi)
 
     def label(self):
         return f"positive-line(xi={self.xi:g})"
@@ -172,9 +164,6 @@ class Xi1Curve(_Limit):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.column_stack([t, t * (self.s - 1.0 - np.log(t))])
 
-    def t_for_x_range(self, x_lo, x_hi):
-        return self._clip(x_lo, x_hi)
-
     def label(self):
         return f"xi1-curve(s={self.s:g})"
 
@@ -194,9 +183,6 @@ class NegativeSegment(_Limit):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.column_stack([t, self.slope * (t - 1.0)])
 
-    def t_for_x_range(self, x_lo, x_hi):
-        return self._clip(x_lo, x_hi)
-
     def label(self):
         return f"negative-segment(xi={self.xi:g})"
 
@@ -209,9 +195,6 @@ class ZeroLine(_Limit):
     def points_at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return np.column_stack([t, np.ones_like(t)])
-
-    def t_for_x_range(self, x_lo, x_hi):
-        return self._clip(x_lo, x_hi)
 
     def label(self):
         return "zero-line"
@@ -280,33 +263,58 @@ def ks_two_sample(a, b) -> float:
 # experiments
 
 
-_CASES = ("positive", "negative", "zero")
+def _negative_window(xi: float | None) -> Window:
+    if xi is None:
+        raise ParameterError("negative case needs the shape")
+    return Window(0.0, 1.0, min(0.0, xi / (xi - 1.0)) - 0.1, 0.5)
+
+
+@dataclass(frozen=True)
+class _Case:
+    """A deterministic-limit case: the shapes it covers, its limit set, the
+    normalization whose clouds converge to it, and its observation window."""
+
+    covers: Callable[[float], bool]
+    needs: str  # ends "<case> case needs ..." for a shape the case does not cover
+    limit: Callable[[float], _Limit]
+    normalize: Callable[..., PointSet2D]
+    window: Callable[[float | None], Window]
+
+
+# The normalizers are looked up in this module's globals at call time, so a
+# wrapper installed there (a profiler's, say) sees every call.
+_CASES = {
+    "positive": _Case(
+        lambda xi: 0 < xi < 1, "shape in (0,1)", PositiveLine,
+        lambda s, k: normalize_positive(s, k), lambda xi: Window(1.0, 3.0, 0.0, 4.0),
+    ),
+    "negative": _Case(
+        lambda xi: xi < 0, "negative shape", NegativeSegment,
+        lambda s, k: normalize_negative(s, k), _negative_window,
+    ),
+    "zero": _Case(
+        lambda xi: xi == 0, "shape 0", lambda xi: ZeroLine(),
+        lambda s, k: normalize_zero(s, k), lambda xi: Window(0.0, 3.0, 0.0, 2.0),
+    ),
+}
 
 
 def default_window(case: str, xi: float | None = None) -> Window:
     """Standard observation window for each deterministic-limit case."""
-    if case == "positive":
-        return Window(1.0, 3.0, 0.0, 4.0)
-    if case == "negative":
-        if xi is None:
-            raise ParameterError("negative case needs the shape")
-        return Window(0.0, 1.0, min(0.0, xi / (xi - 1.0)) - 0.1, 0.5)
-    if case == "zero":
-        return Window(0.0, 3.0, 0.0, 2.0)
-    raise ParameterError(f"case must be one of {_CASES}")
+    if case not in _CASES:
+        raise ParameterError(f"case must be one of {tuple(_CASES)}")
+    return _CASES[case].window(xi)
 
 
 def _resolve_k_rule(k_rule) -> tuple[Callable[[int], int], str]:
-    if k_rule is None:
-        return default_k, EXPERIMENT_MANIFEST["k_rule"]
-    if isinstance(k_rule, (int, float)) and not isinstance(k_rule, bool):
-        exponent = float(k_rule)
-        if not 0 < exponent < 1:
-            raise ConfigError("k-rule exponent must lie in (0, 1)")
-        return (lambda n: int(math.floor(n**exponent))), f"floor(n**{exponent:g})"
-    if callable(k_rule):
-        return k_rule, getattr(k_rule, "__name__", "custom")
-    raise ConfigError("k_rule must be an exponent or a callable")
+    """k = floor(n**exponent), the exponent 0.7 unless given, and its description."""
+    exponent = 0.7 if k_rule is None else k_rule
+    if isinstance(exponent, bool) or not isinstance(exponent, (int, float)):
+        raise ConfigError("k_rule must be an exponent")
+    exponent = float(exponent)
+    if not 0 < exponent < 1:
+        raise ConfigError("k-rule exponent must lie in (0, 1)")
+    return (lambda n: int(math.floor(n**exponent))), f"floor(n**{exponent:g})"
 
 
 @dataclass(frozen=True)
@@ -370,42 +378,27 @@ def run_convergence(
     along the grid meaningful.
     """
     if case not in _CASES:
-        raise ConfigError(f"case must be one of {_CASES}")
+        raise ConfigError(f"case must be one of {tuple(_CASES)}")
+    spec = _CASES[case]
     xi = model.domain_shape
     if xi is None:
         raise ConfigError(f"{model.label()} has no declared shape")
-    if case == "positive" and not 0 < xi < 1:
-        raise ConfigError(f"positive case needs shape in (0,1), model has {xi:g}")
-    if case == "negative" and not xi < 0:
-        raise ConfigError(f"negative case needs negative shape, model has {xi:g}")
-    if case == "zero" and xi != 0:
-        raise ConfigError(f"zero case needs shape 0, model has {xi:g}")
+    if not spec.covers(xi):
+        raise ConfigError(f"{case} case needs {spec.needs}, model has {xi:g}")
     if reps < 1 or len(n_grid) == 0:
         raise ConfigError("need reps >= 1 and a nonempty n grid")
 
     k_fn, k_desc = _resolve_k_rule(k_rule)
     if window is None:
-        window = default_window(case, xi)
-    if case == "positive":
-        limit = PositiveLine(xi)
-    elif case == "negative":
-        limit = NegativeSegment(xi)
-    else:
-        limit = ZeroLine()
-    limit_pts = discretize(limit, window, resolution)
+        window = spec.window(xi)
+    limit_pts = discretize(spec.limit(xi), window, resolution)
 
     dist = np.empty((reps, len(n_grid)))
     for r in range(reps):
         for j, n in enumerate(n_grid):
             cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
             sample = order_statistics(model.sample(int(n), cell))
-            k = k_fn(int(n))
-            if case == "positive":
-                cloud = normalize_positive(sample, k)
-            elif case == "negative":
-                cloud = normalize_negative(sample, k)
-            else:
-                cloud = normalize_zero(sample, k)
+            cloud = spec.normalize(sample, k_fn(int(n)))
             dist[r, j] = hausdorff_window(cloud, limit_pts, window)
     return ConvergenceReport(
         model.label(),

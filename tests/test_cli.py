@@ -195,6 +195,20 @@ class TestConverge:
                    "--n-grid", "1000", "--reps", "1", "--out", str(tmp_path / "x")) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_case_is_config_error(self, tmp_path, capsys):
+        args = ["--model", "pareto:2", "--n-grid", "1000", "--reps", "1"]
+        assert run("converge", "--case", "sideways", *args,
+                   "--out", str(tmp_path / "x")) == 2
+        flag_err = capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("case=sideways\n")
+        assert run("converge", "--config", str(cfg), *args,
+                   "--out", str(tmp_path / "y")) == 2
+        cfg_err = capsys.readouterr().err
+        for err in (flag_err, cfg_err):
+            assert err == ("tailscope: config error: case must be one of "
+                           "('positive', 'negative', 'zero')\n")
+
     def test_bad_window(self, tmp_path):
         assert run("converge", "--model", "pareto:2", "--case", "positive",
                    "--n-grid", "1000", "--reps", "1", "--window", "1,2,3",
@@ -244,6 +258,18 @@ class TestAnalyze:
             line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
         )
         assert float(summary["xi_hat_me"]) == pytest.approx(0.4, abs=0.1)
+
+    def test_white_noise_fits_order_zero(self, tmp_path):
+        src = tmp_path / "white.csv"
+        days = np.arange(np.datetime64("1999-01-01"), np.datetime64("2004-01-01"))
+        values = np.random.default_rng(3).normal(size=days.size).tolist()
+        src.write_text("date,value\n" + "".join(
+            f"{d},{v!r}\n" for d, v in zip(days.astype(str), values)))
+        out = tmp_path / "a"
+        assert run("analyze", "--input", str(src), "--p-max", "3", "--out", str(out)) == 0
+        ar = (out / "ar.txt").read_text().splitlines()
+        assert ar[:2] == ["order=0", "coefficients="]
+        assert "ar_order=0" in (out / "summary.txt").read_text()
 
     def test_gappy_series_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "gap.csv"

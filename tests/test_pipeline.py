@@ -1,4 +1,5 @@
 import time
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -34,6 +35,49 @@ def pooled_day(date):
     m = int(str(date)[5:7])
     d = int(str(date)[8:10])
     return (2, 28) if (m, d) == (2, 29) else (m, d)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the per-day loops the array code replaced,
+# kept verbatim; the array code must match them bit for bit
+
+
+def _pool_day(month, day):
+    return (2, 28) if (month, day) == (2, 29) else (month, day)
+
+
+def old_deseasonalize(ts_):
+    months = ts_.dates.astype("datetime64[M]").astype(int) % 12 + 1
+    days = (ts_.dates - ts_.dates.astype("datetime64[M]")).astype(int) + 1
+    keys = [_pool_day(m, d) for m, d in zip(months, days)]
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(ts_.values[i])
+    scale = {}
+    for key in sorted(groups):
+        obs = np.asarray(groups[key])
+        if obs.size < 2:
+            raise DegenerateDataError(
+                f"calendar day {key[0]:02d}-{key[1]:02d} has fewer than two observations"
+            )
+        s = float(np.std(obs, ddof=1))
+        if s == 0.0:
+            raise DegenerateDataError(
+                f"calendar day {key[0]:02d}-{key[1]:02d} has zero spread"
+            )
+        scale[key] = s
+    scaled = ts_.values / np.asarray([scale[k] for k in keys])
+    return ts.TimeSeries(ts_.dates, scaled), ts.SeasonalProfile(scale)
+
+
+def old_composite_dates(years, start_year):
+    start = datetime(start_year, 1, 1).date()
+    end = datetime(start_year + years, 1, 1).date()
+    n_days = (end - start).days
+    dates = np.asarray(
+        [start + timedelta(days=i) for i in range(n_days)], dtype="datetime64[D]"
+    )
+    return dates
 
 
 class TestLoadCsv:
@@ -398,3 +442,92 @@ class TestSyntheticComposite:
         pts = ts.me_plot(sample, max(2, int(0.005 * sample.n)), int(0.2 * sample.n))
         xi = ts.ls_fit(pts, "me").xi_hat
         assert xi == pytest.approx(0.2, abs=0.1)
+
+
+class TestCalendarAgainstReference:
+    def assert_same_deseasonalize(self, series):
+        new_scaled, new_profile = ts.deseasonalize(series)
+        old_scaled, old_profile = old_deseasonalize(series)
+        assert new_scaled.values.tobytes() == old_scaled.values.tobytes()
+        assert new_scaled.dates.tobytes() == old_scaled.dates.tobytes()
+        assert list(new_profile.scale.items()) == list(old_profile.scale.items())
+
+    def test_200_year_composite(self):
+        comp = ts.synthetic_composite(200, [0.5, -0.3], ts.Pareto(5), ts.RandomSeed(3, 13))
+        assert comp.n == 73_048
+        self.assert_same_deseasonalize(comp)
+
+    def test_feb29_pooling_2003_to_2008(self):
+        rng = np.random.default_rng(9)
+        n = (np.datetime64("2009-01-01") - np.datetime64("2003-01-01")).astype(int)
+        series = daily_series("2003-01-01", rng.gamma(2.0, size=n))
+        self.assert_same_deseasonalize(series)
+        _, profile = ts.deseasonalize(series)
+        assert (2, 29) not in profile.scale and len(profile.scale) == 365
+
+    @pytest.mark.parametrize("start_year", [1, 1900, 2001])
+    def test_composite_dates_and_values(self, start_year):
+        comp = ts.synthetic_composite(
+            6, [0.5], ts.Exponential(1), ts.RandomSeed(4), start_year=start_year
+        )
+        want = old_composite_dates(6, start_year)
+        assert comp.dates.dtype == want.dtype
+        assert comp.dates.tobytes() == want.tobytes()
+        self.assert_same_deseasonalize(comp)
+
+    @pytest.mark.parametrize("start, n, tweak, message", [
+        # 2001-03-01 .. 2002-08-31: Jan 1 is seen once, and sorts first
+        ("2001-03-01", 549, None, "calendar day 01-01 has fewer than two observations"),
+        ("2001-01-01", 1461, "05-07", "calendar day 05-07 has zero spread"),
+    ])
+    def test_degenerate_day_messages(self, start, n, tweak, message):
+        rng = np.random.default_rng(10)
+        series = daily_series(start, rng.normal(size=n))
+        if tweak is not None:
+            same = [i for i, d in enumerate(series.dates) if str(d)[5:] == tweak]
+            series.values[same] = 2.5
+        for fn in (ts.deseasonalize, old_deseasonalize):
+            with pytest.raises(DegenerateDataError) as info:
+                fn(series)
+            assert str(info.value) == message
+
+
+class TestAnalyzeSeries:
+    def test_matches_the_stages_it_chains(self):
+        comp = ts.synthetic_composite(20, [0.5, -0.3], ts.Pareto(5), ts.RandomSeed(2, 5))
+        an = ts.analyze_series(comp, 4)
+        scaled, profile = ts.deseasonalize(comp)
+        aic = ts.aic_table(scaled.values, 4)
+        order = int(np.argmin(aic))
+        assert order >= 1 and an.model.order == order
+        fit = ts.yule_walker(scaled.values, order)
+        resid = ts.residuals(scaled.values, fit)
+        assert an.profile == profile
+        assert an.aic.tobytes() == aic.tobytes()
+        assert an.model.coefficients.tobytes() == fit.coefficients.tobytes()
+        assert an.residuals.tobytes() == resid.tobytes()
+        assert an.acf.tobytes() == ts.acf(resid, 40).tobytes()
+        assert an.trim == ts.default_trim(resid.size)
+        pts = ts.me_plot(ts.order_statistics(resid), *an.trim)
+        assert an.me_points.points.tobytes() == pts.points.tobytes()
+        assert an.me_fit == ts.ls_fit(pts, "me")
+
+    def test_order_zero_fallback_on_white_noise(self):
+        rng = np.random.default_rng(3)
+        n = (np.datetime64("2004-01-01") - np.datetime64("1999-01-01")).astype(int)
+        series = daily_series("1999-01-01", rng.normal(size=n))
+        an = ts.analyze_series(series, 3)
+        x = ts.deseasonalize(series)[0].values
+        assert an.model.order == 0
+        assert an.model.coefficients.size == 0
+        assert an.model.noise_variance == np.var(x)
+        assert an.model.mean == x.mean()
+        np.testing.assert_array_equal(an.residuals, x - x.mean())
+
+    def test_gap_is_degenerate(self):
+        rng = np.random.default_rng(8)
+        series = daily_series("2001-01-01", rng.normal(size=800))
+        keep = np.arange(series.n) != 100
+        gappy = ts.TimeSeries(series.dates[keep], series.values[keep])
+        with pytest.raises(DegenerateDataError, match=r"1 missing day\(s\) in 2001-01-01\.\."):
+            ts.analyze_series(gappy, 3)
