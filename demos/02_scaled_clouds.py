@@ -21,7 +21,7 @@ from tailscope.svgplot import Series, render_plot
 model = ts.Pareto(2.0)
 xi = model.domain_shape
 window = ts.default_window("positive")       # x in [1, 3], y in [0, 4]
-reference = ts.discretize(ts.PositiveLine(xi), window)
+reference = ts.discretize(ts.limit_set("positive", xi), window)
 
 for n in (10_000, 100_000):
     sample = ts.order_statistics(model.sample(n, ts.RandomSeed(3)))

@@ -46,6 +46,18 @@ ENV_SEED = "TAILSCOPE_SEED"
 # option plumbing
 
 
+# kind -> (model class, allowed parameter counts)
+_MODELS = {
+    "pareto": (Pareto, (1,)),
+    "gpd": (GPD, (1, 2)),
+    "beta": (Beta, (2,)),
+    "exp": (Exponential, (0, 1)),
+    "lognormal": (LogNormal, (0, 2)),
+    "stable": (StableSkewed, (1,)),
+    "lambertw": (LambertWTail, (0,)),
+}
+
+
 def parse_model(spec: str) -> DistributionModel:
     """Parse a model spec like pareto:2, gpd:0.5,1 or lambertw."""
     kind, _, rest = spec.partition(":")
@@ -54,27 +66,15 @@ def parse_model(spec: str) -> DistributionModel:
         params = [float(tok) for tok in rest.split(",") if tok.strip()] if rest else []
     except ValueError as exc:
         raise ConfigError(f"bad model parameters in {spec!r}") from exc
+    model, counts = _MODELS.get(kind, (None, ()))
+    if len(params) not in counts:
+        raise ConfigError(
+            f"unknown model {spec!r}; expected kind:params with kind in {', '.join(_MODELS)}"
+        )
     try:
-        if kind == "pareto" and len(params) == 1:
-            return Pareto(params[0])
-        if kind == "gpd" and len(params) in (1, 2):
-            return GPD(*params)
-        if kind == "beta" and len(params) == 2:
-            return Beta(*params)
-        if kind == "exp" and len(params) in (0, 1):
-            return Exponential(*params)
-        if kind == "lognormal" and len(params) in (0, 2):
-            return LogNormal(*params)
-        if kind == "stable" and len(params) == 1:
-            return StableSkewed(params[0])
-        if kind == "lambertw" and not params:
-            return LambertWTail()
+        return model(*params)
     except TailscopeError as exc:
         raise ConfigError(f"bad model {spec!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown model {spec!r}; expected kind:params with kind in "
-        "pareto, gpd, beta, exp, lognormal, stable, lambertw"
-    )
 
 
 def read_config(path: str) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,7 +40,6 @@ __all__ = [
     "LogNormal",
     "StableSkewed",
     "LambertWTail",
-    "QuantileDefined",
     "PositiveStable",
     "SkewedUnitIndex",
     "skewed_unit_drift",
@@ -459,45 +457,6 @@ class LambertWTail(DistributionModel):
         p = _check_p(p)
         out = nonstd_quantile(1.0 - p)
         return out if np.ndim(out) else float(out)
-
-
-class QuantileDefined(DistributionModel):
-    """Model given by an arbitrary quantile function.
-
-    ``tail`` is recovered by bisection, so it is exact only up to the
-    requested tolerance; sampling is inverse-transform and exact.
-    """
-
-    def __init__(
-        self,
-        quantile_fn: Callable[[np.ndarray], np.ndarray],
-        support: tuple[float, float] = (0.0, math.inf),
-        domain_shape: float | None = None,
-        name: str = "quantile-defined",
-    ):
-        self._quantile_fn = quantile_fn
-        self.support = support
-        self.domain_shape = domain_shape
-        self.name = name
-
-    def quantile(self, p):
-        p = _check_p(p)
-        return np.asarray(self._quantile_fn(p), dtype=float)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape or (1,))
-        flat = np.atleast_1d(x)
-        for i, xi in enumerate(flat):
-            lo, hi = 0.0, 1.0 - 1e-16
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if self._quantile_fn(mid) <= xi:
-                    lo = mid
-                else:
-                    hi = mid
-            out.flat[i] = 0.5 * (lo + hi)
-        return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,23 @@ configuration problems (exit 2), data/degeneracy problems (exit 3) and
 I/O or parse problems (exit 4).
 """
 
+__all__ = [
+    "TailscopeError",
+    "ConfigError",
+    "DomainError",
+    "ParameterError",
+    "InfiniteMeanError",
+    "InsufficientDataError",
+    "DegenerateDataError",
+    "EmptyExceedanceError",
+    "DegenerateRangeError",
+    "SingularDesignError",
+    "NormalizationError",
+    "EmptyWindowError",
+    "IndexRangeError",
+    "ParseError",
+]
+
 
 class TailscopeError(Exception):
     """Base class for all library errors."""

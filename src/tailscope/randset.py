@@ -3,8 +3,8 @@
 Convergence of the rescaled plots is convergence of closed sets; on a
 fixed bounded window it can be monitored with the Hausdorff distance
 between the empirical point set and a discretized limit set.  This module
-provides the limit sets, the windowed distance, and seeded replication
-experiments around them.
+provides the straight limit lines of the three shape < 1 cases, the
+windowed distance, and seeded replication experiments around them.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 from .dist import DistributionModel, PositiveStable, RandomSeed, quantile_b
 from .empirics import (
     PointSet2D,
+    default_k,
     normalize_negative,
     normalize_positive,
     normalize_heavy,
@@ -30,20 +31,16 @@ from .tabular import write_csv
 
 __all__ = [
     "Window",
-    "PositiveLine",
-    "HeavyCurve",
-    "Xi1Curve",
-    "NegativeSegment",
-    "ZeroLine",
+    "LimitLine",
     "discretize",
     "hausdorff_window",
     "ConvergenceReport",
     "run_convergence",
     "InterceptResult",
     "intercept_experiment",
-    "ks_two_sample",
     "EXPERIMENT_MANIFEST",
     "default_window",
+    "limit_set",
 ]
 
 # Versioned experiment manifest; reports embed this version string.
@@ -84,135 +81,33 @@ class Window:
 # limit sets
 
 
-class _Limit:
-    """A parametrized limit curve t -> (x(t), y(t)) on a t-interval."""
+@dataclass(frozen=True)
+class LimitLine:
+    """The straight limit set {(t, y0 + slope (t - x0)) : t in t_domain}."""
 
+    slope: float
+    x0: float = 0.0
+    y0: float = 0.0
     t_domain: tuple[float, float] = (0.0, math.inf)
 
     def points_at(self, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def t_for_x_range(self, x_lo: float, x_hi: float) -> tuple[float, float] | None:
-        """Parameter interval whose x-coordinates fall in [x_lo, x_hi] (default: x = t)."""
-        return self._clip(x_lo, x_hi)
-
-    def _clip(self, lo: float, hi: float) -> tuple[float, float] | None:
-        lo = max(lo, self.t_domain[0])
-        hi = min(hi, self.t_domain[1])
-        return (lo, hi) if lo <= hi else None
-
-    def label(self) -> str:
-        return type(self).__name__
-
-
-class PositiveLine(_Limit):
-    """Ray {(t, t xi/(1-xi)) : t >= 1} for shape xi in (0, 1)."""
-
-    t_domain = (1.0, math.inf)
-
-    def __init__(self, xi: float):
-        if not 0 < xi < 1:
-            raise ParameterError("xi must lie in (0, 1)")
-        self.xi = float(xi)
-        self.slope = xi / (1.0 - xi)
-
-    def points_at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t, self.slope * t])
-
-    def label(self):
-        return f"positive-line(xi={self.xi:g})"
+        return np.column_stack([t, self.y0 + self.slope * (t - self.x0)])
 
 
-class HeavyCurve(_Limit):
-    """Curve {(t^xi, t s) : t >= 1} for shape xi > 1 and a scale draw s."""
+def discretize(limit: LimitLine, window: Window, resolution: int = 512) -> PointSet2D:
+    """Sample the limit line inside the window.
 
-    t_domain = (1.0, math.inf)
-
-    def __init__(self, xi: float, s: float):
-        if not xi > 1:
-            raise ParameterError("xi must exceed 1")
-        if not s > 0:
-            raise ParameterError("s must be positive")
-        self.xi = float(xi)
-        self.s = float(s)
-
-    def points_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t**self.xi, self.s * t])
-
-    def t_for_x_range(self, x_lo, x_hi):
-        if x_hi < 0:
-            return None
-        lo = max(x_lo, 0.0) ** (1.0 / self.xi) if x_lo > 0 else self.t_domain[0]
-        hi = x_hi ** (1.0 / self.xi)
-        return self._clip(lo, hi)
-
-    def label(self):
-        return f"heavy-curve(xi={self.xi:g},s={self.s:g})"
-
-
-class Xi1Curve(_Limit):
-    """Curve {(t, t (s - 1 - log t)) : t >= 1} for the shape-1 boundary."""
-
-    t_domain = (1.0, math.inf)
-
-    def __init__(self, s: float):
-        self.s = float(s)
-
-    def points_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t, t * (self.s - 1.0 - np.log(t))])
-
-    def label(self):
-        return f"xi1-curve(s={self.s:g})"
-
-
-class NegativeSegment(_Limit):
-    """Segment {(t, (t-1) xi/(1-xi)) : 0 <= t <= 1} for shape xi < 0."""
-
-    t_domain = (0.0, 1.0)
-
-    def __init__(self, xi: float):
-        if not xi < 0:
-            raise ParameterError("xi must be negative")
-        self.xi = float(xi)
-        self.slope = xi / (1.0 - xi)
-
-    def points_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t, self.slope * (t - 1.0)])
-
-    def label(self):
-        return f"negative-segment(xi={self.xi:g})"
-
-
-class ZeroLine(_Limit):
-    """Horizontal line {(t, 1) : t >= 0} for shape 0."""
-
-    t_domain = (0.0, math.inf)
-
-    def points_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([t, np.ones_like(t)])
-
-    def label(self):
-        return "zero-line"
-
-
-def discretize(limit: _Limit, window: Window, resolution: int = 512) -> PointSet2D:
-    """Sample the limit curve inside the window.
-
-    Consecutive sampled points along the curve are at most
-    diag(window)/resolution apart before the window filter, so every curve
+    Consecutive sampled points along the line are at most
+    diag(window)/resolution apart before the window filter, so every line
     point inside the window has a sampled neighbour within that gap.
     """
     if resolution < 1:
         raise ParameterError("resolution must be positive")
-    t_range = limit.t_for_x_range(window.x_lo, window.x_hi)
-    if t_range is None:
+    t_lo = max(window.x_lo, limit.t_domain[0])
+    t_hi = min(window.x_hi, limit.t_domain[1])
+    if t_lo > t_hi:
         return PointSet2D(np.empty((0, 2)))
-    t_lo, t_hi = t_range
     delta = window.diag / resolution
     if t_lo == t_hi:
         pts = limit.points_at(np.array([t_lo]))
@@ -247,18 +142,6 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
     return float(max(d_ab, d_ba))
 
 
-def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ParameterError("both samples must be nonempty")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -271,12 +154,12 @@ def _negative_window(xi: float | None) -> Window:
 
 @dataclass(frozen=True)
 class _Case:
-    """A deterministic-limit case: the shapes it covers, its limit set, the
+    """A deterministic-limit case: the shapes it covers, its limit line, the
     normalization whose clouds converge to it, and its observation window."""
 
     covers: Callable[[float], bool]
     needs: str  # ends "<case> case needs ..." for a shape the case does not cover
-    limit: Callable[[float], _Limit]
+    limit: Callable[[float], LimitLine]
     normalize: Callable[..., PointSet2D]
     window: Callable[[float | None], Window]
 
@@ -284,37 +167,67 @@ class _Case:
 # The normalizers are looked up in this module's globals at call time, so a
 # wrapper installed there (a profiler's, say) sees every call.
 _CASES = {
+    # the ray y = t xi/(1-xi), t >= 1
     "positive": _Case(
-        lambda xi: 0 < xi < 1, "shape in (0,1)", PositiveLine,
+        lambda xi: 0 < xi < 1, "shape in (0,1)",
+        lambda xi: LimitLine(xi / (1.0 - xi), t_domain=(1.0, math.inf)),
         lambda s, k: normalize_positive(s, k), lambda xi: Window(1.0, 3.0, 0.0, 4.0),
     ),
+    # the segment y = (t-1) xi/(1-xi), 0 <= t <= 1
     "negative": _Case(
-        lambda xi: xi < 0, "negative shape", NegativeSegment,
+        lambda xi: xi < 0, "negative shape",
+        lambda xi: LimitLine(xi / (1.0 - xi), x0=1.0, t_domain=(0.0, 1.0)),
         lambda s, k: normalize_negative(s, k), _negative_window,
     ),
+    # the line y = 1, t >= 0
     "zero": _Case(
-        lambda xi: xi == 0, "shape 0", lambda xi: ZeroLine(),
+        lambda xi: xi == 0, "shape 0", lambda xi: LimitLine(0.0, y0=1.0),
         lambda s, k: normalize_zero(s, k), lambda xi: Window(0.0, 3.0, 0.0, 2.0),
     ),
 }
 
 
+def _case(case: str, error=ParameterError) -> _Case:
+    if case not in _CASES:
+        raise error(f"case must be one of {tuple(_CASES)}")
+    return _CASES[case]
+
+
 def default_window(case: str, xi: float | None = None) -> Window:
     """Standard observation window for each deterministic-limit case."""
-    if case not in _CASES:
-        raise ParameterError(f"case must be one of {tuple(_CASES)}")
-    return _CASES[case].window(xi)
+    return _case(case).window(xi)
+
+
+def limit_set(case: str, xi: float) -> LimitLine:
+    """The line that a case's normalized plots of shape xi converge to."""
+    spec = _case(case)
+    if xi is None or not spec.covers(xi):
+        raise ParameterError(f"{case} case needs {spec.needs}, got {xi}")
+    return spec.limit(xi)
 
 
 def _resolve_k_rule(k_rule) -> tuple[Callable[[int], int], str]:
-    """k = floor(n**exponent), the exponent 0.7 unless given, and its description."""
-    exponent = 0.7 if k_rule is None else k_rule
-    if isinstance(exponent, bool) or not isinstance(exponent, (int, float)):
+    """k = floor(n**exponent), default_k unless an exponent is given, and its description."""
+    if k_rule is None:
+        return default_k, "floor(n**0.7)"
+    if isinstance(k_rule, bool) or not isinstance(k_rule, (int, float)):
         raise ConfigError("k_rule must be an exponent")
-    exponent = float(exponent)
+    exponent = float(k_rule)
     if not 0 < exponent < 1:
         raise ConfigError("k-rule exponent must lie in (0, 1)")
     return (lambda n: int(math.floor(n**exponent))), f"floor(n**{exponent:g})"
+
+
+def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: RandomSeed):
+    """Yield (r, j, ordered sample of size n_grid[j]) for every replication r.
+
+    Each (r, j) cell draws from its own Philox stream, seed.stream + r *
+    len(n_grid) + j, so the result does not depend on evaluation order.
+    """
+    for r in range(reps):
+        for j, n in enumerate(n_grid):
+            cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
+            yield r, j, order_statistics(model.sample(int(n), cell))
 
 
 @dataclass(frozen=True)
@@ -333,10 +246,6 @@ class ConvergenceReport:
 
     def medians(self) -> np.ndarray:
         return np.median(self.distances, axis=0)
-
-    def pass_rate(self, n: int, threshold: float) -> float:
-        j = self.n_grid.index(n)
-        return float(np.mean(self.distances[:, j] < threshold))
 
     def write_csv(self, path) -> None:
         reps, cols = self.distances.shape
@@ -372,14 +281,10 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Replicate normalized plots along n_grid and measure distances.
 
-    Each (replication, grid index) pair uses its own Philox stream, so the
-    result does not depend on evaluation order; replication r is coupled
-    across n only through sharing the rep index, making paired comparisons
-    along the grid meaningful.
+    Replication r is coupled across n only through sharing the rep index
+    (see ``_cells``), making paired comparisons along the grid meaningful.
     """
-    if case not in _CASES:
-        raise ConfigError(f"case must be one of {tuple(_CASES)}")
-    spec = _CASES[case]
+    spec = _case(case, ConfigError)
     xi = model.domain_shape
     if xi is None:
         raise ConfigError(f"{model.label()} has no declared shape")
@@ -391,15 +296,16 @@ def run_convergence(
     k_fn, k_desc = _resolve_k_rule(k_rule)
     if window is None:
         window = spec.window(xi)
-    limit_pts = discretize(spec.limit(xi), window, resolution)
+    limit_pts = discretize(limit_set(case, xi), window, resolution)
+    if len(limit_pts) == 0:
+        w = ",".join(f"{v:g}" for v in window.as_tuple())
+        raise ConfigError(f"the {case} limit for shape {xi:g} misses the window {w}; "
+                          "pass a --window that it crosses")
 
     dist = np.empty((reps, len(n_grid)))
-    for r in range(reps):
-        for j, n in enumerate(n_grid):
-            cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
-            sample = order_statistics(model.sample(int(n), cell))
-            cloud = spec.normalize(sample, k_fn(int(n)))
-            dist[r, j] = hausdorff_window(cloud, limit_pts, window)
+    for r, j, sample in _cells(model, n_grid, reps, seed):
+        cloud = spec.normalize(sample, k_fn(sample.n))
+        dist[r, j] = hausdorff_window(cloud, limit_pts, window)
     return ConvergenceReport(
         model.label(),
         case,
@@ -427,9 +333,6 @@ class InterceptResult:
     reference: np.ndarray
     dropped: np.ndarray
 
-    def ks_against_reference(self) -> float:
-        return ks_two_sample(self.intercepts, self.reference)
-
 
 def intercept_experiment(
     model: DistributionModel,
@@ -449,9 +352,7 @@ def intercept_experiment(
     slopes = np.empty(reps)
     intercepts = np.empty(reps)
     dropped = np.empty(reps, dtype=int)
-    for r in range(reps):
-        cell = seed.with_stream(seed.stream + r)
-        sample = order_statistics(model.sample(int(n), cell))
+    for r, _, sample in _cells(model, (n,), reps, seed):
         cloud = normalize_heavy(sample, k, b_nk, b_n)
         ok = (cloud.x > 0) & (cloud.y > 0)
         dropped[r] = int(np.count_nonzero(~ok))

@@ -44,6 +44,15 @@ class TestParseModel:
             with pytest.raises(ConfigError):
                 parse_model(spec)
 
+    def test_unknown_model_message(self):
+        for spec in ("nope:1", "gpd:1,2,3"):
+            with pytest.raises(ConfigError) as err:
+                parse_model(spec)
+            assert str(err.value) == (
+                f"unknown model {spec!r}; expected kind:params with kind in "
+                "pareto, gpd, beta, exp, lognormal, stable, lambertw"
+            )
+
 
 class TestSimulate:
     def test_writes_sample_and_manifest(self, tmp_path, capsys):
@@ -208,6 +217,16 @@ class TestConverge:
         for err in (flag_err, cfg_err):
             assert err == ("tailscope: config error: case must be one of "
                            "('positive', 'negative', 'zero')\n")
+
+    def test_limit_outside_default_window_is_config_error(self, tmp_path, capsys):
+        for model in ("gpd:0.8", "gpd:0.95", "pareto:1.1"):
+            out = tmp_path / model.replace(":", "_")
+            assert run("converge", "--model", model, "--case", "positive",
+                       "--n-grid", "1000", "--reps", "1", "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("tailscope: config error: the positive limit for shape ")
+            assert "misses the window 1,3,0,4; pass a --window" in err
+            assert not (out / "distances.csv").exists()
 
     def test_bad_window(self, tmp_path):
         assert run("converge", "--model", "pareto:2", "--case", "positive",

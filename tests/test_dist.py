@@ -355,14 +355,6 @@ class TestModels:
         assert ts.LambertWTail().has_finite_mean
         assert not ts.GPD(1.0).has_finite_mean
 
-    def test_quantile_defined_round_trip(self):
-        model = ts.QuantileDefined(
-            lambda p: np.asarray(p) ** 2, support=(0.0, 1.0), domain_shape=-0.5
-        )
-        x = model.sample(1000, ts.RandomSeed(3))
-        assert np.all((x >= 0) & (x <= 1))
-        assert model.cdf(0.25) == pytest.approx(0.5, abs=1e-9)
-
     def test_labels_are_stable(self):
         assert ts.Pareto(2).label() == "pareto(alpha=2)"
         assert ts.GPD(0.5, 1.0).label() == "gpd(xi=0.5,beta=1)"

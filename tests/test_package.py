@@ -1,0 +1,24 @@
+"""The package namespace re-exports each module's public names, and only those."""
+import importlib
+
+import pytest
+
+import tailscope as ts
+
+MODULES = ("dist", "empirics", "errors", "estimators", "pipeline", "randset")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_names_resolve_on_package(name):
+    module = importlib.import_module(f"tailscope.{name}")
+    assert module.__all__
+    for attr in module.__all__:
+        assert getattr(ts, attr) is getattr(module, attr), f"{name}.{attr}"
+
+
+def test_deleted_names_are_gone():
+    for attr in ("PositiveLine", "NegativeSegment", "ZeroLine", "HeavyCurve", "Xi1Curve",
+                 "ks_two_sample", "QuantileDefined"):
+        assert not hasattr(ts, attr), attr
+    assert not hasattr(ts.ConvergenceReport, "pass_rate")
+    assert not hasattr(ts.InterceptResult, "ks_against_reference")

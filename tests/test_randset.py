@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from scipy.stats import ks_2samp
 
 import tailscope as ts
 from tailscope.errors import ConfigError, EmptyWindowError, ParameterError
@@ -37,44 +36,110 @@ class TestWindow:
             ts.Window(0.0, 1.0, 2.0, 0.0)
 
 
+# reference implementations: the per-case limit classes (their points_at
+# formulas verbatim) and the discretization that LimitLine, limit_set and
+# discretize replaced
+
+
+class RefPositiveLine:
+    t_domain = (1.0, np.inf)
+
+    def __init__(self, xi):
+        self.slope = xi / (1.0 - xi)
+
+    def points_at(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.column_stack([t, self.slope * t])
+
+
+class RefNegativeSegment:
+    t_domain = (0.0, 1.0)
+
+    def __init__(self, xi):
+        self.slope = xi / (1.0 - xi)
+
+    def points_at(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.column_stack([t, self.slope * (t - 1.0)])
+
+
+class RefZeroLine:
+    t_domain = (0.0, np.inf)
+
+    def __init__(self, xi):
+        pass
+
+    def points_at(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.column_stack([t, np.ones_like(t)])
+
+
+REF_LIMITS = {"positive": RefPositiveLine, "negative": RefNegativeSegment, "zero": RefZeroLine}
+
+
+def ref_discretize(limit, window, resolution):
+    t_lo = max(window.x_lo, limit.t_domain[0])
+    t_hi = min(window.x_hi, limit.t_domain[1])
+    if t_lo > t_hi:
+        return np.empty((0, 2))
+    delta = window.diag / resolution
+    if t_lo == t_hi:
+        pts = limit.points_at(np.array([t_lo]))
+        return pts[window.contains(pts)]
+    n = resolution + 1
+    while True:
+        t = np.linspace(t_lo, t_hi, n)
+        pts = limit.points_at(t)
+        gaps = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        if gaps.size == 0 or gaps.max() <= delta or n > (1 << 21):
+            break
+        n *= 2
+    return pts[window.contains(pts)]
+
+
 class TestLimitSets:
     def test_positive_line_points(self):
-        line = ts.PositiveLine(0.5)  # slope 1
+        line = ts.limit_set("positive", 0.5)  # slope 1
         pts = line.points_at(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(pts, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
 
     def test_positive_line_shape_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ParameterError):
-                ts.PositiveLine(bad)
-
-    def test_heavy_curve_hand_points(self):
-        curve = ts.HeavyCurve(2.0, 1.0)
-        pts = curve.points_at(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(pts, [[1.0, 1.0], [4.0, 2.0]])
-
-    def test_heavy_curve_requires_heavy_shape(self):
-        with pytest.raises(ParameterError):
-            ts.HeavyCurve(0.9, 1.0)
-        with pytest.raises(ParameterError):
-            ts.HeavyCurve(2.0, -1.0)
+                ts.limit_set("positive", bad)
 
     def test_negative_segment_endpoints(self):
-        seg = ts.NegativeSegment(-0.5)  # slope (t-1)*(-1/3)... y(0)=1/3, y(1)=0
+        seg = ts.limit_set("negative", -0.5)  # slope (t-1)*(-1/3)... y(0)=1/3, y(1)=0
         pts = seg.points_at(np.array([0.0, 1.0]))
         np.testing.assert_allclose(pts, [[0.0, 1.0 / 3.0], [1.0, 0.0]])
 
     def test_zero_line(self):
-        pts = ts.ZeroLine().points_at(np.array([0.0, 2.5]))
+        pts = ts.limit_set("zero", 0.0).points_at(np.array([0.0, 2.5]))
         np.testing.assert_allclose(pts, [[0.0, 1.0], [2.5, 1.0]])
 
-    def test_xi1_curve(self):
-        s = 2.0
-        curve = ts.Xi1Curve(s)
-        pts = curve.points_at(np.array([1.0, np.e]))
-        np.testing.assert_allclose(
-            pts, [[1.0, s - 1.0], [np.e, np.e * (s - 2.0)]], atol=1e-14
-        )
+    def test_limit_set_rejects_unknown_case_and_uncovered_shape(self):
+        with pytest.raises(ParameterError, match="case must be one of"):
+            ts.limit_set("sideways", 0.5)
+        for case, bad in (("negative", 0.0), ("negative", 0.3), ("zero", 0.5),
+                          ("zero", -0.1), ("positive", None)):
+            with pytest.raises(ParameterError, match=f"{case} case needs"):
+                ts.limit_set(case, bad)
+
+    @pytest.mark.parametrize("case,shapes", [
+        ("positive", (0.05, 0.25, 0.4, 0.5, 2.0 / 3.0, 0.75, 0.79)),
+        ("negative", (-3.0, -1.0, -0.5, -0.25, -0.01)),
+        ("zero", (0.0,)),
+    ])
+    def test_discretized_lines_match_reference(self, case, shapes):
+        # by value, not bytes: the reference segment ends at y = -0.0
+        windows = [ts.Window(1.5, 2.5, -10.0, 10.0), ts.Window(0.0, 1.0, 5.0, 6.0),
+                   ts.Window(-1.0, 0.5, -1.0, 2.0), ts.Window(0.9, 1.0, 0.0, 1.0)]
+        for xi in shapes:
+            for window in [ts.default_window(case, xi), *windows]:
+                for res in (1, 7, 64, 512):
+                    got = ts.discretize(ts.limit_set(case, xi), window, res).points
+                    ref = ref_discretize(REF_LIMITS[case](xi), window, res)
+                    np.testing.assert_array_equal(got, ref)
 
 
 class TestDiscretize:
@@ -82,32 +147,37 @@ class TestDiscretize:
         window = ts.Window(1.0, 3.0, 0.0, 4.0)
         res = 64
         delta = window.diag / res
-        grid = ts.discretize(ts.PositiveLine(0.4), window, resolution=res)
+        grid = ts.discretize(ts.limit_set("positive", 0.4), window, resolution=res)
         # oracle: a very fine sampling of the true curve restricted to the
         # window must have a discretized neighbour within delta
         t = np.linspace(1.0, 3.0, 20_001)
-        fine = ts.PositiveLine(0.4).points_at(t)
+        fine = ts.limit_set("positive", 0.4).points_at(t)
         fine = fine[window.contains(fine)]
         d = cdist(fine, grid.points).min(axis=1)
         assert d.max() <= delta + 1e-12
 
-    def test_curved_limit_gap(self):
-        window = ts.Window(0.5, 9.0, 0.0, 4.0)
-        res = 128
+    def test_steep_ray_gap(self):
+        # slope 3 leaves the window through its top edge, so 65 points over
+        # x in [1, 3] are too sparse and the grid doubles to 130
+        window = ts.default_window("positive")
+        res = 64
         delta = window.diag / res
-        grid = ts.discretize(ts.HeavyCurve(2.0, 1.0), window, resolution=res)
-        t = np.linspace(1.0, 3.0, 50_001)  # curve domain starts at t=1
-        fine = ts.HeavyCurve(2.0, 1.0).points_at(t)
+        grid = ts.discretize(ts.limit_set("positive", 0.75), window, resolution=res)
+        assert len(grid) == 22  # t = 1 + 2i/129 <= 4/3
+        gaps = np.hypot(*np.diff(grid.points, axis=0).T)
+        assert gaps.max() <= delta
+        t = np.linspace(1.0, 3.0, 50_001)
+        fine = ts.limit_set("positive", 0.75).points_at(t)
         fine = fine[window.contains(fine)]
         assert cdist(fine, grid.points).min(axis=1).max() <= delta + 1e-12
 
     def test_disjoint_window_is_empty(self):
-        out = ts.discretize(ts.ZeroLine(), ts.Window(0.0, 1.0, 5.0, 6.0))
+        out = ts.discretize(ts.limit_set("zero", 0.0), ts.Window(0.0, 1.0, 5.0, 6.0))
         assert len(out) == 0
 
     def test_x_range_respected(self):
         window = ts.Window(1.5, 2.5, -10.0, 10.0)
-        grid = ts.discretize(ts.PositiveLine(0.5), window)
+        grid = ts.discretize(ts.limit_set("positive", 0.5), window)
         assert grid.x.min() >= 1.5 - 1e-12
         assert grid.x.max() <= 2.5 + 1e-12
 
@@ -161,28 +231,6 @@ class TestHausdorff:
         with pytest.raises(EmptyWindowError) as err:
             ts.hausdorff_window(outside, outside, w)
         assert err.value.side == "both"
-
-
-class TestKS:
-    def test_hand_case(self):
-        assert ts.ks_two_sample([0.0, 1.0], [10.0, 11.0]) == 1.0
-        assert ts.ks_two_sample([1.0, 2.0], [1.5, 2.5]) == 0.5
-
-    def test_identical_samples(self):
-        x = np.arange(10.0)
-        assert ts.ks_two_sample(x, x) == 0.0
-
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = rng.standard_normal(rng.integers(5, 200))
-            b = rng.standard_normal(rng.integers(5, 200)) + 0.3
-            ref = ks_2samp(a, b).statistic
-            assert ts.ks_two_sample(a, b) == pytest.approx(ref, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            ts.ks_two_sample([], [1.0])
 
 
 class TestDefaultWindow:
@@ -263,12 +311,18 @@ class TestRunConvergence:
         got = np.array([float(r.split(",")[2]) for r in rows[1:]]).reshape(2, 2)
         np.testing.assert_array_equal(got, rep.distances)
 
-    def test_pass_rate(self):
-        rep = ts.run_convergence(
-            ts.Pareto(2), "positive", (2000,), reps=4, seed=ts.RandomSeed(9)
-        )
-        assert rep.pass_rate(2000, np.inf) == 1.0
-        assert rep.pass_rate(2000, 0.0) == 0.0
+    def test_limit_outside_window_is_config_error(self, monkeypatch):
+        # shape 0.8 puts the ray at y = 4.000000000000001 at x = 1, above the
+        # default window [1, 3] x [0, 4]; the check comes before any sampling
+        model = ts.GPD(0.8)
+        monkeypatch.setattr(model, "sample", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ConfigError) as err:
+            ts.run_convergence(model, "positive", (1000,), 1, ts.RandomSeed(0))
+        assert str(err.value) == ("the positive limit for shape 0.8 misses the window "
+                                  "1,3,0,4; pass a --window that it crosses")
+        rep = ts.run_convergence(ts.GPD(0.8), "positive", (1000,), 1, ts.RandomSeed(0),
+                                 window=ts.Window(1.0, 3.0, 0.0, 20.0))
+        assert np.isfinite(rep.distances).all()
 
 
 class TestInterceptExperiment:
