@@ -144,6 +144,8 @@ class Options:
         return fmts
 
     def out_dir(self) -> str:
+        """The --out directory, created: call it once the command's work has succeeded,
+        so a rejected run leaves no directory behind."""
         out = self.get("out", ".")
         os.makedirs(out, exist_ok=True)
         return out
@@ -236,8 +238,8 @@ def cmd_simulate(opt: Options) -> int:
         raise ConfigError("need n >= 1")
     seed = opt.seed()
     opt.formats()  # the sample is always CSV, but reject bad --format early
-    out = opt.out_dir()
     values = model.sample(n, seed)
+    out = opt.out_dir()
     write_csv(os.path.join(out, "sample.csv"), "value", [values], ["%.17g"])
     write_manifest(
         os.path.join(out, "manifest.txt"),
@@ -250,7 +252,6 @@ def cmd_simulate(opt: Options) -> int:
 
 def cmd_meplot(opt: Options) -> int:
     values, meta = _load_sample(opt)
-    out = opt.out_dir()
     fmts = opt.formats()
     sample = order_statistics(values)
     n = sample.n
@@ -258,6 +259,7 @@ def cmd_meplot(opt: Options) -> int:
     i_min, i_max = _parse_trim(trim_raw, n) if trim_raw else default_trim(n)
     pts = me_plot(sample, i_min, i_max)
     fit = ls_fit(pts, "me")
+    out = opt.out_dir()
     if "csv" in fmts:
         pts.write_csv(os.path.join(out, "me_plot.csv"))
     if "svg" in fmts:
@@ -285,23 +287,20 @@ def cmd_meplot(opt: Options) -> int:
 
 def cmd_estimate(opt: Options) -> int:
     values, meta = _load_sample(opt)
-    out = opt.out_dir()
     fmts = opt.formats()
     stride = opt.get("stride", 1, int)
     sample = order_statistics(values)
     n = sample.n
     m_ref = opt.get("m", max(2, n // 10), int)
 
-    traces = {}
-    for kind in ("hill", "pickands", "moment"):
-        tr = trace(sample, kind, stride=stride)
-        traces[kind] = tr
-        if "csv" in fmts:
-            write_csv(os.path.join(out, f"{kind}_trace.csv"), "m,value", [tr.m, tr.value],
-                      ["%d", "%.17g"])
+    traces = {kind: trace(sample, kind, stride=stride) for kind in ("hill", "pickands", "moment")}
     qq = qq_points_pos(sample, m_ref)
     qq_fit = ls_fit(qq, "qq-pos")
+    out = opt.out_dir()
     if "csv" in fmts:
+        for kind, tr in traces.items():
+            write_csv(os.path.join(out, f"{kind}_trace.csv"), "m,value", [tr.m, tr.value],
+                      ["%d", "%.17g"])
         qq.write_csv(os.path.join(out, "qq_pos.csv"))
     if "svg" in fmts:
         series = [
@@ -337,7 +336,6 @@ def cmd_converge(opt: Options) -> int:
     n_grid = _parse_grid(opt.require("n_grid"))
     reps = opt.require("reps", int)
     seed = opt.seed()
-    out = opt.out_dir()
     fmts = opt.formats()
     k_exp = opt.get("k", None, float)
     window_raw = opt.get("window")
@@ -349,6 +347,7 @@ def cmd_converge(opt: Options) -> int:
         resolution=resolution,
     )
     med = report.medians()
+    out = opt.out_dir()
     if "csv" in fmts:
         report.write_csv(os.path.join(out, "distances.csv"))
     if "svg" in fmts:
@@ -375,7 +374,6 @@ def cmd_converge(opt: Options) -> int:
 
 def cmd_analyze(opt: Options) -> int:
     path = opt.require("input")
-    out = opt.out_dir()
     fmts = opt.formats()
     p_max = opt.get("p_max", 10, int)
     ts = load_csv(
@@ -388,6 +386,7 @@ def cmd_analyze(opt: Options) -> int:
     model, fit, sample = an.model, an.me_fit, an.sample
     order, (i_min, i_max) = model.order, an.trim
     m_ref = opt.get("m", max(2, sample.n // 10), int)
+    out = opt.out_dir()
 
     if "csv" in fmts:
         scale = an.profile.scale

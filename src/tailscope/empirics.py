@@ -106,43 +106,47 @@ class PointSet2D:
 
 def _exceed_counts(values_desc: np.ndarray, u) -> np.ndarray:
     """Number of observations strictly above each threshold in u."""
-    neg = -values_desc  # ascending
-    return np.searchsorted(neg, -np.atleast_1d(np.asarray(u, dtype=float)), side="left")
+    return values_desc.size - np.searchsorted(values_desc[::-1], np.atleast_1d(u), side="right")
+
+
+def _mean_excess(values_desc: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Strict exceedance counts c and mean excesses at the thresholds u.
+
+    ME(u) = sum_{i <= c} (X_(i) - p)/c - (u - p) with the pivot p = min(u),
+    cumulated over the max(c) largest observations only: data far from 0
+    lose no digits, and a top-k plot costs O(k).  ME is +inf where c = 0.
+    """
+    c = _exceed_counts(values_desc, u)
+    if not c.any():
+        raise EmptyExceedanceError(f"no observation exceeds u={float(np.min(u))!r}")
+    pivot = np.min(u)
+    csum = values_desc[: c.max()] - pivot
+    np.cumsum(csum, out=csum)
+    with np.errstate(divide="ignore"):
+        return c, csum[c - 1] / c - (u - pivot)
 
 
 def empirical_me(sample: OrderedSample, u: float) -> float:
     """Empirical mean excess at u: mean of X - u over observations X > u."""
-    c = int(_exceed_counts(sample.values, u)[0])
-    if c == 0:
-        raise EmptyExceedanceError(f"no observation exceeds u={u!r}")
-    return float(np.sum(sample.values[:c]) / c - u)
-
-
-def _me_at_indices(sample: OrderedSample, idx: np.ndarray):
-    """Thresholds u = X_(i) and empirical mean excesses at them."""
-    u = sample.values[idx - 1]
-    c = _exceed_counts(sample.values, u)
-    if np.any(c == 0):
-        raise EmptyExceedanceError("tied maxima leave no strict exceedances")
-    csum = np.cumsum(sample.values)
-    me = csum[c - 1] / c - u
-    return u, me
+    return float(_mean_excess(sample.values, u)[1][0])
 
 
 def me_plot(sample: OrderedSample, i_min: int = 2, i_max: int | None = None) -> PointSet2D:
     """Mean excess plot {(X_(i), ME(X_(i))) : i_min <= i <= i_max}.
 
     Thresholds are the order statistics themselves; ties produce coincident
-    points rather than being collapsed.
+    points, except that thresholds tied with X_(1) have no exceedance and
+    are left out.
     """
     n = sample.n
     if i_max is None:
         i_max = n
     if not 2 <= i_min <= i_max <= n:
         raise IndexRangeError(f"need 2 <= i_min <= i_max <= {n}")
-    idx = np.arange(i_min, i_max + 1)
-    u, me = _me_at_indices(sample, idx)
-    return PointSet2D(np.column_stack([u, me]))
+    u = sample.values[i_min - 1 : i_max]
+    c, me = _mean_excess(sample.values, u)
+    tied = np.searchsorted(c, 1)  # leading thresholds equal to X_(1)
+    return PointSet2D(np.column_stack([u[tied:], me[tied:]]))
 
 
 def tail_measure(sample: OrderedSample, k: int, x):
@@ -163,8 +167,11 @@ def tail_measure(sample: OrderedSample, k: int, x):
 def _top_k_me(sample: OrderedSample, k: int):
     if not 2 <= k <= sample.n:
         raise IndexRangeError(f"k={k} outside 2..{sample.n}")
-    idx = np.arange(2, k + 1)
-    return idx, *_me_at_indices(sample, idx)
+    u = sample.values[1:k]
+    c, me = _mean_excess(sample.values, u)
+    if c[0] == 0:
+        raise EmptyExceedanceError("tied maxima leave no strict exceedances")
+    return np.arange(2, k + 1), u, me
 
 
 def normalize_positive(sample: OrderedSample, k: int) -> PointSet2D:

@@ -87,48 +87,68 @@ def _check_m(sample: OrderedSample, m: int, upper: int) -> None:
         raise IndexRangeError(f"m={m} outside 1..{upper}")
 
 
+def _log_spacing(v: np.ndarray, m: np.ndarray, kind: str):
+    """Hill or moment estimates at each m (X_(m+1) > 0), and which m degenerate.
+
+    h1 and h2, the mean and mean square of L_i - L_(m+1) over i <= m, come
+    from cumulative sums of L_i = log(X_(i)/X_(1)) and of L_i^2; logs taken
+    relative to the top value do not cancel when they sit close together.
+    """
+    logs = v[: m.max() + 1] / v[0]
+    np.log(logs, out=logs)
+    pivot = logs[m]
+    h1 = np.cumsum(logs)[m - 1] / m
+    if kind == "hill":
+        h1 -= pivot
+        with np.errstate(divide="ignore"):
+            # ties leave h1 at rounding noise rather than exactly zero
+            return 1.0 / h1, ~(h1 > 1e-12)
+    logs *= logs
+    np.cumsum(logs, out=logs)
+    h2 = logs[m - 1] / m - 2.0 * pivot * h1 + pivot * pivot
+    h1 -= pivot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = h1 * h1 / h2
+        est = h1 + 1.0 - 0.5 / (1.0 - ratio)
+    return est, ~(h2 > 1e-24) | (np.abs(1.0 - ratio) < 1e-9)
+
+
+def _pickands(v: np.ndarray, m: np.ndarray):
+    """Pickands estimates from X_(m), X_(2m), X_(4m), and which m degenerate."""
+    den = v[2 * m - 1] - v[4 * m - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (v[m - 1] - v[2 * m - 1]) / den
+        est = np.log(ratio) / math.log(2.0)
+    return est, (den == 0.0) | (ratio <= 0.0)
+
+
+def _estimate(sample: OrderedSample, m: int, kind: str) -> float:
+    """The kind's trace at one m, or a typed error for an m the trace skips."""
+    _check_m(sample, m, sample.n // 4 if kind == "pickands" else sample.n - 1)
+    if kind == "pickands":
+        est, bad = _pickands(sample.values, np.array([m]))
+    elif sample.x(m + 1) <= 0:
+        raise DomainError("X_(m+1) must be positive")
+    else:
+        est, bad = _log_spacing(sample.values, np.array([m]), kind)
+    if bad[0]:
+        raise DegenerateDataError(f"degenerate spacing at m={m}")
+    return float(est[0])
+
+
 def hill(sample: OrderedSample, m: int) -> float:
     """Hill estimate of the tail index from the top m log spacings."""
-    _check_m(sample, m, sample.n - 1)
-    pivot = sample.x(m + 1)
-    if pivot <= 0:
-        raise DomainError("X_(m+1) must be positive")
-    mean_log = float(np.mean(np.log(sample.values[:m] / pivot)))
-    if mean_log == 0.0:
-        raise DegenerateDataError("top order statistics are all tied")
-    return 1.0 / mean_log
+    return _estimate(sample, m, "hill")
 
 
 def pickands(sample: OrderedSample, m: int) -> float:
     """Pickands estimate of the shape from X_(m), X_(2m), X_(4m)."""
-    if 4 * m > sample.n:
-        raise IndexRangeError(f"need 4m <= n, got m={m}, n={sample.n}")
-    _check_m(sample, m, sample.n)
-    num = sample.x(m) - sample.x(2 * m)
-    den = sample.x(2 * m) - sample.x(4 * m)
-    if den == 0.0:
-        raise DegenerateDataError("X_(2m) and X_(4m) coincide")
-    ratio = num / den
-    if ratio <= 0.0:
-        raise DegenerateDataError("nonpositive Pickands ratio")
-    return math.log(ratio) / math.log(2.0)
+    return _estimate(sample, m, "pickands")
 
 
 def moment(sample: OrderedSample, m: int) -> float:
     """Moment (Dekkers-Einmahl-de Haan) estimate of the shape."""
-    _check_m(sample, m, sample.n - 1)
-    pivot = sample.x(m + 1)
-    if pivot <= 0:
-        raise DomainError("X_(m+1) must be positive")
-    logs = np.log(sample.values[:m] / pivot)
-    h1 = float(np.mean(logs))
-    h2 = float(np.mean(logs**2))
-    if h2 == 0.0:
-        raise DegenerateDataError("top order statistics are all tied")
-    ratio = h1 * h1 / h2
-    if ratio == 1.0:
-        raise DegenerateDataError("degenerate log spacings (single point mass)")
-    return h1 + 1.0 - 0.5 / (1.0 - ratio)
+    return _estimate(sample, m, "moment")
 
 
 def qq_points_pos(sample: OrderedSample, m: int) -> PointSet2D:
@@ -205,41 +225,14 @@ def trace(sample: OrderedSample, kind: str, stride: int = 1) -> EstimatorTrace:
     if stride < 1:
         raise ParameterError("stride must be positive")
     v = sample.values
-
     if kind == "pickands":
         m_all = np.arange(1, n // 4 + 1)[::stride]
-        num = v[m_all - 1] - v[2 * m_all - 1]
-        den = v[2 * m_all - 1] - v[4 * m_all - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / den
-            est = np.log(ratio) / math.log(2.0)
-        bad = (den == 0.0) | (ratio <= 0.0)
-    else:
+        est, bad = _pickands(v, m_all)
+    else:  # the log-spacing estimators stop at the last positive pivot
         n_pos = int(np.count_nonzero(v > 0))
         if n_pos < 2:
             raise DegenerateDataError("need at least two positive observations")
-        logs = np.log(v[:n_pos])
-        m_all = np.arange(1, min(n - 1, n_pos - 1) + 1)[::stride]
-        cum1 = np.cumsum(logs)
-        h1 = cum1[m_all - 1] / m_all - logs[m_all]
-        if kind == "hill":
-            with np.errstate(divide="ignore"):
-                est = 1.0 / h1
-            # ties leave h1 at rounding noise rather than exactly zero
-            bad = ~(h1 > 1e-12)
-        else:
-            cum2 = np.cumsum(logs**2)
-            # mean of (log X_(i) - log X_(m+1))^2 via the first two moments
-            h2 = (
-                cum2[m_all - 1] / m_all
-                - 2.0 * logs[m_all] * cum1[m_all - 1] / m_all
-                + logs[m_all] ** 2
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = h1 * h1 / h2
-                est = h1 + 1.0 - 0.5 / (1.0 - ratio)
-            bad = ~(h2 > 1e-24) | (np.abs(1.0 - ratio) < 1e-9)
-
+        m_all = np.arange(1, n_pos)[::stride]
+        est, bad = _log_spacing(v, m_all, kind)
     skipped = [(int(mm), "degenerate spacing") for mm in m_all[bad]]
-    keep = ~bad
-    return EstimatorTrace(kind, m_all[keep], np.asarray(est)[keep], skipped)
+    return EstimatorTrace(kind, m_all[~bad], est[~bad], skipped)

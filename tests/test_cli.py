@@ -163,6 +163,21 @@ class TestMeplot:
         assert run("meplot", "--model", "pareto:2", "--n", "100", "--seed", "1",
                    "--trim", "90:5", "--out", str(tmp_path / "x")) == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_tied_maxima(self, tmp_path, capsys):
+        src = tmp_path / "tied.csv"
+        src.write_text("value\n5\n5\n3\n2\n1\n1\n0.5\n")
+        out = tmp_path / "m"
+        assert run("meplot", "--input", str(src), "--out", str(out)) == 0
+        pts = np.loadtxt(out / "me_plot.csv", delimiter=",", skiprows=1)
+        # X_(2) = X_(1) has no strict exceedance and leaves no row
+        np.testing.assert_array_equal(pts[:, 0], [3.0, 2.0, 1.0, 1.0, 0.5])
+        np.testing.assert_allclose(pts[:, 1], [2.0, 7 / 3, 11 / 4, 11 / 4, 7 / 3], rtol=1e-15)
+        src.write_text("value\n4\n4\n4\n4\n")
+        assert run("meplot", "--input", str(src), "--out", str(tmp_path / "x")) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEstimate:
@@ -203,6 +218,7 @@ class TestConverge:
         assert run("converge", "--model", "beta:2,2", "--case", "positive",
                    "--n-grid", "1000", "--reps", "1", "--out", str(tmp_path / "x")) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_case_is_config_error(self, tmp_path, capsys):
         args = ["--model", "pareto:2", "--n-grid", "1000", "--reps", "1"]
@@ -226,7 +242,7 @@ class TestConverge:
             err = capsys.readouterr().err
             assert err.startswith("tailscope: config error: the positive limit for shape ")
             assert "misses the window 1,3,0,4; pass a --window" in err
-            assert not (out / "distances.csv").exists()
+            assert not out.exists()
 
     def test_bad_window(self, tmp_path):
         assert run("converge", "--model", "pareto:2", "--case", "positive",
@@ -301,6 +317,17 @@ class TestAnalyze:
         src.write_text("\n".join(lines) + "\n")
         assert run("analyze", "--input", str(src), "--out", str(tmp_path / "x")) == 3
         assert "missing day" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_duplicate_date_is_io_error_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "dup.csv"
+        days = np.arange(np.datetime64("2001-01-01"), np.datetime64("2002-01-01")).astype(str)
+        rows = [f"{d},{v:.6f}" for d, v in zip(days, np.random.default_rng(9).normal(size=days.size))]
+        src.write_text("date,value\n" + "\n".join(rows + [rows[200]]) + "\n")
+        out = tmp_path / "x"
+        assert run("analyze", "--input", str(src), "--out", str(out)) == 4
+        assert "duplicate date 2001-07-20" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert run("analyze", "--input", str(tmp_path / "nope.csv"),

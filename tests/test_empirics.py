@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tailscope as ts
 from tailscope.errors import (
@@ -109,6 +112,30 @@ class TestMePlot:
         with pytest.raises(EmptyExceedanceError):
             ts.me_plot(s)
 
+    def test_thresholds_tied_with_maximum_dropped(self):
+        data = [5.0, 5.0, 3.0, 2.0, 1.0, 1.0, 0.5]
+        pts = ts.me_plot(ts.order_statistics(data))
+        # X_(2) = X_(1) has no strict exceedance; X_(3)..X_(7) remain
+        np.testing.assert_array_equal(pts.x, [3.0, 2.0, 1.0, 1.0, 0.5])
+        np.testing.assert_allclose(pts.y, [naive_me(data, u) for u in pts.x], rtol=1e-15)
+
+    def test_tied_maxima_still_rejected_by_normalizers(self):
+        s = ts.order_statistics([5.0, 5.0, 3.0, 2.0, 1.0, 1.0, 0.5])
+        with pytest.raises(EmptyExceedanceError):
+            ts.normalize_positive(s, 5)
+
+    def test_far_from_zero_matches_fsum(self):
+        # mean excesses of Exp(1) + 1e12 are 1; summing raw values cancels
+        x = ts.Exponential(1).sample(100_000, ts.RandomSeed(1)) + 1e12
+        s = ts.order_statistics(x)
+        lo, hi = ts.default_trim(s.n)
+        pts = ts.me_plot(s, lo, hi)
+        for r in np.unique(np.geomspace(1, len(pts), 40).astype(int)) - 1:
+            u = pts.x[r]
+            above = s.values[s.values > u]
+            exact = math.fsum((above - u).tolist()) / above.size
+            assert pts.y[r] == pytest.approx(exact, rel=1e-9)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         data = rng.exponential(size=60)
@@ -132,6 +159,41 @@ class TestMePlot:
         b = ts.me_plot(ts.order_statistics(data + 5.0))
         np.testing.assert_allclose(b.x, a.x + 5.0, rtol=1e-13)
         np.testing.assert_allclose(b.y, a.y, atol=1e-10)
+
+
+INTS = st.integers(-(2**20), 2**20)
+
+
+class TestMeanExcessProperties:
+    @given(data=hnp.arrays(np.float64, st.integers(2, 60), elements=INTS),
+           shift=st.integers(-(2**30), 2**30))
+    def test_shift_invariant(self, data, shift):
+        # integer data shift exactly, and deviations from the pivot
+        # threshold are then the same numbers bit for bit
+        assume(np.ptp(data) > 0)
+        a = ts.me_plot(ts.order_statistics(data))
+        b = ts.me_plot(ts.order_statistics(data + shift))
+        np.testing.assert_array_equal(b.x, a.x + shift)
+        np.testing.assert_array_equal(b.y, a.y)
+
+    @given(data=hnp.arrays(np.float64, st.integers(2, 60), elements=INTS),
+           scale=st.floats(1e-6, 1e6))
+    def test_scale_equivariant(self, data, scale):
+        assume(np.ptp(data) > 0)
+        a = ts.me_plot(ts.order_statistics(data))
+        b = ts.me_plot(ts.order_statistics(scale * data))
+        np.testing.assert_array_equal(b.x, scale * a.x)
+        np.testing.assert_allclose(b.y, scale * a.y, rtol=0, atol=1e-13 * scale * np.ptp(data))
+
+    @given(data=hnp.arrays(np.float64, st.integers(2, 60), elements=st.floats(0, 1)),
+           offset=st.floats(-1e12, 1e12), spread=st.floats(1e-6, 1e6))
+    def test_error_scales_with_range_not_location(self, data, offset, spread):
+        s = ts.order_statistics(offset + spread * data)
+        assume(s.x(1) > s.x(2))
+        pts = ts.me_plot(s)
+        for u, y in zip(pts.x, pts.y):
+            exact = math.fsum((s.values[s.values > u] - u).tolist()) / np.count_nonzero(s.values > u)
+            assert abs(y - exact) <= 1e-13 * (s.x(1) - s.x(s.n))
 
 
 class TestTailMeasure:

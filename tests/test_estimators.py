@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tailscope as ts
 from tailscope.errors import (
@@ -238,6 +241,40 @@ class TestQQNeg:
             ts.qq_points_neg(s, 4, xi_pre=0.0)
 
 
+ESTIMATORS = {"hill": ts.hill, "pickands": ts.pickands, "moment": ts.moment}
+
+
+class TestTraceProperties:
+    @given(data=hnp.arrays(np.float64, st.integers(8, 60),
+                           elements=st.integers(-40, 400).map(lambda i: i / 4)),
+           kind=st.sampled_from(sorted(ESTIMATORS)), stride=st.integers(1, 5))
+    def test_trace_is_its_pointwise_estimator(self, data, kind, stride):
+        # quarter-integers from a short range: ties and nonpositive values
+        # are common, so every skip rule is exercised
+        s = srt(data)
+        try:
+            tr = ts.trace(s, kind, stride=stride)
+        except DegenerateDataError:
+            assert np.count_nonzero(data > 0) < 2
+            return
+        for m, value in zip(tr.m, tr.value):
+            assert ESTIMATORS[kind](s, int(m)) == value
+        for m, _ in tr.skipped:
+            with pytest.raises(DegenerateDataError):
+                ESTIMATORS[kind](s, m)
+
+    @given(data=hnp.arrays(np.float64, st.integers(8, 60), unique=True,
+                           elements=st.integers(0, 2000).map(lambda i: math.exp(i / 100))),
+           scale=st.floats(1e-6, 1e6))
+    def test_hill_and_moment_scale_invariant(self, data, scale):
+        # distinct log values 0.01 apart keep every m away from the skip rules
+        a, b = srt(data), srt(scale * data)
+        for m in range(1, a.n):
+            assert ts.hill(b, m) == pytest.approx(ts.hill(a, m), rel=1e-12)
+            if m > 1:
+                assert ts.moment(b, m) == pytest.approx(ts.moment(a, m), rel=1e-9)
+
+
 class TestTrace:
     def test_matches_scalar_estimators(self):
         rng = np.random.default_rng(8)
@@ -288,6 +325,17 @@ class TestTrace:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             ts.trace(srt(np.arange(1.0, 20.0)), "bogus")
+
+    def test_moment_on_close_logs_matches_fsum(self):
+        # logs spread over 1e-5 around 13.8: cumulating raw logs and their
+        # squares cancels, logs relative to X_(1) do not
+        y = 1e6 * np.exp(1e-6 * ts.Exponential(1).sample(20_000, ts.RandomSeed(2)))
+        s = srt(y)
+        logs = np.log(s.values[:10000] / s.x(10001))
+        h1 = math.fsum(logs.tolist()) / 10000
+        h2 = math.fsum((logs * logs).tolist()) / 10000
+        exact = h1 + 1.0 - 0.5 / (1.0 - h1 * h1 / h2)
+        assert ts.trace(s, "moment").at(10000) == pytest.approx(exact, rel=1e-6)
 
     def test_hill_trace_stabilizes_on_pareto(self):
         x = ts.Pareto(2).sample(50_000, ts.RandomSeed(68))
