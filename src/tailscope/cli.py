@@ -258,6 +258,7 @@ def cmd_meplot(opt: Options) -> int:
     trim_raw = opt.get("trim")
     i_min, i_max = _parse_trim(trim_raw, n) if trim_raw else default_trim(n)
     pts = me_plot(sample, i_min, i_max)
+    i_min = i_max - len(pts) + 1  # thresholds tied with X_(1) leave no row
     fit = ls_fit(pts, "me")
     out = opt.out_dir()
     if "csv" in fmts:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,10 +25,6 @@ from .errors import (
 
 __all__ = [
     "RandomSeed",
-    "ShapeScale",
-    "gpd_cdf",
-    "gpd_tail",
-    "gpd_quantile",
     "lambert_w",
     "nonstd_tail",
     "nonstd_quantile",
@@ -90,71 +86,10 @@ def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / (1 << 53)
 
 
-# ---------------------------------------------------------------------------
-# generalized Pareto family
-
-
-@dataclass(frozen=True)
-class ShapeScale:
-    """Shape/scale parameter pair of the generalized Pareto family."""
-
-    xi: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.xi):
-            raise ParameterError("xi must be finite")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ParameterError("beta must be positive")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.xi >= 0:
-            return (0.0, math.inf)
-        return (0.0, -self.beta / self.xi)
-
-
-def _gpd_args(x, ss: ShapeScale):
-    x = np.asarray(x, dtype=float)
-    lo, hi = ss.support
-    if np.any(x < lo) or np.any(x > hi):
-        raise DomainError(f"x outside support [{lo}, {hi}]")
-    return x
-
-
-def gpd_tail(x, ss: ShapeScale):
-    """Survival function 1 - G_{xi,beta}(x) on the support."""
-    x = _gpd_args(x, ss)
-    if abs(ss.xi) < _XI_ZERO_TOL:
-        out = np.exp(-x / ss.beta)
-    else:
-        # (1 + xi x / beta)^(-1/xi), evaluated in log space; at the right
-        # endpoint for xi < 0 the log is -inf and the limit value 0 is exact
-        with np.errstate(divide="ignore"):
-            out = np.exp(-np.log1p(ss.xi * x / ss.beta) / ss.xi)
-    return out if out.ndim else float(out)
-
-def gpd_cdf(x, ss: ShapeScale):
-    """Generalized Pareto distribution function G_{xi,beta}(x)."""
-    x = _gpd_args(x, ss)
-    if abs(ss.xi) < _XI_ZERO_TOL:
-        out = -np.expm1(-x / ss.beta)
-    else:
-        with np.errstate(divide="ignore"):
-            out = -np.expm1(-np.log1p(ss.xi * x / ss.beta) / ss.xi)
-    return out if out.ndim else float(out)
-
-
-def gpd_quantile(p, ss: ShapeScale):
-    """Inverse of ``gpd_cdf`` on p in (0, 1); p = 0 returns 0."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p >= 1):
-        raise DomainError("p must lie in [0, 1)")
-    if abs(ss.xi) < _XI_ZERO_TOL:
-        out = -ss.beta * np.log1p(-p)
-    else:
-        out = (ss.beta / ss.xi) * np.expm1(-ss.xi * np.log1p(-p))
-    return out if out.ndim else float(out)
+def _unwrap(out):
+    """A 0-d result as a Python scalar; arrays pass through unchanged."""
+    out = np.asarray(out)
+    return out if out.ndim else out.item()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +112,7 @@ def lambert_w(x):
             break
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
         w = w - f / denom
-    return w if w.ndim else float(w)
+    return _unwrap(w)
 
 
 def nonstd_tail(x):
@@ -191,8 +126,7 @@ def nonstd_tail(x):
     if np.any(x < 1):
         raise DomainError("support starts at 1")
     w = lambert_w(x * math.exp(0.05) / 20.0)
-    out = 400.0 * np.square(w) / np.square(x)
-    return out if np.ndim(out) else float(out)
+    return _unwrap(400.0 * np.square(w) / np.square(x))
 
 
 def nonstd_quantile(p):
@@ -200,8 +134,7 @@ def nonstd_quantile(p):
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0) or np.any(p > 1):
         raise DomainError("p must lie in (0, 1]")
-    out = (1.0 - 10.0 * np.log(p)) / np.sqrt(p)
-    return out if out.ndim else float(out)
+    return _unwrap((1.0 - 10.0 * np.log(p)) / np.sqrt(p))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +142,14 @@ def nonstd_quantile(p):
 
 
 class DistributionModel:
-    """Common interface: tail, cdf, quantile, support, shape, sampling."""
+    """Common interface: tail, cdf, quantile, support, shape, sampling.
+
+    The public ``tail``, ``cdf`` and ``quantile`` check their argument (x in
+    ``support``, p in [0, 1)), raising ``DomainError`` otherwise, and return
+    a Python float for a scalar argument.  A model supplies only the
+    formulas ``_tail`` or ``_cdf`` (each defaults to one minus the other)
+    and ``_quantile``, which receive float arrays.
+    """
 
     name = "model"
     support: tuple[float, float] = (0.0, math.inf)
@@ -217,19 +157,37 @@ class DistributionModel:
     has_finite_mean = True
 
     def tail(self, x):
-        return 1.0 - self.cdf(x)
+        return _unwrap(self._tail(self._in_support(x)))
 
     def cdf(self, x):
-        raise NotImplementedError
+        return _unwrap(self._cdf(self._in_support(x)))
 
     def quantile(self, p):
+        p = np.asarray(p, dtype=float)
+        if np.any(p < 0) or np.any(p >= 1):
+            raise DomainError("p must lie in [0, 1)")
+        return _unwrap(self._quantile(p))
+
+    def _in_support(self, x):
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.support
+        if np.any(x < lo) or np.any(x > hi):
+            raise DomainError(f"x outside support [{lo}, {hi}]")
+        return x
+
+    def _tail(self, x):
+        return 1.0 - self._cdf(x)
+
+    def _cdf(self, x):
+        return 1.0 - self._tail(x)
+
+    def _quantile(self, p):
         raise NotImplementedError
 
     def sample(self, n: int, seed: RandomSeed) -> np.ndarray:
         if n < 1:
             raise ParameterError("n must be positive")
-        u = _uniform_open(seed.generator(), n)
-        return np.asarray(self.quantile(u), dtype=float)
+        return self.quantile(_uniform_open(seed.generator(), n))
 
     def label(self) -> str:
         return self.name
@@ -238,11 +196,21 @@ class DistributionModel:
         return self.label()
 
 
-def _check_p(p):
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p >= 1):
-        raise DomainError("p must lie in [0, 1)")
-    return p
+class _ScipyLaw(DistributionModel):
+    """A model evaluated through the frozen scipy law its ``_frozen`` builds."""
+
+    @cached_property
+    def _law(self):
+        return self._frozen()
+
+    def _cdf(self, x):
+        return self._law.cdf(x)
+
+    def _tail(self, x):
+        return self._law.sf(x)
+
+    def _quantile(self, p):
+        return self._law.ppf(p)
 
 
 class Pareto(DistributionModel):
@@ -257,43 +225,45 @@ class Pareto(DistributionModel):
         self.domain_shape = 1.0 / self.alpha
         self.has_finite_mean = self.alpha > 1
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 1):
-            raise DomainError("support starts at 1")
-        out = x ** -self.alpha
-        return out if out.ndim else float(out)
+    def _tail(self, x):
+        return x ** -self.alpha
 
-    def cdf(self, x):
-        out = 1.0 - self.tail(x)
-        return out if np.ndim(out) else float(out)
-
-    def quantile(self, p):
-        p = _check_p(p)
-        out = np.exp(-np.log1p(-p) / self.alpha)
-        return out if out.ndim else float(out)
+    def _quantile(self, p):
+        return np.exp(-np.log1p(-p) / self.alpha)
 
 
 class GPD(DistributionModel):
-    """Generalized Pareto model G_{xi,beta}."""
+    """Generalized Pareto model G_{xi,beta}, tail (1 + xi x / beta)^(-1/xi)."""
 
     def __init__(self, xi: float, beta: float = 1.0):
-        self.shape_scale = ShapeScale(xi, beta)
-        self.xi = self.shape_scale.xi
-        self.beta = self.shape_scale.beta
+        if not np.isfinite(xi):
+            raise ParameterError("xi must be finite")
+        if not (np.isfinite(beta) and beta > 0):
+            raise ParameterError("beta must be positive")
+        self.xi, self.beta = float(xi), float(beta)
         self.name = f"gpd(xi={xi:g},beta={beta:g})"
-        self.support = self.shape_scale.support
+        self.support = (0.0, math.inf if xi >= 0 else -self.beta / self.xi)
         self.domain_shape = self.xi
         self.has_finite_mean = self.xi < 1
 
-    def tail(self, x):
-        return gpd_tail(x, self.shape_scale)
+    def _log_tail(self, x):
+        if abs(self.xi) < _XI_ZERO_TOL:
+            return -x / self.beta
+        # at the right endpoint for xi < 0 the log is -inf and the limit
+        # tail value 0 is exact
+        with np.errstate(divide="ignore"):
+            return -np.log1p(self.xi * x / self.beta) / self.xi
 
-    def cdf(self, x):
-        return gpd_cdf(x, self.shape_scale)
+    def _tail(self, x):
+        return np.exp(self._log_tail(x))
 
-    def quantile(self, p):
-        return gpd_quantile(p, self.shape_scale)
+    def _cdf(self, x):
+        return -np.expm1(self._log_tail(x))
+
+    def _quantile(self, p):
+        if abs(self.xi) < _XI_ZERO_TOL:
+            return -self.beta * np.log1p(-p)
+        return (self.beta / self.xi) * np.expm1(-self.xi * np.log1p(-p))
 
 
 class Exponential(DistributionModel):
@@ -305,25 +275,17 @@ class Exponential(DistributionModel):
         self.support = (0.0, math.inf)
         self.domain_shape = 0.0
 
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise DomainError("support starts at 0")
-        out = np.exp(-x / self.mean)
-        return out if out.ndim else float(out)
+    def _tail(self, x):
+        return np.exp(-x / self.mean)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -np.expm1(-x / self.mean)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return -np.expm1(-x / self.mean)
 
-    def quantile(self, p):
-        p = _check_p(p)
-        out = -self.mean * np.log1p(-p)
-        return out if out.ndim else float(out)
+    def _quantile(self, p):
+        return -self.mean * np.log1p(-p)
 
 
-class Beta(DistributionModel):
+class Beta(_ScipyLaw):
     """Beta(a, b) on (0, 1); finite right endpoint, shape -1/b."""
 
     def __init__(self, a: float, b: float):
@@ -334,24 +296,13 @@ class Beta(DistributionModel):
         self.support = (0.0, 1.0)
         self.domain_shape = -1.0 / self.b
 
-    def cdf(self, x):
-        from scipy.stats import beta as _beta
+    def _frozen(self):
+        from scipy.stats import beta
 
-        return _beta.cdf(x, self.a, self.b)
-
-    def tail(self, x):
-        from scipy.stats import beta as _beta
-
-        return _beta.sf(x, self.a, self.b)
-
-    def quantile(self, p):
-        from scipy.stats import beta as _beta
-
-        p = _check_p(p)
-        return _beta.ppf(p, self.a, self.b)
+        return beta(self.a, self.b)
 
 
-class LogNormal(DistributionModel):
+class LogNormal(_ScipyLaw):
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
         if not (np.isfinite(mu) and sigma > 0):
             raise ParameterError("need finite mu and sigma > 0")
@@ -360,21 +311,10 @@ class LogNormal(DistributionModel):
         self.support = (0.0, math.inf)
         self.domain_shape = 0.0
 
-    def cdf(self, x):
+    def _frozen(self):
         from scipy.stats import lognorm
 
-        return lognorm.cdf(x, self.sigma, scale=math.exp(self.mu))
-
-    def tail(self, x):
-        from scipy.stats import lognorm
-
-        return lognorm.sf(x, self.sigma, scale=math.exp(self.mu))
-
-    def quantile(self, p):
-        from scipy.stats import lognorm
-
-        p = _check_p(p)
-        return lognorm.ppf(p, self.sigma, scale=math.exp(self.mu))
+        return lognorm(self.sigma, scale=math.exp(self.mu))
 
 
 def _cms_skewed(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -397,7 +337,7 @@ def _cms_skewed(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-class StableSkewed(DistributionModel):
+class StableSkewed(_ScipyLaw):
     """Totally right-skewed stable law S_alpha(1, 1, 0), classical form."""
 
     def __init__(self, alpha: float):
@@ -422,16 +362,6 @@ class StableSkewed(DistributionModel):
         frozen.dist.parameterization = "S1"
         return frozen
 
-    def cdf(self, x):
-        return self._frozen().cdf(x)
-
-    def tail(self, x):
-        return self._frozen().sf(x)
-
-    def quantile(self, p):
-        p = _check_p(p)
-        return self._frozen().ppf(p)
-
 
 class LambertWTail(DistributionModel):
     """Law on [1, inf) with tail 400 W(x e^{1/20}/20)^2 / x^2.
@@ -446,37 +376,23 @@ class LambertWTail(DistributionModel):
         self.support = (1.0, math.inf)
         self.domain_shape = 0.5
 
-    def tail(self, x):
+    def _tail(self, x):
         return nonstd_tail(x)
 
-    def cdf(self, x):
-        out = 1.0 - np.asarray(nonstd_tail(x))
-        return out if out.ndim else float(out)
-
-    def quantile(self, p):
-        p = _check_p(p)
-        out = nonstd_quantile(1.0 - p)
-        return out if np.ndim(out) else float(out)
+    def _quantile(self, p):
+        return nonstd_quantile(1.0 - p)
 
 
 # ---------------------------------------------------------------------------
 # limit stable laws appearing in the heavy-tail normalizations
 
 
-@lru_cache(maxsize=1)
 def skewed_unit_drift() -> float:
     """The location constant integral(0, inf) of sin(x)/x^2 - 1/(x(1+x)).
 
-    Computed by quadrature: a smooth piece near zero, a finite oscillatory
-    stretch, and an oscillatory tail handled with a sine weight.
+    Its closed value is 1 - gamma, gamma being Euler's constant.
     """
-    d1, _ = quad(lambda x: (np.sin(x) - x) / x**2 + 1.0 / (1.0 + x), 0.0, 1.0)
-    d2, _ = quad(
-        lambda x: np.sin(x) / x**2 - 1.0 / (x * (1.0 + x)), 1.0, 200.0, limit=400
-    )
-    d3, _ = quad(lambda x: x**-2.0, 200.0, np.inf, weight="sin", wvar=1.0)
-    d4 = -math.log(201.0 / 200.0)
-    return d1 + d2 + d3 + d4
+    return 1.0 - np.euler_gamma
 
 
 class PositiveStable:
@@ -508,7 +424,7 @@ class PositiveStable:
             * np.abs(t) ** a
             * (1.0 - 1j * np.sign(t) * math.tan(math.pi * a / 2))
         )
-        return out if out.ndim else complex(out)
+        return _unwrap(out)
 
     def label(self) -> str:
         return f"positive-stable(xi={self.xi:g})"
@@ -534,7 +450,7 @@ class SkewedUnitIndex:
         out = np.exp(
             1j * t * skewed_unit_drift() - (math.pi / 2) * mag - 1j * np.sign(t) * tlog
         )
-        return out if out.ndim else complex(out)
+        return _unwrap(out)
 
     def label(self) -> str:
         return "skewed-unit-index"
@@ -553,14 +469,7 @@ def _tail_integral(model: DistributionModel, a: float) -> float:
         a = lo
     if a >= hi:
         return head
-    val, _ = quad(
-        lambda s: float(np.asarray(model.tail(s))),
-        a,
-        hi,
-        epsabs=1e-14,
-        epsrel=1e-11,
-        limit=400,
-    )
+    val, _ = quad(model.tail, a, hi, epsabs=1e-14, epsrel=1e-11, limit=400)
     return head + val
 
 
@@ -587,7 +496,7 @@ def theoretical_me(model: DistributionModel, u: float, method: str = "auto") -> 
     if method == "auto" and closed is not None:
         return closed
 
-    tail_u = float(np.asarray(model.tail(max(u, lo))))
+    tail_u = model.tail(max(u, lo))
     if u < lo:
         # everything exceeds u; M(u) = E[X] - u
         return _tail_integral(model, lo) + lo - u
@@ -615,13 +524,12 @@ def excess_cdf(model: DistributionModel, u: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("x must be nonnegative")
-    tail_u = float(np.asarray(model.tail(u)))
+    tail_u = model.tail(u)
     if tail_u <= 0.0:
         raise DegenerateDataError("survival function vanishes at the threshold")
     hi = model.support[1]
     shifted = np.minimum(u + x, hi)
-    out = (tail_u - np.asarray(model.tail(shifted))) / tail_u
-    return out if out.ndim else float(out)
+    return _unwrap((tail_u - model.tail(shifted)) / tail_u)
 
 
 def quantile_b(model: DistributionModel, t: float) -> float:
@@ -630,7 +538,7 @@ def quantile_b(model: DistributionModel, t: float) -> float:
         raise DomainError("t must be at least 1")
     if t == 1:
         return float(model.support[0])
-    return float(np.asarray(model.quantile(1.0 - 1.0 / t)))
+    return model.quantile(1.0 - 1.0 / t)
 
 
 def truncated_mean(model: DistributionModel, t: float) -> float:
@@ -653,14 +561,13 @@ def truncated_mean(model: DistributionModel, t: float) -> float:
     # E[X 1{X <= t}] = integral(0, t) of the survival - t * survival(t);
     # integrate over the finite range in geometric chunks so a single quad
     # call never has to resolve mass spread over many decades
-    f = lambda s: float(np.asarray(model.tail(s)))
     body = 0.0
     a = lo
     while a < t:
         b = min(t, max(a * 10.0, a + 1.0))
-        piece, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
+        piece, _ = quad(model.tail, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
         body += piece
         a = b
-    tail_t = f(t) if t < hi else 0.0
+    tail_t = model.tail(t) if t < hi else 0.0
     return lo + body - t * tail_t
 

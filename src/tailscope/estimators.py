@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ShapeScale, gpd_quantile
+from .dist import GPD
 from .empirics import OrderedSample, PointSet2D
 from .errors import (
     DegenerateDataError,
@@ -187,7 +187,7 @@ def qq_points_neg(
     n = sample.n
     asc = sample.values[::-1]
     probs = np.arange(1, n + 1, dtype=float) / (n + 1)
-    ref = gpd_quantile(probs, ShapeScale(xi_pre, 1.0))
+    ref = GPD(xi_pre).quantile(probs)
     if restrict:
         if m is None:
             raise ParameterError("restrict=True needs m")

@@ -174,6 +174,10 @@ class TestMeplot:
         # X_(2) = X_(1) has no strict exceedance and leaves no row
         np.testing.assert_array_equal(pts[:, 0], [3.0, 2.0, 1.0, 1.0, 0.5])
         np.testing.assert_allclose(pts[:, 1], [2.0, 7 / 3, 11 / 4, 11 / 4, 7 / 3], rtol=1e-15)
+        # the records name the rows actually plotted, 3:7, not the requested 2:7
+        assert "trim=3:7" in (out / "summary.txt").read_text().splitlines()
+        assert "trim=3:7" in (out / "manifest.txt").read_text().splitlines()
+        assert "trim=3:7" in (out / "me_plot.svg").read_text()
         src.write_text("value\n4\n4\n4\n4\n")
         assert run("meplot", "--input", str(src), "--out", str(tmp_path / "x")) == 3
         assert "data error" in capsys.readouterr().err

@@ -6,63 +6,62 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 import tailscope as ts
+from tailscope.cli import _MODELS, parse_model
 from tailscope.errors import (
     DomainError,
     InfiniteMeanError,
     ParameterError,
 )
 
-SS = ts.ShapeScale(0.5, 1.0)
+HALF = ts.GPD(0.5, 1.0)
 
 
 class TestGPD:
     def test_cdf_hand_value(self):
-        assert ts.gpd_cdf(3.0, SS) == pytest.approx(0.84, abs=1e-15)
+        assert HALF.cdf(3.0) == pytest.approx(0.84, abs=1e-15)
 
     def test_quantile_hand_value(self):
-        assert ts.gpd_quantile(0.84, SS) == pytest.approx(3.0, rel=1e-12)
+        assert HALF.quantile(0.84) == pytest.approx(3.0, rel=1e-12)
 
     def test_against_scipy_genpareto(self):
         # independent reference implementation
         for xi in (-0.7, -0.5, -1e-3, 0.0, 1e-3, 0.5, 1.2):
-            ss = ts.ShapeScale(xi, 2.0)
-            hi = ss.support[1]
+            model = ts.GPD(xi, 2.0)
+            hi = model.support[1]
             x = np.linspace(0.0, min(hi, 50.0) * 0.999, 41)
             ref = stats.genpareto.cdf(x, xi, scale=2.0)
-            np.testing.assert_allclose(ts.gpd_cdf(x, ss), ref, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(model.cdf(x), ref, rtol=1e-9, atol=1e-12)
             p = np.linspace(0.0, 0.999, 41)
             ref_q = stats.genpareto.ppf(p, xi, scale=2.0)
             np.testing.assert_allclose(
-                ts.gpd_quantile(p, ss), ref_q, rtol=1e-9, atol=1e-12
+                model.quantile(p), ref_q, rtol=1e-9, atol=1e-12
             )
 
     def test_round_trip(self):
         p = np.linspace(1e-9, 1 - 1e-9, 201)
         for xi in (-0.5, 0.0, 0.5, 2.0):
-            ss = ts.ShapeScale(xi, 1.3)
-            back = ts.gpd_cdf(ts.gpd_quantile(p, ss), ss)
+            model = ts.GPD(xi, 1.3)
+            back = model.cdf(model.quantile(p))
             np.testing.assert_allclose(back, p, rtol=1e-12, atol=1e-13)
 
     def test_tail_complements_cdf(self):
         x = np.linspace(0, 30, 50)
-        np.testing.assert_allclose(
-            ts.gpd_tail(x, SS) + ts.gpd_cdf(x, SS), 1.0, rtol=1e-12
-        )
+        np.testing.assert_allclose(HALF.tail(x) + HALF.cdf(x), 1.0, rtol=1e-12)
 
     def test_support_negative_shape(self):
-        ss = ts.ShapeScale(-0.5, 1.0)
-        assert ss.support == (0.0, 2.0)
-        assert ts.gpd_cdf(2.0, ss) == pytest.approx(1.0)
+        model = ts.GPD(-0.5, 1.0)
+        assert model.support == (0.0, 2.0)
+        assert model.cdf(2.0) == pytest.approx(1.0)
         with pytest.raises(DomainError):
-            ts.gpd_cdf(2.5, ss)
+            model.cdf(2.5)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            ts.ShapeScale(0.5, 0.0)
+            ts.GPD(0.5, 0.0)
         with pytest.raises(ParameterError):
-            ts.ShapeScale(math.nan, 1.0)
+            ts.GPD(math.nan, 1.0)
         with pytest.raises(DomainError):
-            ts.gpd_quantile(1.0, SS)
+            HALF.quantile(1.0)
 
 
 class TestLambertW:
@@ -179,7 +178,7 @@ class TestExcessCdf:
         model = ts.Pareto(2)
         for u in (10.0, 100.0, 1000.0):
             x = np.linspace(0.0, 5 * u, 101)
-            ref = ts.gpd_cdf(x, ts.ShapeScale(0.5, 0.5 * u))
+            ref = ts.GPD(0.5, 0.5 * u).cdf(x)
             got = ts.excess_cdf(model, u, x)
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -189,7 +188,7 @@ class TestExcessCdf:
         sups = []
         for u in (10.0, 100.0, 1000.0):
             x = np.linspace(0.0, 20 * u, 401)
-            ref = ts.gpd_cdf(x, ts.ShapeScale(0.5, 0.5 * u))
+            ref = ts.GPD(0.5, 0.5 * u).cdf(x)
             sups.append(np.max(np.abs(ts.excess_cdf(model, u, x) - ref)))
         assert sups[0] > sups[1] > sups[2]
 
@@ -358,3 +357,76 @@ class TestModels:
     def test_labels_are_stable(self):
         assert ts.Pareto(2).label() == "pareto(alpha=2)"
         assert ts.GPD(0.5, 1.0).label() == "gpd(xi=0.5,beta=1)"
+
+
+# one spec per model kind the CLI accepts, plus the exponential branch of the GPD
+SPECS = ["pareto:2", "gpd:-0.5,1", "gpd:0,2", "beta:2,3", "exp:2", "lognormal:0.5,0.8",
+         "stable:0.7", "lambertw"]
+
+
+def test_specs_cover_every_model_kind():
+    assert {spec.partition(":")[0] for spec in SPECS} == set(_MODELS)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_outside_support_raises(spec):
+    model = parse_model(spec)
+    lo, hi = model.support
+    outside = [v for v in (lo - 1.0, hi + 1.0) if math.isfinite(v)]
+    assert outside
+    for x in outside + [np.array([lo, lo + 0.5, outside[0]])]:
+        for f in (model.tail, model.cdf):
+            with pytest.raises(DomainError, match=r"x outside support \["):
+                f(x)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_evaluation_contract(spec):
+    model = parse_model(spec)
+    p = np.linspace(0.05, 0.95, 19)
+    x = model.quantile(p)
+    assert isinstance(x, np.ndarray)
+    assert type(model.quantile(0.3)) is float
+    for f in (model.tail, model.cdf):
+        assert isinstance(f(x), np.ndarray)
+        assert type(f(float(x[3]))) is float
+    np.testing.assert_allclose(model.tail(x) + model.cdf(x), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.cdf(x), p, rtol=0, atol=1e-9)
+    for bad in (1.0, -0.1):
+        with pytest.raises(DomainError):
+            model.quantile(bad)
+
+
+def _reference_quantile(model):
+    """Each law's quantile formula, written out independently of the class."""
+    if isinstance(model, ts.Pareto):
+        return lambda p: np.exp(-np.log1p(-p) / model.alpha)
+    if isinstance(model, ts.GPD):
+        if model.xi == 0:
+            return lambda p: -model.beta * np.log1p(-p)
+        return lambda p: (model.beta / model.xi) * np.expm1(-model.xi * np.log1p(-p))
+    if isinstance(model, ts.Exponential):
+        return lambda p: -model.mean * np.log1p(-p)
+    if isinstance(model, ts.Beta):
+        return lambda p: stats.beta.ppf(p, model.a, model.b)
+    if isinstance(model, ts.LogNormal):
+        return lambda p: stats.lognorm.ppf(p, model.sigma, scale=math.exp(model.mu))
+    if isinstance(model, ts.StableSkewed):
+        law = stats.levy_stable(model.alpha, 1.0)
+        law.dist.parameterization = "S1"
+        return law.ppf
+    assert isinstance(model, ts.LambertWTail)
+    return lambda p: (1.0 - 10.0 * np.log(1.0 - p)) / np.sqrt(1.0 - p)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_quantile_and_sample_match_reference_formulas(spec):
+    model = parse_model(spec)
+    ref = _reference_quantile(model)
+    p = np.linspace(0.0, 0.99, 12)
+    assert np.array_equal(model.quantile(p), ref(p))
+    if isinstance(model, ts.StableSkewed):
+        return  # sampled by Chambers-Mallows-Stuck, not by inversion
+    seed = ts.RandomSeed(17, 2)
+    u = (seed.generator().integers(0, 1 << 53, size=5000) + 0.5) / (1 << 53)
+    assert np.array_equal(model.sample(5000, seed), ref(u))

@@ -202,8 +202,7 @@ class TestQQNeg:
 
     def test_perfect_gpd_quantiles_collinear(self):
         n, xi = 200, -0.5
-        ss = ts.ShapeScale(xi, 1.0)
-        vals = ts.gpd_quantile(np.arange(1, n + 1) / (n + 1), ss)
+        vals = ts.GPD(xi, 1.0).quantile(np.arange(1, n + 1) / (n + 1))
         pts = ts.qq_points_neg(srt(vals), n, xi_pre=xi)
         fit = ts.ls_fit(pts, "raw")
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
