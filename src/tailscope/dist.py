@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DegenerateDataError,
@@ -210,7 +209,9 @@ class _ScipyLaw(DistributionModel):
         return self._law.sf(x)
 
     def _quantile(self, p):
-        return self._law.ppf(p)
+        # scipy's ppf(0) is the lower end of its own parameterization (-inf
+        # for levy_stable), which may lie below the declared support
+        return np.clip(self._law.ppf(p), *self.support)
 
 
 class Pareto(DistributionModel):
@@ -469,6 +470,8 @@ def _tail_integral(model: DistributionModel, a: float) -> float:
         a = lo
     if a >= hi:
         return head
+    from scipy.integrate import quad
+
     val, _ = quad(model.tail, a, hi, epsabs=1e-14, epsrel=1e-11, limit=400)
     return head + val
 
@@ -557,6 +560,8 @@ def truncated_mean(model: DistributionModel, t: float) -> float:
     if isinstance(model, Exponential):
         m = model.mean
         return m - (min(t, hi) + m) * math.exp(-min(t, hi) / m) if t < hi else m
+    from scipy.integrate import quad
+
     t = min(t, hi)
     # E[X 1{X <= t}] = integral(0, t) of the survival - t * survival(t);
     # integrate over the finite range in geometric chunks so a single quad

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dist import DistributionModel, RandomSeed
 from .empirics import OrderedSample, PointSet2D, default_trim, me_plot, order_statistics
@@ -85,39 +85,79 @@ def load_csv(
     value_col: str = "value",
     date_format: str = "%Y-%m-%d",
 ) -> TimeSeries:
-    """Read a dated series from CSV; strictly increasing unique dates."""
-    dates: list = []
-    values: list = []
+    """Read a dated series from CSV; strictly increasing unique dates.
+
+    The default ISO format is cast as one column; any other format, or an
+    ISO column with a row the cast cannot read back exactly, is parsed row
+    by row, so the first bad row is the one reported.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or date_col not in reader.fieldnames:
             raise ParseError(f"missing column {date_col!r}")
         if value_col not in reader.fieldnames:
             raise ParseError(f"missing column {value_col!r}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                d = datetime.strptime(row[date_col].strip(), date_format).date()
-            except (ValueError, AttributeError) as exc:
-                raise ParseError(f"line {lineno}: bad date {row[date_col]!r}") from exc
-            try:
-                v = float(row[value_col])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: bad value {row[value_col]!r}") from exc
-            dates.append(d)
-            values.append(v)
+        rows = [(row[date_col], row[value_col]) for row in reader]
+    dates = _iso_dates([d for d, _ in rows]) if date_format == "%Y-%m-%d" else None
+    if dates is None:
+        dates, values = _parse_rows(rows, date_format)
+    else:
+        values = [_parse_value(lineno, v) for lineno, (_, v) in enumerate(rows, start=2)]
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
-    seen: set = set()
-    for d in dates:
-        if d in seen:
-            raise ParseError(f"duplicate date {d.isoformat()}")
-        seen.add(d)
-    order = np.argsort(np.asarray(dates))
-    dates_arr = np.asarray(dates, dtype="datetime64[D]")[order]
+    # a stable sort keeps equal dates in file order, so each repeat after
+    # the first of its run is a later row; report the earliest of those
+    order = np.argsort(dates, kind="stable")
+    dates_arr = dates[order]
+    repeats = order[1:][dates_arr[1:] == dates_arr[:-1]]
+    if repeats.size:
+        raise ParseError(f"duplicate date {dates[repeats.min()]}")
     values_arr = np.asarray(values, dtype=float)[order]
     if not np.all(np.isfinite(values_arr)):
         raise ParseError("non-finite value in series")
     return TimeSeries(dates_arr, values_arr)
+
+
+def _iso_dates(raw: list) -> np.ndarray | None:
+    """``%Y-%m-%d`` strings cast to ``datetime64[D]`` in one call.
+
+    None unless every stripped string reads back as itself and lies in the
+    years 1-9999 that ``strptime`` accepts; numpy also reads forms such as
+    "2001-01", "today", "NaT", timezone suffixes and five-digit or negative
+    years.
+    """
+    try:
+        text = [d.strip() for d in raw]
+        with warnings.catch_warnings():
+            # numpy reads a timezone suffix such as "T00Z" with a UserWarning
+            warnings.simplefilter("error")
+            dates = np.array(text, dtype=str).astype("datetime64[D]")
+    except (ValueError, AttributeError, Warning):
+        return None
+    in_range = (dates >= np.datetime64("0001-01-01")) & (dates <= np.datetime64("9999-12-31"))
+    if not in_range.all() or dates.astype(str).tolist() != text:
+        return None
+    return dates
+
+
+def _parse_rows(rows: list, date_format: str) -> tuple[np.ndarray, list]:
+    """Dates by ``strptime`` and values, row by row, failing at the first bad row."""
+    dates = []
+    values = []
+    for lineno, (d, v) in enumerate(rows, start=2):
+        try:
+            dates.append(datetime.strptime(d.strip(), date_format).date())
+        except (ValueError, AttributeError) as exc:
+            raise ParseError(f"line {lineno}: bad date {d!r}") from exc
+        values.append(_parse_value(lineno, v))
+    return np.asarray(dates, dtype="datetime64[D]"), values
+
+
+def _parse_value(lineno: int, text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"line {lineno}: bad value {text!r}") from exc
 
 
 def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
@@ -302,6 +342,8 @@ def synthetic_composite(
     positive annual scale profile.  Useful for exercising the full
     pipeline against a known ground truth.
     """
+    from scipy.signal import lfilter
+
     phi = np.asarray(phi, dtype=float)
     p = phi.shape[0]
     if years < 2:

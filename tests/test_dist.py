@@ -397,6 +397,15 @@ def test_evaluation_contract(spec):
             model.quantile(bad)
 
 
+@pytest.mark.parametrize("spec", SPECS + ["stable:1.5"])
+def test_quantile_at_zero_lies_in_support(spec):
+    model = parse_model(spec)
+    lo, hi = model.support
+    x0 = model.quantile(0.0)
+    assert lo <= x0 <= hi
+    assert model.tail(x0) == pytest.approx(1.0, abs=1e-12)
+
+
 def _reference_quantile(model):
     """Each law's quantile formula, written out independently of the class."""
     if isinstance(model, ts.Pareto):
@@ -414,6 +423,8 @@ def _reference_quantile(model):
     if isinstance(model, ts.StableSkewed):
         law = stats.levy_stable(model.alpha, 1.0)
         law.dist.parameterization = "S1"
+        if model.alpha < 1:  # positive law; scipy's ppf(0) is -inf
+            return lambda p: np.maximum(law.ppf(p), 0.0)
         return law.ppf
     assert isinstance(model, ts.LambertWTail)
     return lambda p: (1.0 - 10.0 * np.log(1.0 - p)) / np.sqrt(1.0 - p)

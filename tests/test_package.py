@@ -1,6 +1,13 @@
-"""The package namespace re-exports each module's public names, and only those."""
+"""The package namespace re-exports each module's public names, and only
+those; importing it, and running the commands that need only numpy, loads
+no scipy module."""
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tailscope as ts
@@ -23,3 +30,54 @@ def test_deleted_names_are_gone():
         assert not hasattr(ts, attr), attr
     assert not hasattr(ts.ConvergenceReport, "pass_rate")
     assert not hasattr(ts.InterceptResult, "ks_against_reference")
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: the package and the CLI's numpy-only commands load no scipy
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_SCIPY_LOADED = (
+    "import sys\n"
+    "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    "print(len(loaded), loaded[:5])\n"
+)
+
+
+def _scipy_modules_after(code: str, cwd) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code + _SCIPY_LOADED], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["tailscope", "tailscope.cli"])
+def test_import_loads_no_scipy(module, tmp_path):
+    assert _scipy_modules_after(f"import {module}\n", tmp_path) == "0 []"
+
+
+def _daily_csv(path, years=4):
+    dates = np.arange(np.datetime64("2001-01-01"), np.datetime64(f"{2001 + years}-01-01"))
+    values = np.random.default_rng(3).standard_normal(dates.size)
+    path.write_text("date,value\n" + "".join(f"{d},{v:.17g}\n" for d, v in zip(dates, values)))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["simulate", "--model", "pareto:2", "--n", "1000", "--seed", "1", "--out", "sim"],
+    ["meplot", "--input", "sample.csv", "--out", "me"],
+    ["estimate", "--input", "sample.csv", "--out", "est"],
+    ["analyze", "--input", "daily.csv", "--p-max", "3", "--out", "an"],
+], ids=lambda argv: argv[0].lstrip("-"))
+def test_numpy_only_commands_load_no_scipy(argv, tmp_path):
+    sample = np.random.default_rng(2).pareto(2.0, 1000) + 1.0
+    (tmp_path / "sample.csv").write_text("value\n" + "".join(f"{v:.17g}\n" for v in sample))
+    _daily_csv(tmp_path / "daily.csv")
+    code = (
+        "from tailscope.cli import main\n"
+        f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "assert code == 0, code\n"
+    )
+    assert _scipy_modules_after(code, tmp_path) == "0 []"

@@ -1,12 +1,17 @@
+import csv
 import time
-from datetime import datetime, timedelta
+import warnings
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
 import tailscope as ts
+from tailscope import pipeline
 from tailscope.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -80,7 +85,125 @@ def old_composite_dates(years, start_year):
     return dates
 
 
+def old_load_csv(path, date_col="date", value_col="value", date_format="%Y-%m-%d"):
+    dates: list = []
+    values: list = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or date_col not in reader.fieldnames:
+            raise ParseError(f"missing column {date_col!r}")
+        if value_col not in reader.fieldnames:
+            raise ParseError(f"missing column {value_col!r}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                d = datetime.strptime(row[date_col].strip(), date_format).date()
+            except (ValueError, AttributeError) as exc:
+                raise ParseError(f"line {lineno}: bad date {row[date_col]!r}") from exc
+            try:
+                v = float(row[value_col])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"line {lineno}: bad value {row[value_col]!r}") from exc
+            dates.append(d)
+            values.append(v)
+    if len(values) < 2:
+        raise InsufficientDataError("need at least two rows")
+    seen: set = set()
+    for d in dates:
+        if d in seen:
+            raise ParseError(f"duplicate date {d.isoformat()}")
+        seen.add(d)
+    order = np.argsort(np.asarray(dates))
+    dates_arr = np.asarray(dates, dtype="datetime64[D]")[order]
+    values_arr = np.asarray(values, dtype=float)[order]
+    if not np.all(np.isfinite(values_arr)):
+        raise ParseError("non-finite value in series")
+    return ts.TimeSeries(dates_arr, values_arr)
+
+
+def outcome(load, path):
+    """What ``load`` does with ``path``: its arrays, or its exception."""
+    try:
+        series = load(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return series.dates.dtype, series.dates.tolist(), series.values.tolist()
+
+
+# cells numpy's datetime parser reads but strptime("%Y-%m-%d") refuses, or
+# reads differently, next to cells both refuse
+ODD_DATES = ["2001-1-1", "2001-01-1", "0000-01-01", "-001-01-01", "10000-01-01", "NaT",
+             "nat", "today", "", "2001", "2001-01", "2001-01-01T00", "2001-02-30",
+             "2001-01-01\x00", "99999999999999999999-01-01", "2001-01-01T00Z",
+             "2001-01-01T00+01:00"]
+broad_dates = st.dates(date(1, 1, 1), date(9999, 12, 31))
+narrow_dates = st.dates(date(2000, 2, 25), date(2000, 3, 2))  # dates repeat
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-5, 5).map(str)
+)
+pads = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def csv_rows(draw):
+    """Valid ISO rows, then up to three cells spoilt: an odd date, a padded
+    date, a bad or non-finite value, or a row cut short before its value."""
+    n = draw(st.integers(0, 8))
+    days = draw(st.lists(draw(st.sampled_from([broad_dates, narrow_dates])),
+                         min_size=n, max_size=n))
+    cells = [[d.isoformat(), draw(finite_values)] for d in days]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = cells[draw(st.integers(0, n - 1))]
+        kind = draw(st.sampled_from(["odd", "pad", "value", "short"]))
+        if kind == "odd":
+            row[0] = draw(st.sampled_from(ODD_DATES))
+        elif kind == "pad":
+            row[0] = draw(pads) + row[0] + draw(pads)
+        elif kind == "value":
+            row[1:] = [draw(st.sampled_from(["abc", "", "nan", "inf", " 1.5 ", "1e400"]))]
+        else:
+            del row[1:]
+    return [",".join(row) for row in cells]
+
+
 class TestLoadCsv:
+    @settings(max_examples=400)
+    @given(rows=csv_rows())
+    def test_matches_per_row_parser(self, rows, tmp_path_factory):
+        # equal arrays, or the same exception with the same message
+        p = write_series_csv(tmp_path_factory.mktemp("rows") / "s.csv", rows)
+        assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
+
+    def test_bad_value_before_bad_date_is_reported_first(self, tmp_path):
+        p = write_series_csv(
+            tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02,oops", "2001-1-3,3", "2001-01-04,4"]
+        )
+        with pytest.raises(ParseError, match="^line 3: bad value 'oops'$"):
+            ts.load_csv(p)
+        assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
+
+    def test_bad_date_before_bad_value_is_reported_first(self, tmp_path):
+        p = write_series_csv(
+            tmp_path / "s.csv", ["2001-01-01,1", " 0000-01-02,2", "2001-01-03,x"]
+        )
+        with pytest.raises(ParseError, match="^line 3: bad date ' 0000-01-02'$"):
+            ts.load_csv(p)
+
+    def test_timezone_suffix_is_a_bad_date_without_a_warning(self, tmp_path):
+        p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02T00Z,2"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="^line 3: bad date '2001-01-02T00Z'$"):
+                ts.load_csv(p)
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_iso_column_is_cast_in_one_call(self):
+        # the fast path takes canonical ISO dates and refuses every odd cell
+        got = pipeline._iso_dates(["2001-01-01", " 0001-01-01\t", "9999-12-31"])
+        assert got.dtype == np.dtype("datetime64[D]")
+        assert got.astype(str).tolist() == ["2001-01-01", "0001-01-01", "9999-12-31"]
+        for cell in ODD_DATES + [None]:
+            assert pipeline._iso_dates(["2001-01-01", cell]) is None, repr(cell)
+
     def test_round_trip(self, tmp_path):
         p = write_series_csv(
             tmp_path / "s.csv", ["2001-01-01,1.5", "2001-01-02,2.5", "2001-01-04,-3.0"]
