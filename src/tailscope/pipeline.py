@@ -92,12 +92,17 @@ def load_csv(
     by row, so the first bad row is the one reported.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or date_col not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or date_col not in header:
             raise ParseError(f"missing column {date_col!r}")
-        if value_col not in reader.fieldnames:
+        if value_col not in header:
             raise ParseError(f"missing column {value_col!r}")
-        rows = [(row[date_col], row[value_col]) for row in reader]
+        # as in csv.DictReader: a repeated name reads its last column, blank
+        # lines are skipped, and a row too short for a column gives None
+        di, vi = (len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
+        rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None)
+                for r in reader if r]
     dates = _iso_dates([d for d, _ in rows]) if date_format == "%Y-%m-%d" else None
     if dates is None:
         dates, values = _parse_rows(rows, date_format)

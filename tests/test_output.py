@@ -2,9 +2,15 @@
 
 The reference functions below are the earlier per-line implementations,
 kept verbatim: every file the chunked writers produce must match theirs
-byte for byte, and the one reader must read what they read.
+byte for byte, and the one reader must read what they read.  The SVG
+renderer draws the circles of each quarter-pixel cell once and drops
+repeated polyline vertices, so its files must match ``merge_marks`` applied
+to the old renderer's text.
 """
+import itertools
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -204,6 +210,38 @@ def old_render_plot(
         fh.write("\n".join(out) + "\n")
 
 
+_POINTS = re.compile(r'points="([^"]*)"')
+_CENTRE = re.compile(r'<circle cx="([^"]*)" cy="([^"]*)"')
+
+
+def cell(position: str) -> tuple:
+    """The quarter-pixel cell of a printed "x,y" position."""
+    return tuple(round(4 * float(v)) for v in position.split(","))
+
+
+def merge_marks(svg: str) -> str:
+    """The old renderer's text with the circles of each cell drawn once.
+
+    Within a series group, the k ``<circle .../>`` lines whose printed
+    centres share a quarter-pixel cell become the first of them, with
+    fill-opacity 1 - 0.45**k, in the order the cells first appear; a
+    polyline drops each vertex equal to the one before it.  A series group
+    opens and closes with its own lines, so no cell spans two series.
+    """
+    out, cells = [], {}
+    for line in svg.split("\n"):
+        if line.startswith("<circle"):
+            cells.setdefault(cell(",".join(_CENTRE.match(line).groups())), []).append(line)
+            continue
+        for first, *rest in cells.values():
+            out.append(first.replace(
+                'fill-opacity="0.55"', f'fill-opacity="{1 - 0.45**(1 + len(rest)):.4g}"'))
+        cells = {}
+        out.append(_POINTS.sub(lambda m: 'points="%s"' % " ".join(
+            v for v, _ in itertools.groupby(m.group(1).split(" "))), line))
+    return "\n".join(out)
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -302,13 +340,20 @@ def render_both(tmp_path, series, **labels):
     new, old = tmp_path / "new.svg", tmp_path / "old.svg"
     render_plot(new, series, **labels)
     old_render_plot(old, series, **labels)
-    assert new.read_bytes() == old.read_bytes()
+    assert new.read_bytes() == merge_marks(old.read_text()).encode()
     return new
 
 
 def cloud(n, seed=0):
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.standard_normal(n), rng.pareto(2.0, n)])
+
+
+def lattice(n):
+    """n points of a square grid a few pixels apart: one circle per cell."""
+    side = math.isqrt(n - 1) + 1
+    i = np.arange(n)
+    return np.column_stack([i % side, i // side]).astype(float)
 
 
 class TestRenderPlotBytes:
@@ -361,12 +406,154 @@ class TestRenderPlotBytes:
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
     def test_chunk_boundaries(self, tmp_path, n):
-        path = render_both(tmp_path, [Series(cloud(n, 2), "scatter"),
+        path = render_both(tmp_path, [Series(lattice(n), "scatter"),
                                       Series(cloud(n, 3), "line")], **self.LABELS)
         text = path.read_text()
         assert text.count("<circle") == n
         points = text.split('<polyline points="')[1].split('"')[0]
         assert len(points.split(" ")) == n
+
+
+_GROUP = re.compile(r'<g class="series[^"]*" id="series-\d+">\n(.*?)</g>', re.S)
+_MARK = re.compile(
+    r'<circle cx="([^"]*)" cy="([^"]*)" [^>]*fill-opacity="([^"]*)"/>|points="([^"]*)"'
+)
+
+
+def series_marks(svg: str) -> list:
+    """Per series group, its marks in order as (position text, opacity or None)."""
+    groups = []
+    for body in _GROUP.findall(svg):
+        marks = []
+        for cx, cy, opacity, points in _MARK.findall(body):
+            marks += [(f"{cx},{cy}", opacity)] if cx else [(v, None) for v in points.split(" ")]
+        groups.append(marks)
+    return groups
+
+
+# screen coordinates of a 640 x 480 canvas whose data range is [0, 1] on
+# both axes: render_plot's margins and 4 % padding
+
+
+def _sx(x):
+    return 62 + (x + 0.04) / 1.08 * 562
+
+
+def _sy(y):
+    return 34 + 400 - (y + 0.04) / 1.08 * 400
+
+
+def _near_half(px_of, draw):
+    """Values in [0, 1] a few ulps apart, whose screen coordinate times 100
+    lies within ulps of one half-integer: there rounding the product and
+    ``%.2f`` of the coordinate can disagree.  The x.125-like targets are
+    also quarter-pixel cell edges."""
+    whole = draw(st.integers(*sorted((int(px_of(0.0)), int(px_of(1.0)) - 1))))
+    cents = draw(st.one_of(st.sampled_from([12, 37, 62, 87]), st.integers(0, 99)))
+    return st.integers(-6, 6).map(lambda steps: _half_way(px_of, whole, cents, steps))
+
+
+def _half_way(px_of, whole, cents, steps):
+    """The value ``steps`` ulps from the one whose screen coordinate is
+    whole + (cents + 0.5) / 100, kept in [0, 1]."""
+    target = whole + (cents + 0.5) / 100  # x.125 and the like are exact doubles
+    base = (target - px_of(0.0)) / (px_of(1.0) - px_of(0.0))
+    return float(np.clip(base + steps * np.spacing(base), 0.0, 1.0))
+
+
+def _shifted(row_and_px):
+    """A row moved by the given screen offsets, kept in [0, 1]^2."""
+    (x, y), dx, dy = row_and_px
+    return (float(np.clip(x + dx * 1.08 / 562, 0.0, 1.0)),
+            float(np.clip(y - dy * 1.08 / 400, 0.0, 1.0)))
+
+
+@st.composite
+def tie_heavy_series(draw):
+    """One to three series over a shared pool of rows in [0, 1]^2, whose
+    coordinates come from a few values per axis (grid points, floats, values
+    around one half-integer coordinate), plus rows less than half a pixel
+    from another, inside its cell or across an edge; each row repeated up to
+    five times.  The first series holds (0, 0) and (1, 1), which fix the
+    data range."""
+    grid = st.integers(0, 4).map(lambda i: i / 4)
+    xs, ys = (draw(st.lists(st.one_of(grid, st.floats(0, 1), _near_half(px_of, draw)),
+                            min_size=1, max_size=4)) for px_of in (_sx, _sy))
+    row = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    px = st.floats(-0.4, 0.4)
+    pool += draw(st.lists(st.tuples(st.sampled_from(pool), px, px).map(_shifted), max_size=4))
+    out = []
+    for i in range(draw(st.integers(1, 3))):
+        rows = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 12)))]
+        rows = [r for r in rows for _ in range(draw(st.integers(1, 5)))]
+        if i == 0:
+            rows = [(0.0, 0.0), (1.0, 1.0)] + rows
+        pts = np.array(rows, dtype=float).reshape(-1, 2)
+        out.append(Series(pts, draw(st.sampled_from(["scatter", "line"]))))
+    return out
+
+
+class TestMarkMerge:
+    def test_circles_of_a_cell_are_one_at_the_stacked_opacity(self, tmp_path):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        path = render_both(tmp_path, [Series(pts, "scatter"), Series(pts, "line")])
+        scatter, line = series_marks(path.read_text())
+        assert [o for _, o in scatter] == ["0.7975", "0.9089"]
+        assert len(line) == 3
+
+    def test_cell_edges(self, tmp_path):
+        # screen x 300.11, 300.12, 300.13 and 300.38: the cell edges 300.125
+        # and 300.375 leave the first two in one cell and the others alone
+        x = (np.array([300.11, 300.12, 300.13, 300.38]) - 62) * 1.08 / 562 - 0.04
+        pts = np.column_stack([np.r_[0.0, x, 1.0], np.r_[0.0, 0.5, 0.5, 0.5, 0.5, 1.0]])
+        path = render_both(tmp_path, [Series(pts, "scatter")])
+        (scatter,) = series_marks(path.read_text())
+        assert [(p.split(",")[0], o) for p, o in scatter[1:4]] == [
+            ("300.11", "0.7975"), ("300.13", "0.55"), ("300.38", "0.55")]
+
+    def test_half_way_vertices(self, tmp_path):
+        # each line walks the 13 doubles around a screen x half-way between
+        # two 0.01-px values at one height; where px * 100 rounds onto the
+        # half-integer, rint and %.2f disagree and the text decides
+        rng = np.random.default_rng(5)
+        lines = [Series(np.array([[0.0, 0.0], [1.0, 1.0]]))]
+        for _ in range(40):
+            whole, cents = int(rng.integers(70, 600)), int(rng.integers(0, 100))
+            x = [_half_way(_sx, whole, cents, steps) for steps in range(-6, 7)]
+            lines.append(Series(np.column_stack([x, np.full(13, 0.5)]), "line"))
+        render_both(tmp_path, lines)
+
+    def test_no_merge_crosses_series(self, tmp_path):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        # each series starts where the one before it ends
+        path = render_both(tmp_path, [Series(pts), Series(pts[::-1]), Series(pts, "line")])
+        assert [len(g) for g in series_marks(path.read_text())] == [2, 2, 2]
+
+    @settings(max_examples=300)
+    @given(series=tie_heavy_series())
+    def test_merged_marks_expand_to_the_old_marks(self, scratch, series):
+        render_plot(scratch / "new.svg", series)
+        old_render_plot(scratch / "old.svg", series)
+        new_text = (scratch / "new.svg").read_text()
+        assert new_text == merge_marks((scratch / "old.svg").read_text())
+        new = series_marks(new_text)
+        old = series_marks((scratch / "old.svg").read_text())
+        assert len(new) == len(old) == len(series)
+        for marks, before in zip(new, old):
+            if before and before[0][1] is None:
+                # a polyline: each vertex is one maximal run of the old ones
+                runs = [p for p, _ in itertools.groupby(p for p, _ in before)]
+                assert [p for p, _ in marks] == runs
+                continue
+            # circles: one per cell, at the cell's first old position, in the
+            # order the cells first appear, stacked as deep as the cell
+            cells = Counter(cell(p) for p, _ in before)
+            firsts = {}
+            for p, _ in before:
+                firsts.setdefault(cell(p), p)
+            assert [p for p, _ in marks] == [firsts[c] for c in cells]
+            assert [o for _, o in marks] == [f"{1 - 0.45**k:.4g}" for k in cells.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -143,34 +143,61 @@ finite_values = st.one_of(
 pads = st.sampled_from(["", " ", "\t", "  "])
 
 
+# header layouts: extra columns, repeated names (the last column of a name is
+# the one read, the earlier ones hold decoys) and missing columns
+HEADERS = ["date,value", "value,date", "date,value,note", "value,date,value",
+           "date,date,value", "date,value,date,value", "date", "value", "x,y", ""]
+DECOYS = {"date": "1999-01-01", "value": "decoy"}
+
+
 @st.composite
-def csv_rows(draw):
-    """Valid ISO rows, then up to three cells spoilt: an odd date, a padded
-    date, a bad or non-finite value, or a row cut short before its value."""
+def csv_file(draw):
+    """A header, then valid ISO rows with up to three spoilt: an odd date, a
+    padded date, a bad or non-finite value, a row cut short, extra fields,
+    or a blank line before it."""
+    header = draw(st.sampled_from(HEADERS))
+    names = header.split(",")
+    where = {name: len(names) - 1 - names[::-1].index(name) for name in names}
     n = draw(st.integers(0, 8))
     days = draw(st.lists(draw(st.sampled_from([broad_dates, narrow_dates])),
                          min_size=n, max_size=n))
-    cells = [[d.isoformat(), draw(finite_values)] for d in days]
+    cells = []
+    for d in days:
+        good = {"date": d.isoformat(), "value": draw(finite_values)}
+        cells.append([good.get(name, "z") if where[name] == j else DECOYS.get(name, "z")
+                      for j, name in enumerate(names)])
+    blank = set()
     for _ in range(draw(st.integers(0, 3)) if n else 0):
-        row = cells[draw(st.integers(0, n - 1))]
-        kind = draw(st.sampled_from(["odd", "pad", "value", "short"]))
-        if kind == "odd":
-            row[0] = draw(st.sampled_from(ODD_DATES))
-        elif kind == "pad":
-            row[0] = draw(pads) + row[0] + draw(pads)
-        elif kind == "value":
-            row[1:] = [draw(st.sampled_from(["abc", "", "nan", "inf", " 1.5 ", "1e400"]))]
-        else:
-            del row[1:]
-    return [",".join(row) for row in cells]
+        i = draw(st.integers(0, n - 1))
+        row = cells[i]
+        kind = draw(st.sampled_from(["odd", "pad", "value", "short", "extra", "blank"]))
+        j = where.get("value" if kind == "value" else "date", len(row))
+        if kind == "odd" and j < len(row):
+            row[j] = draw(st.sampled_from(ODD_DATES))
+        elif kind == "pad" and j < len(row):
+            row[j] = draw(pads) + row[j] + draw(pads)
+        elif kind == "value" and j < len(row):
+            row[j] = draw(st.sampled_from(["abc", "", "nan", "inf", " 1.5 ", "1e400"]))
+        elif kind == "short":
+            del row[draw(st.integers(0, max(len(row) - 1, 0))):]
+        elif kind == "extra":
+            row += draw(st.lists(st.sampled_from(["", "x", "2001-01-01", "7"]), min_size=1,
+                                 max_size=2))
+        elif kind == "blank":
+            blank.add(i)
+    rows = []
+    for i, row in enumerate(cells):
+        rows += [""] * (i in blank) + [",".join(row)]
+    return header, rows
 
 
 class TestLoadCsv:
     @settings(max_examples=400)
-    @given(rows=csv_rows())
-    def test_matches_per_row_parser(self, rows, tmp_path_factory):
+    @given(file=csv_file())
+    def test_matches_per_row_parser(self, file, tmp_path_factory):
         # equal arrays, or the same exception with the same message
-        p = write_series_csv(tmp_path_factory.mktemp("rows") / "s.csv", rows)
+        header, rows = file
+        p = write_series_csv(tmp_path_factory.mktemp("rows") / "s.csv", rows, header)
         assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
 
     def test_bad_value_before_bad_date_is_reported_first(self, tmp_path):
