@@ -2,10 +2,10 @@
 
 Everything downstream (mean excess plots, estimators, set-convergence
 experiments) consumes the small model interface defined here: tail, cdf,
-quantile, support, extreme-value shape and a seeded sampler.  Sampling is
-inverse-transform by default; the totally skewed stable laws use the
-Chambers-Mallows-Stuck construction because their quantile functions have
-no closed form.
+quantile, support, extreme-value shape and a seeded sampler, which can also
+return just the k largest of its n draws.  Sampling is inverse-transform by
+default; the totally skewed stable laws use the Chambers-Mallows-Stuck
+construction because their quantile functions have no closed form.
 """
 from __future__ import annotations
 
@@ -83,6 +83,18 @@ class RandomSeed:
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform draws strictly inside (0, 1)."""
     return (rng.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / (1 << 53)
+
+
+def _check_size(n: int, k: int | None = None) -> None:
+    if n < 1:
+        raise ParameterError("n must be positive")
+    if k is not None and not 1 <= k <= n:
+        raise ParameterError(f"k={k} outside 1..{n}")
+
+
+def _largest(x: np.ndarray, k: int | None) -> np.ndarray:
+    """x itself, or with k given its k largest entries in no set order."""
+    return x if k is None else np.partition(x, x.size - k)[x.size - k:]
 
 
 def _unwrap(out):
@@ -183,10 +195,20 @@ class DistributionModel:
     def _quantile(self, p):
         raise NotImplementedError
 
-    def sample(self, n: int, seed: RandomSeed) -> np.ndarray:
-        if n < 1:
-            raise ParameterError("n must be positive")
-        return self.quantile(_uniform_open(seed.generator(), n))
+    def sample(self, n: int, seed: RandomSeed, k: int | None = None) -> np.ndarray:
+        """n draws from the law, or with k given only the k largest of them.
+
+        With k, the same n uniforms are drawn, in the same stream, and only
+        their k largest go through the quantile; they come back in no set
+        order.  The quantile is nondecreasing, so the k largest of
+        quantile(U) are the quantiles of the k largest of U: equal uniforms
+        give equal values, and no value outside the top k of U can exceed one
+        inside it.  The result is therefore the k largest of ``sample(n,
+        seed)`` bit for bit, at O(n) for the draw and the partition and O(k)
+        in the quantile.
+        """
+        _check_size(n, k)
+        return self.quantile(_largest(_uniform_open(seed.generator(), n), k))
 
     def label(self) -> str:
         return self.name
@@ -350,10 +372,10 @@ class StableSkewed(_ScipyLaw):
         self.domain_shape = 1.0 / self.alpha
         self.has_finite_mean = self.alpha > 1
 
-    def sample(self, n: int, seed: RandomSeed) -> np.ndarray:
-        if n < 1:
-            raise ParameterError("n must be positive")
-        return _cms_skewed(self.alpha, n, seed.generator())
+    def sample(self, n: int, seed: RandomSeed, k: int | None = None) -> np.ndarray:
+        # the CMS draw is no inverse transform, so all n values are made first
+        _check_size(n, k)
+        return _largest(_cms_skewed(self.alpha, n, seed.generator()), k)
 
     def _frozen(self):
         from scipy.stats import levy_stable

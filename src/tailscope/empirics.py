@@ -61,10 +61,20 @@ class OrderedSample:
         return float(self.values[i - 1])
 
 
+def _check_count(n: int) -> None:
+    if n < 2:
+        raise InsufficientDataError("need at least two observations")
+
+
+def _check_top_k(k: int, n: int) -> None:
+    """The top-k plots need X_(2) to X_(k) of an n-sample."""
+    if not 2 <= k <= n:
+        raise IndexRangeError(f"k={k} outside 2..{n}")
+
+
 def order_statistics(data) -> OrderedSample:
     data = np.asarray(data, dtype=float).ravel()
-    if data.shape[0] < 2:
-        raise InsufficientDataError("need at least two observations")
+    _check_count(data.shape[0])
     if not np.all(np.isfinite(data)):
         raise DomainError("observations must be finite")
     return OrderedSample(np.sort(data, kind="stable")[::-1])
@@ -165,8 +175,7 @@ def tail_measure(sample: OrderedSample, k: int, x):
 
 
 def _top_k_me(sample: OrderedSample, k: int):
-    if not 2 <= k <= sample.n:
-        raise IndexRangeError(f"k={k} outside 2..{sample.n}")
+    _check_top_k(k, sample.n)
     u = sample.values[1:k]
     c, me = _mean_excess(sample.values, u)
     if c[0] == 0:
@@ -221,8 +230,7 @@ def normalize_negative(sample: OrderedSample, k: int) -> PointSet2D:
     For shape xi < 0 the limit is the segment
     {(t, (t - 1) xi/(1 - xi)) : 0 <= t <= 1}.
     """
-    if not 2 <= k <= sample.n:
-        raise IndexRangeError(f"k={k} outside 2..{sample.n}")
+    _check_top_k(k, sample.n)
     spread = sample.x(1) - sample.x(k)
     if spread <= 0:
         raise DegenerateRangeError("X_(1) and X_(k) coincide")
@@ -237,8 +245,7 @@ def normalize_zero(sample: OrderedSample, k: int) -> PointSet2D:
     scale of a shape-0 law, so dividing by spacing/log(2) sends the plot to
     the horizontal line at height 1.
     """
-    if not 2 <= k <= sample.n:
-        raise IndexRangeError(f"k={k} outside 2..{sample.n}")
+    _check_top_k(k, sample.n)
     mid = math.ceil(k / 2)
     spread = sample.x(mid) - sample.x(k)
     if spread <= 0:

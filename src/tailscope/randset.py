@@ -14,9 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import DistributionModel, PositiveStable, RandomSeed, quantile_b
+from .dist import DistributionModel, PositiveStable, RandomSeed, _check_size, quantile_b
 from .empirics import (
     PointSet2D,
+    _check_count,
+    _check_top_k,
     default_k,
     normalize_negative,
     normalize_positive,
@@ -226,16 +228,36 @@ def _resolve_k_rule(k_rule) -> tuple[Callable[[int], int], str]:
     return (lambda n: int(math.floor(n**exponent))), f"floor(n**{exponent:g})"
 
 
-def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: RandomSeed):
-    """Yield (r, j, ordered sample of size n_grid[j]) for every replication r.
+def _top_k(k_fn: Callable[[int], int], n: int) -> int:
+    """The k-rule's k for an n-sample, checked before the draw: a bad n or k
+    raises the error that drawing n values and normalizing them would."""
+    _check_size(n)
+    _check_count(n)
+    k = k_fn(n)
+    _check_top_k(k, n)
+    return k
+
+
+def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: RandomSeed,
+           k_fn: Callable[[int], int]):
+    """Yield (r, j, k, top k order statistics of an n_grid[j]-sample) for every
+    replication r, with k = k_fn(n_grid[j]) checked just before the cell's draw.
 
     Each (r, j) cell draws from its own Philox stream, seed.stream + r *
-    len(n_grid) + j, so the result does not depend on evaluation order.
+    len(n_grid) + j, so the result does not depend on evaluation order.  A
+    cell draws all n uniforms of that stream, as ``model.sample(n, cell)``
+    would, but only the k largest go through the quantile
+    (``model.sample(n, cell, k)``).  The quantile is nondecreasing, so these
+    are exactly the k largest values of the full sample, and every
+    normalizer reads only them: X_(1) to X_(k), and strict exceedance counts
+    over thresholds at or above X_(k).  Each distance, slope and intercept is
+    therefore the one that ordering all n values gives, bit for bit.
     """
     for r in range(reps):
         for j, n in enumerate(n_grid):
+            k = _top_k(k_fn, int(n))
             cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
-            yield r, j, order_statistics(model.sample(int(n), cell))
+            yield r, j, k, order_statistics(model.sample(int(n), cell, k))
 
 
 @dataclass(frozen=True)
@@ -311,8 +333,8 @@ def run_convergence(
                           "pass a --window that it crosses")
 
     dist = np.empty((reps, len(n_grid)))
-    for r, j, sample in _cells(model, n_grid, reps, seed):
-        cloud = spec.normalize(sample, k_fn(sample.n))
+    for r, j, k, sample in _cells(model, n_grid, reps, seed, k_fn):
+        cloud = spec.normalize(sample, k)
         dist[r, j] = hausdorff_window(cloud, limit_pts, window)
     return ConvergenceReport(
         model.label(),
@@ -354,13 +376,13 @@ def intercept_experiment(
     if xi is None or not xi > 1:
         raise ConfigError("intercept experiment needs a model with shape > 1")
     k_fn, _ = _resolve_k_rule(k_rule)
-    k = k_fn(int(n))
+    k = _top_k(k_fn, int(n))
     b_nk = quantile_b(model, n / k)
     b_n = quantile_b(model, float(n))
     slopes = np.empty(reps)
     intercepts = np.empty(reps)
     dropped = np.empty(reps, dtype=int)
-    for r, _, sample in _cells(model, (n,), reps, seed):
+    for r, _, _, sample in _cells(model, (n,), reps, seed, k_fn):
         cloud = normalize_heavy(sample, k, b_nk, b_n)
         ok = (cloud.x > 0) & (cloud.y > 0)
         dropped[r] = int(np.count_nonzero(~ok))

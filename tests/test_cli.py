@@ -248,6 +248,19 @@ class TestConverge:
             assert "misses the window 1,3,0,4; pass a --window" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("grid, k_args, message", [
+        ("1000", ["--k", "0.1"], "k=1 outside 2..1000"),
+        ("2", [], "k=1 outside 2..2"),
+    ])
+    def test_k_below_two_is_data_error(self, tmp_path, capsys, grid, k_args, message):
+        # the k-rule's k is checked against n itself, not against the top k
+        # values a cell keeps
+        out = tmp_path / "x"
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", grid, "--reps", "2", *k_args, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"tailscope: data error: {message}\n"
+        assert not out.exists()
+
     def test_bad_window(self, tmp_path):
         assert run("converge", "--model", "pareto:2", "--case", "positive",
                    "--n-grid", "1000", "--reps", "1", "--window", "1,2,3",

@@ -441,3 +441,32 @@ def test_quantile_and_sample_match_reference_formulas(spec):
     seed = ts.RandomSeed(17, 2)
     u = (seed.generator().integers(0, 1 << 53, size=5000) + 0.5) / (1 << 53)
     assert np.array_equal(model.sample(5000, seed), ref(u))
+
+
+def _bits_desc(x):
+    return np.sort(x)[::-1].view(np.int64)
+
+
+@pytest.mark.parametrize("spec", SPECS + ["stable:1.5"])
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 4099])
+def test_sample_with_k_is_the_top_of_sample(spec, n):
+    # the k largest of sample(n, s), bit for bit; stable:0.7 and stable:1.5
+    # partition the full Chambers-Mallows-Stuck draw, every other law its
+    # uniforms before the quantile
+    model = parse_model(spec)
+    seed = ts.RandomSeed(23, n)
+    full = _bits_desc(model.sample(n, seed))
+    for k in sorted({1, 2, n // 3, n} & set(range(1, n + 1))):
+        top = model.sample(n, seed, k)
+        assert top.shape == (k,)
+        assert np.array_equal(_bits_desc(top), full[:k]), k
+
+
+@pytest.mark.parametrize("spec", ["pareto:2", "beta:2,3", "stable:1.5"])
+def test_sample_refuses_k_outside_one_to_n(spec):
+    model = parse_model(spec)
+    for n, k in ((10, 0), (10, 11), (10, -1), (1, 2)):
+        with pytest.raises(ParameterError, match=rf"^k={k} outside 1\.\.{n}$"):
+            model.sample(n, ts.RandomSeed(1), k)
+    with pytest.raises(ParameterError, match="n must be positive"):
+        model.sample(0, ts.RandomSeed(1), 0)

@@ -1,9 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 import tailscope as ts
-from tailscope.errors import ConfigError, EmptyWindowError, ParameterError
+from tailscope import randset
+from tailscope.errors import (
+    ConfigError,
+    EmptyWindowError,
+    IndexRangeError,
+    InsufficientDataError,
+    ParameterError,
+)
 
 
 def brute_hausdorff(pa, pb):
@@ -324,6 +333,105 @@ class TestRunConvergence:
                                  window=ts.Window(1.0, 3.0, 0.0, 20.0))
         assert np.isfinite(rep.distances).all()
 
+    def test_k_is_checked_against_n_before_its_draw(self, monkeypatch):
+        # each n is checked just before its own cells: the cells before it run,
+        # no value is drawn for it
+        model = ts.Pareto(2)
+        drawn = []
+        sample = model.sample
+
+        def spy(n, seed, k=None):
+            drawn.append(n)
+            return sample(n, seed, k)
+
+        monkeypatch.setattr(model, "sample", spy)
+        for grid, k_rule, err, message, before in [
+            ((1000,), 0.1, IndexRangeError, "k=1 outside 2..1000", []),
+            ((5000, 2), None, IndexRangeError, "k=1 outside 2..2", [5000]),
+            ((1, 1000), 0.1, InsufficientDataError, "need at least two observations", []),
+            ((1000, 0), None, ParameterError, "n must be positive", [1000]),
+        ]:
+            drawn.clear()
+            with pytest.raises(err) as caught:
+                ts.run_convergence(model, "positive", grid, 2, ts.RandomSeed(0), k_rule=k_rule)
+            assert str(caught.value) == message
+            assert drawn == before
+
+    def test_an_earlier_cell_error_comes_before_a_bad_k(self):
+        # the first cell's cloud misses the window before n = 2 is reached
+        with pytest.raises(EmptyWindowError, match="first point set misses the window"):
+            ts.run_convergence(ts.Pareto(2), "positive", (1000, 2), 1, ts.RandomSeed(0),
+                               window=ts.Window(50.0, 60.0, 40.0, 70.0))
+
+    def test_quantile_sees_at_most_k_points_per_cell(self, monkeypatch):
+        for model, case in ((ts.Pareto(2), "positive"), (ts.Beta(2, 2), "negative"),
+                            (ts.Exponential(1), "zero")):
+            sizes = []
+            quantile = type(model).quantile
+
+            def spy(self, p, quantile=quantile):
+                sizes.append(np.size(p))
+                return quantile(self, p)
+
+            monkeypatch.setattr(type(model), "quantile", spy)
+            ts.run_convergence(model, case, (1000, 20_000), 3, ts.RandomSeed(4))
+            assert sizes == [ts.default_k(1000), ts.default_k(20_000)] * 3
+
+
+def old_cells(model, n_grid, reps, seed):
+    """Yield (r, j, ordered sample of size n_grid[j]) for every replication r.
+
+    Each (r, j) cell draws from its own Philox stream, seed.stream + r *
+    len(n_grid) + j, so the result does not depend on evaluation order.
+    """
+    for r in range(reps):
+        for j, n in enumerate(n_grid):
+            cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
+            yield r, j, ts.order_statistics(model.sample(int(n), cell))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestTopKCells:
+    """Every result equals the one drawn from full samples, ordered in full:
+    ``old_cells`` is the cell loop that sorted all n values, verbatim, and
+    ``full_cells`` plugs it in where ``randset._cells`` stands."""
+
+    @pytest.fixture
+    def full_cells(self, monkeypatch):
+        def full(model, n_grid, reps, seed, k_fn):
+            for r, j, sample in old_cells(model, n_grid, reps, seed):
+                yield r, j, k_fn(sample.n), sample
+
+        def use():
+            monkeypatch.setattr(randset, "_cells", full)
+        return use
+
+    @pytest.mark.parametrize("model, case, k_rule", [
+        (ts.Pareto(2), "positive", None), (ts.Beta(2, 2), "negative", None),
+        (ts.Exponential(1), "zero", None), (ts.GPD(-0.5), "negative", 0.5),
+        (ts.LambertWTail(), "positive", None), (ts.GPD(0.3), "positive", 0.6),
+    ])
+    def test_run_convergence(self, full_cells, model, case, k_rule):
+        args = (model, case, (1000, 5000, 30_000), 4, ts.RandomSeed(31, 5))
+        top = ts.run_convergence(*args, k_rule=k_rule).distances
+        full_cells()
+        assert digest(top) == digest(ts.run_convergence(*args, k_rule=k_rule).distances)
+
+    def test_intercept_experiment_of_criterion_07(self, full_cells):
+        args = (ts.Pareto(0.5), 50_000, 50, ts.RandomSeed(7, 700))
+        top = ts.intercept_experiment(*args)
+        full_cells()
+        full = ts.intercept_experiment(*args)
+        fields = ("slopes", "intercepts", "reference", "dropped")
+        assert digest(*(getattr(top, f) for f in fields)) == digest(
+            *(getattr(full, f) for f in fields))
+
 
 class TestInterceptExperiment:
     def test_slope_estimates_inverse_shape(self):
@@ -340,6 +448,18 @@ class TestInterceptExperiment:
         b = ts.intercept_experiment(ts.Pareto(0.5), 5000, 3, ts.RandomSeed(12))
         np.testing.assert_array_equal(a.slopes, b.slopes)
         np.testing.assert_array_equal(a.reference, b.reference)
+
+    def test_bad_n_or_k_is_refused_before_the_quantiles(self, monkeypatch):
+        model = ts.Pareto(0.5)
+        for n, k_rule, err, message in [
+            (0, None, ParameterError, "n must be positive"),
+            (-3, None, ParameterError, "n must be positive"),
+            (1, None, InsufficientDataError, "need at least two observations"),
+            (1000, 0.1, IndexRangeError, "k=1 outside 2..1000"),
+        ]:
+            with pytest.raises(err) as caught:
+                ts.intercept_experiment(model, n, 2, ts.RandomSeed(0), k_rule=k_rule)
+            assert str(caught.value) == message
 
     def test_requires_heavy_shape(self):
         with pytest.raises(ConfigError):
