@@ -287,9 +287,11 @@ def cmd_meplot(opt: Options) -> int:
 
 
 def cmd_estimate(opt: Options) -> int:
+    stride = opt.get("stride", 1, int)
+    if stride < 1:
+        raise ConfigError("stride must be positive")
     values, meta = _load_sample(opt)
     fmts = opt.formats()
-    stride = opt.get("stride", 1, int)
     sample = order_statistics(values)
     n = sample.n
     m_ref = opt.get("m", max(2, n // 10), int)

@@ -80,9 +80,24 @@ class RandomSeed:
         return replace(self, stream=stream)
 
 
-def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1)."""
-    return (rng.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / (1 << 53)
+def _largest(x: np.ndarray, k: int | None) -> np.ndarray:
+    """x itself, or with k given its k largest entries in no set order."""
+    return x if k is None else np.partition(x, x.size - k)[x.size - k:]
+
+
+def _open_unit(i: np.ndarray) -> np.ndarray:
+    """(i + 0.5) / 2^53 for integers i in 0..2^53 - 1, nondecreasing in i.
+
+    Exact below i = 2^52; above it i + 0.5 rounds to the even neighbour, so
+    two integers can give one value, and i = 2^53 - 1 gives 1.0.
+    """
+    return (i.astype(np.float64) + 0.5) / (1 << 53)
+
+
+def _uniform_open(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
+    """Uniforms ``_open_unit(i)`` for n integers i drawn from rng, or with k
+    given for only the k largest of them, in no set order."""
+    return _open_unit(_largest(rng.integers(0, 1 << 53, size=n), k))
 
 
 def _check_size(n: int, k: int | None = None) -> None:
@@ -90,11 +105,6 @@ def _check_size(n: int, k: int | None = None) -> None:
         raise ParameterError("n must be positive")
     if k is not None and not 1 <= k <= n:
         raise ParameterError(f"k={k} outside 1..{n}")
-
-
-def _largest(x: np.ndarray, k: int | None) -> np.ndarray:
-    """x itself, or with k given its k largest entries in no set order."""
-    return x if k is None else np.partition(x, x.size - k)[x.size - k:]
 
 
 def _unwrap(out):
@@ -198,42 +208,23 @@ class DistributionModel:
     def sample(self, n: int, seed: RandomSeed, k: int | None = None) -> np.ndarray:
         """n draws from the law, or with k given only the k largest of them.
 
-        With k, the same n uniforms are drawn, in the same stream, and only
-        their k largest go through the quantile; they come back in no set
-        order.  The quantile is nondecreasing, so the k largest of
-        quantile(U) are the quantiles of the k largest of U: equal uniforms
-        give equal values, and no value outside the top k of U can exceed one
-        inside it.  The result is therefore the k largest of ``sample(n,
-        seed)`` bit for bit, at O(n) for the draw and the partition and O(k)
-        in the quantile.
+        With k, the same n integers are drawn, in the same stream, and only
+        their k largest are made uniforms and go through the quantile; they
+        come back in no set order.  The map to uniforms and the quantile are
+        both nondecreasing, so no value from outside the top k of the
+        integers can exceed one from inside it, and the k largest of
+        ``sample(n, seed)`` are these values.  The result is therefore the k
+        largest of ``sample(n, seed)`` bit for bit, at O(n) for the draw and
+        the partition and O(k) in the conversion and the quantile.
         """
         _check_size(n, k)
-        return self.quantile(_largest(_uniform_open(seed.generator(), n), k))
+        return self.quantile(_uniform_open(seed.generator(), n, k))
 
     def label(self) -> str:
         return self.name
 
     def __repr__(self):
         return self.label()
-
-
-class _ScipyLaw(DistributionModel):
-    """A model evaluated through the frozen scipy law its ``_frozen`` builds."""
-
-    @cached_property
-    def _law(self):
-        return self._frozen()
-
-    def _cdf(self, x):
-        return self._law.cdf(x)
-
-    def _tail(self, x):
-        return self._law.sf(x)
-
-    def _quantile(self, p):
-        # scipy's ppf(0) is the lower end of its own parameterization (-inf
-        # for levy_stable), which may lie below the declared support
-        return np.clip(self._law.ppf(p), *self.support)
 
 
 class Pareto(DistributionModel):
@@ -308,8 +299,16 @@ class Exponential(DistributionModel):
         return -self.mean * np.log1p(-p)
 
 
-class Beta(_ScipyLaw):
-    """Beta(a, b) on (0, 1); finite right endpoint, shape -1/b."""
+class Beta(DistributionModel):
+    """Beta(a, b) on (0, 1); finite right endpoint, shape -1/b.
+
+    Evaluated by the regularized incomplete beta function and its inverse
+    from ``scipy.special`` (imported on first use), without loading
+    ``scipy.stats``.  The values equal ``scipy.stats.beta``'s bit for bit,
+    except where ``beta.ppf`` fails: for Beta(3, 0.5) within 2.9e-8 of p = 1
+    it returns 0.5 or 1.0 with a warning, where ``betaincinv`` stays
+    monotone.
+    """
 
     def __init__(self, a: float, b: float):
         if not (a > 0 and b > 0):
@@ -319,25 +318,58 @@ class Beta(_ScipyLaw):
         self.support = (0.0, 1.0)
         self.domain_shape = -1.0 / self.b
 
-    def _frozen(self):
-        from scipy.stats import beta
+    def _cdf(self, x):
+        from scipy.special import betainc
 
-        return beta(self.a, self.b)
+        return betainc(self.a, self.b, x)
+
+    def _tail(self, x):
+        from scipy.special import betaincc
+
+        return betaincc(self.a, self.b, x)
+
+    def _quantile(self, p):
+        from scipy.special import betaincinv
+
+        return np.clip(betaincinv(self.a, self.b, p), *self.support)
 
 
-class LogNormal(_ScipyLaw):
+class LogNormal(DistributionModel):
+    """exp(mu + sigma Z), Z standard normal.
+
+    Evaluated through the normal cdf and its inverse from ``scipy.special``
+    (imported on first use), with the arithmetic of ``scipy.stats.lognorm(
+    sigma, scale=e^mu)``, so every value equals the frozen scipy law's.
+    """
+
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
         if not (np.isfinite(mu) and sigma > 0):
             raise ParameterError("need finite mu and sigma > 0")
         self.mu, self.sigma = float(mu), float(sigma)
+        self._scale = math.exp(self.mu)
         self.name = f"lognormal(mu={mu:g},sigma={sigma:g})"
         self.support = (0.0, math.inf)
         self.domain_shape = 0.0
 
-    def _frozen(self):
-        from scipy.stats import lognorm
+    def _z(self, x):
+        # log 0 = -inf gives the limit values cdf 0 and tail 1 exactly
+        with np.errstate(divide="ignore"):
+            return np.log(x / self._scale) / self.sigma
 
-        return lognorm(self.sigma, scale=math.exp(self.mu))
+    def _cdf(self, x):
+        from scipy.special import ndtr
+
+        return ndtr(self._z(x))
+
+    def _tail(self, x):
+        from scipy.special import ndtr
+
+        return ndtr(-self._z(x))
+
+    def _quantile(self, p):
+        from scipy.special import ndtri
+
+        return np.exp(self.sigma * ndtri(p)) * self._scale
 
 
 def _cms_skewed(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -360,8 +392,13 @@ def _cms_skewed(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-class StableSkewed(_ScipyLaw):
-    """Totally right-skewed stable law S_alpha(1, 1, 0), classical form."""
+class StableSkewed(DistributionModel):
+    """Totally right-skewed stable law S_alpha(1, 1, 0), classical form.
+
+    Sampled by Chambers-Mallows-Stuck; tail, cdf and quantile are those of
+    ``scipy.stats.levy_stable`` (imported on first use), the one law here
+    that needs ``scipy.stats``.
+    """
 
     def __init__(self, alpha: float):
         if not 0 < alpha < 2:
@@ -377,13 +414,24 @@ class StableSkewed(_ScipyLaw):
         _check_size(n, k)
         return _largest(_cms_skewed(self.alpha, n, seed.generator()), k)
 
-    def _frozen(self):
+    @cached_property
+    def _law(self):
         from scipy.stats import levy_stable
 
         # each frozen law owns its generator, so the S1 choice stays local
         frozen = levy_stable(self.alpha, 1.0)
         frozen.dist.parameterization = "S1"
         return frozen
+
+    def _cdf(self, x):
+        return self._law.cdf(x)
+
+    def _tail(self, x):
+        return self._law.sf(x)
+
+    def _quantile(self, p):
+        # levy_stable's ppf(0) is -inf, below the declared support when alpha < 1
+        return np.clip(self._law.ppf(p), *self.support)
 
 
 class LambertWTail(DistributionModel):

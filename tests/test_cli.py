@@ -205,6 +205,16 @@ class TestEstimate:
         assert len(trace_rows) == 1 + 999  # m runs 1..n-1 at stride 1
 
 
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_estimate_bad_stride_is_config_error_before_the_input(tmp_path, capsys, stride):
+    # the stride is refused before the input is read: a missing file is not reached
+    out = tmp_path / "x"
+    assert run("estimate", "--input", str(tmp_path / "nope.csv"), "--stride", stride,
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == "tailscope: config error: stride must be positive\n"
+    assert not out.exists()
+
+
 class TestConverge:
     def test_outputs_and_stdout(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -259,6 +269,19 @@ class TestConverge:
         assert run("converge", "--model", "pareto:2", "--case", "positive",
                    "--n-grid", grid, "--reps", "2", *k_args, "--out", str(out)) == 3
         assert capsys.readouterr().err == f"tailscope: data error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "1", "--resolution", "0"], "resolution must be positive"),
+        (["--reps", "1", "--resolution", "-3"], "resolution must be positive"),
+        (["--reps", "0"], "need reps >= 1 and a nonempty n grid"),
+        (["--reps", "1", "--k", "1.5"], "k-rule exponent must lie in (0, 1)"),
+    ])
+    def test_bad_option_value_is_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", "1000", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"tailscope: config error: {message}\n"
         assert not out.exists()
 
     def test_bad_window(self, tmp_path):

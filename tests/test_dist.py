@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -470,3 +471,94 @@ def test_sample_refuses_k_outside_one_to_n(spec):
             model.sample(n, ts.RandomSeed(1), k)
     with pytest.raises(ParameterError, match="n must be positive"):
         model.sample(0, ts.RandomSeed(1), 0)
+
+
+def test_sample_converts_only_the_top_k_integers(monkeypatch):
+    # the partition runs on the 53-bit integers; only the k it keeps become floats
+    from tailscope import dist
+
+    converted = []
+    open_unit = dist._open_unit
+
+    def spy(i):
+        converted.append((i.size, i.dtype.kind))
+        return open_unit(i)
+
+    monkeypatch.setattr(dist, "_open_unit", spy)
+    model = ts.Beta(2, 2)
+    model.sample(5000, ts.RandomSeed(3), 40)
+    assert converted == [(40, "i")]
+    converted.clear()
+    model.sample(5000, ts.RandomSeed(3))
+    assert converted == [(5000, "i")]
+
+
+# The laws whose formulas come from scipy.special equal the frozen scipy.stats
+# laws bit for bit.  The Beta shapes exclude (3, 0.5) and (0.5, 3): there
+# scipy.stats' ppf fails within 2.9e-8 of 1 and of 0 respectively (see below).
+BETA_SHAPES = [(2, 2), (2, 3), (3, 2), (0.5, 0.5), (2, 5), (5, 2), (0.1, 10), (10, 0.1),
+               (1.5, 2.5), (0.3, 0.7), (7, 9), (50, 50)]
+LOGNORMAL_PARAMS = [(0.0, 1.0), (1.5, 0.3), (-2.0, 2.5)]
+
+
+# i = 2^53 - 1 rounds to 1.0, outside the quantile's domain; the largest
+# grid point below 1 comes from i = 2^53 - 2
+TOP_I = (1 << 53) - 2
+
+
+def _grid_points(i):
+    """The uniforms (i + 0.5) / 2^53 that the samplers feed the quantile."""
+    return (np.asarray(i, dtype=np.int64).astype(float) + 0.5) / (1 << 53)
+
+
+def _probabilities():
+    i = np.random.default_rng(5).integers(0, TOP_I, size=20_000)
+    edges = np.r_[np.arange(50), TOP_I - np.arange(50)]
+    return np.r_[0.0, np.linspace(0.0, 1.0, 101)[:-1], _grid_points(np.r_[i, edges])]
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", BETA_SHAPES)
+def test_beta_equals_scipy_stats_bitwise(a, b):
+    model, law = ts.Beta(a, b), stats.beta(a, b)
+    p = _probabilities()
+    x = np.r_[0.0, 1.0, np.random.default_rng(6).random(20_000), law.ppf(p[1:1000])]
+    assert _same_bits(model.quantile(p), law.ppf(p))
+    assert _same_bits(model.cdf(x), law.cdf(x))
+    assert _same_bits(model.tail(x), law.sf(x))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, sigma", LOGNORMAL_PARAMS)
+def test_lognormal_equals_scipy_stats_bitwise(mu, sigma):
+    model, law = ts.LogNormal(mu, sigma), stats.lognorm(sigma, scale=math.exp(mu))
+    p = _probabilities()
+    x = np.r_[0.0, np.inf, 1e-300, np.exp(np.random.default_rng(7).normal(mu, 3 * sigma, 20_000))]
+    assert _same_bits(model.quantile(p), law.ppf(p))
+    assert _same_bits(model.cdf(x), law.cdf(x))
+    assert _same_bits(model.tail(x), law.sf(x))
+
+
+def test_beta_quantile_near_one_is_not_stuck():
+    # scipy.stats' beta.ppf gives up here with a RuntimeWarning and returns 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ts.Beta(3, 0.5).quantile(1 - 2**-52) > 0.999
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", [(3, 0.5), (0.5, 3), (2, 2)])
+def test_beta_quantile_is_monotone_at_the_sampler_edges(a, b):
+    # the 1000 smallest and the 1000 largest grid points below 1 that the
+    # samplers can draw; the top-k draw relies on the quantile being
+    # nondecreasing there
+    model = ts.Beta(a, b)
+    i = np.arange(1000)
+    for p in (_grid_points(i), _grid_points(TOP_I - 999 + i)):
+        q = model.quantile(p)
+        assert np.all(np.diff(q) >= 0)
+        assert np.all((q >= 0) & (q <= 1))

@@ -1,7 +1,9 @@
 """The package namespace re-exports each module's public names, and only
 those; importing it, and running the commands that need only numpy, loads
-no scipy module."""
+no scipy module, and no command but those on the stable law loads
+`scipy.stats`."""
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -44,12 +46,25 @@ _SCIPY_LOADED = (
 )
 
 
-def _scipy_modules_after(code: str, cwd) -> str:
+def _run_python(code: str, cwd) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code + _SCIPY_LOADED], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def _scipy_modules_after(code: str, cwd) -> str:
+    return _run_python(code + _SCIPY_LOADED, cwd)
+
+
+def _cli(argv) -> str:
+    """Code that runs the command line on argv and asserts it exits 0."""
+    return (
+        "from tailscope.cli import main\n"
+        f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "assert code == 0, code\n"
+    )
 
 
 @pytest.mark.parametrize("module", ["tailscope", "tailscope.cli"])
@@ -75,9 +90,26 @@ def test_numpy_only_commands_load_no_scipy(argv, tmp_path):
     sample = np.random.default_rng(2).pareto(2.0, 1000) + 1.0
     (tmp_path / "sample.csv").write_text("value\n" + "".join(f"{v:.17g}\n" for v in sample))
     _daily_csv(tmp_path / "daily.csv")
-    code = (
-        "from tailscope.cli import main\n"
-        f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
-        "assert code == 0, code\n"
-    )
-    assert _scipy_modules_after(code, tmp_path) == "0 []"
+    assert _scipy_modules_after(_cli(argv), tmp_path) == "0 []"
+
+
+# Beta and LogNormal evaluate through scipy.special; only StableSkewed's tail,
+# cdf and quantile load scipy.stats
+_SCIPY_PACKAGES_LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))\n"
+)
+
+
+@pytest.mark.parametrize("argv, spatial", [
+    (["simulate", "--model", "beta:2,2", "--n", "1000", "--out", "b"], False),
+    (["simulate", "--model", "lognormal", "--n", "1000", "--out", "l"], False),
+    (["converge", "--model", "beta:2,2", "--case", "negative", "--n-grid", "1000,2000",
+      "--reps", "2", "--out", "c"], True),
+    (["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
+      "--reps", "2", "--out", "p"], True),
+], ids=["simulate-beta", "simulate-lognormal", "converge-beta", "converge-pareto"])
+def test_commands_load_no_scipy_stats(argv, spatial, tmp_path):
+    loaded = json.loads(_run_python(_cli(argv) + _SCIPY_PACKAGES_LOADED, tmp_path))
+    assert "stats" not in loaded
+    assert ("spatial" in loaded) == spatial

@@ -333,6 +333,18 @@ class TestRunConvergence:
                                  window=ts.Window(1.0, 3.0, 0.0, 20.0))
         assert np.isfinite(rep.distances).all()
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_bad_resolution_is_config_error_before_any_draw(self, monkeypatch, resolution):
+        # discretize keeps its ParameterError for library callers
+        model = ts.Pareto(2)
+        monkeypatch.setattr(model, "sample", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ConfigError, match="^resolution must be positive$"):
+            ts.run_convergence(model, "positive", (1000,), 1, ts.RandomSeed(0),
+                               resolution=resolution)
+        with pytest.raises(ParameterError, match="^resolution must be positive$"):
+            ts.discretize(ts.limit_set("positive", 0.5), ts.Window(1.0, 3.0, 0.0, 4.0),
+                          resolution)
+
     def test_k_is_checked_against_n_before_its_draw(self, monkeypatch):
         # each n is checked just before its own cells: the cells before it run,
         # no value is drawn for it
