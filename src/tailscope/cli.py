@@ -194,7 +194,7 @@ def _load_sample(opt: Options) -> tuple[np.ndarray, dict]:
     """Sample from --model/--n/--seed, or read --input."""
     input_path = opt.get("input")
     if input_path is not None:
-        values = read_csv(input_path, "value").ravel()
+        values = read_csv(input_path, "value")
         if not values.size:
             raise ParseError(f"{input_path}: no values")
         return values, {"input": input_path, "n": values.size}

@@ -24,7 +24,7 @@ from .errors import (
     NormalizationError,
     ParameterError,
 )
-from .tabular import read_csv, write_csv
+from .tabular import write_csv
 
 __all__ = [
     "OrderedSample",
@@ -108,10 +108,6 @@ class PointSet2D:
 
     def write_csv(self, path) -> None:
         write_csv(path, "x,y", [self.x, self.y], ["%.17g", "%.17g"])
-
-    @staticmethod
-    def read_csv(path) -> "PointSet2D":
-        return PointSet2D(read_csv(path, "x", 2))
 
 
 def _exceed_counts(values_desc: np.ndarray, u) -> np.ndarray:

@@ -192,16 +192,18 @@ def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
 
 
 def _autocovariance(x: np.ndarray, h_max: int) -> np.ndarray:
-    """Biased (divide by n) autocovariances of the mean-centred series."""
+    """Biased (divide by n) autocovariances of the mean-centred series at lags
+    0..h_max; the series needs more than h_max values and nonzero variance."""
     n = x.shape[0]
+    if n <= h_max:
+        raise InsufficientDataError(f"need more than {h_max} observations")
     xc = x - x.mean()
-    return np.asarray([float(xc[: n - h] @ xc[h:]) / n for h in range(h_max + 1)])
-
-
-def _zero_variance(r0: float, x: np.ndarray) -> bool:
+    r = np.asarray([float(xc[: n - h] @ xc[h:]) / n for h in range(h_max + 1)])
     # constant series can leave rounding dust in r[0]; compare to the
     # series' own scale rather than to exact zero
-    return r0 <= float(np.mean(x * x)) * 1e-28
+    if r[0] <= float(np.mean(x * x)) * 1e-28:
+        raise DegenerateDataError("series has zero variance")
+    return r
 
 
 def _levinson(r: np.ndarray, p_max: int):
@@ -226,12 +228,7 @@ def yule_walker(x, p: int) -> ARModel:
     x = np.asarray(x, dtype=float).ravel()
     if p < 1:
         raise ParameterError("order must be at least 1")
-    if x.shape[0] <= p:
-        raise InsufficientDataError(f"need more than {p} observations")
-    r = _autocovariance(x, p)
-    if _zero_variance(r[0], x):
-        raise DegenerateDataError("series has zero variance")
-    phis, sig2 = _levinson(r, p)
+    phis, sig2 = _levinson(_autocovariance(x, p), p)
     return ARModel(p, phis[p], float(sig2[p]), float(x.mean()))
 
 
@@ -240,15 +237,9 @@ def aic_table(x, p_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if p_max < 0:
         raise ParameterError("p_max must be nonnegative")
-    if x.shape[0] <= p_max:
-        raise InsufficientDataError(f"need more than {p_max} observations")
-    r = _autocovariance(x, p_max)
-    if _zero_variance(r[0], x):
-        raise DegenerateDataError("series has zero variance")
-    _, sig2 = _levinson(r, p_max)
-    n = x.shape[0]
+    _, sig2 = _levinson(_autocovariance(x, p_max), p_max)
     with np.errstate(divide="ignore"):
-        return n * np.log(np.maximum(sig2, 0.0)) + 2.0 * np.arange(p_max + 1)
+        return x.shape[0] * np.log(np.maximum(sig2, 0.0)) + 2.0 * np.arange(p_max + 1)
 
 
 def select_order_aic(x, p_max: int) -> int:
@@ -277,11 +268,7 @@ def acf(x, h_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if h_max < 0:
         raise ParameterError("h_max must be nonnegative")
-    if x.shape[0] <= h_max:
-        raise InsufficientDataError(f"need more than {h_max} observations")
     r = _autocovariance(x, h_max)
-    if _zero_variance(r[0], x):
-        raise DegenerateDataError("series has zero variance")
     return r / r[0]
 
 
@@ -337,20 +324,19 @@ def synthetic_composite(
     seed: RandomSeed,
     start_year: int = 2001,
     amplitude: float = 0.75,
-    burn_in: int = 1000,
 ) -> TimeSeries:
     """Seasonal-scale times AR series with the given innovation law.
 
     The latent series follows x_t = sum_j phi_j x_{t-j} + eps_t with
     mean-zero innovations (draws are centered by their sample mean, so
-    one-sided laws work too); each day's value is multiplied by a smooth
-    positive annual scale profile.  Useful for exercising the full
-    pipeline against a known ground truth.
+    one-sided laws work too), run for 1000 days before the first date;
+    each day's value is multiplied by a smooth positive annual scale
+    profile.  Useful for exercising the full pipeline against a known
+    ground truth.
     """
     from scipy.signal import lfilter
 
     phi = np.asarray(phi, dtype=float)
-    p = phi.shape[0]
     if years < 2:
         raise ParameterError("need at least two years")
     if not 0 <= amplitude < 1:
@@ -360,6 +346,7 @@ def synthetic_composite(
     dates = np.arange(np.datetime64(date(start_year, 1, 1)),
                       np.datetime64(date(start_year + years, 1, 1)))
     n_days = dates.size
+    burn_in = 1000
     eps = innovations.sample(n_days + burn_in, seed)
     eps = eps - eps.mean()
     # x_t = sum_j phi_j x_{t-j} + eps_t with zero initial state

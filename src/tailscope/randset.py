@@ -111,8 +111,7 @@ def discretize(limit: LimitLine, window: Window, resolution: int = 512) -> Point
         return PointSet2D(np.empty((0, 2)))
     delta = window.diag / resolution
     if t_lo == t_hi:
-        pts = limit.points_at(np.array([t_lo]))
-        return PointSet2D(pts[window.contains(pts)])
+        return PointSet2D(limit.points_at(t_lo)).restrict(window)
     n = resolution + 1
     while True:
         t = np.linspace(t_lo, t_hi, n)
@@ -121,7 +120,7 @@ def discretize(limit: LimitLine, window: Window, resolution: int = 512) -> Point
         if gaps.size == 0 or gaps.max() <= delta or n > (1 << 21):
             break
         n *= 2
-    return PointSet2D(pts[window.contains(pts)])
+    return PointSet2D(pts).restrict(window)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +137,7 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
     after a Beta or LogNormal draw, against about 0.02 s for a warm call
     between a 15 848-point cloud and 4 000 limit points.
     """
-    pa = a.points[window.contains(a.points)] if len(a) else a.points
-    pb = b.points[window.contains(b.points)] if len(b) else b.points
+    pa, pb = a.restrict(window).points, b.restrict(window).points
     if pa.shape[0] == 0 and pb.shape[0] == 0:
         raise EmptyWindowError("both point sets miss the window", side="both")
     if pa.shape[0] == 0:
@@ -248,11 +246,11 @@ def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: Ran
     len(n_grid) + j, so the result does not depend on evaluation order.  A
     cell draws all n uniforms of that stream, as ``model.sample(n, cell)``
     would, but only the k largest go through the quantile
-    (``model.sample(n, cell, k)``).  The quantile is nondecreasing, so these
-    are exactly the k largest values of the full sample, and every
-    normalizer reads only them: X_(1) to X_(k), and strict exceedance counts
-    over thresholds at or above X_(k).  Each distance, slope and intercept is
-    therefore the one that ordering all n values gives, bit for bit.
+    (``model.sample(n, cell, k)``).  Every normalizer reads only them: X_(1)
+    to X_(k), and strict exceedance counts over thresholds at or above X_(k).
+    Where the quantile is nondecreasing at the ulp scale (see
+    ``DistributionModel.sample``), these are the full sample's k largest, so
+    each distance, slope and intercept is bit for bit that of all n values.
     """
     for r in range(reps):
         for j, n in enumerate(n_grid):

@@ -18,7 +18,7 @@ A scatter's size follows the cells its cloud covers, not its length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class Series:
 
     points: np.ndarray
     kind: str = "scatter"  # or "line"
-    color: str | None = None
-    radius: float = 1.6
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -121,10 +119,9 @@ def render_plot(
     xlabel: str = "",
     ylabel: str = "",
     annotations: list[str] = (),
-    size: tuple[int, int] = (640, 480),
 ) -> None:
     """Write an SVG scatter/line plot; output depends only on arguments."""
-    width, height = size
+    width, height = 640, 480
     ml, mr, mt, mb = 62, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -205,7 +202,7 @@ def render_plot(
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
         for i, (s, pts) in enumerate(zip(series, finite)):
-            color = s.color or _PALETTE[i % len(_PALETTE)]
+            color = _PALETTE[i % len(_PALETTE)]
             fh.write(f'<g class="series series-{s.kind}" id="series-{i}">\n')
             xy = [sx(pts[:, 0]), sy(pts[:, 1])]
             if s.kind == "line" and pts.shape[0] >= 2:
@@ -214,8 +211,8 @@ def render_plot(
                 write_records(fh, "%.2f,%.2f", [c[new] for c in xy], sep=" ")
                 fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
             else:
-                style = f'r="{s.radius}" fill="{color}" '.replace("%", "%%")
-                circle = '<circle cx="%.2f" cy="%.2f" ' + style + 'fill-opacity="%.4g"/>\n'
+                circle = ('<circle cx="%.2f" cy="%.2f" r="1.6" '
+                          f'fill="{color}" fill-opacity="%.4g"/>\n')
                 first, k = _cells(xy)
                 write_records(fh, circle, [c[first] for c in xy] + [1.0 - 0.45**k])
             fh.write("</g>\n")

@@ -35,24 +35,18 @@ def write_csv(path, header: str, columns, formats) -> None:
         write_records(fh, ",".join(formats) + "\n", columns)
 
 
-def read_csv(path, header: str, width: int = 1) -> np.ndarray:
-    """Floats from the first ``width`` fields of each row, shape (rows, width).
+def read_csv(path, header: str) -> np.ndarray:
+    """Floats from the first field of each row, as a 1-D array.
 
     Lines are stripped and skipped when their first field is empty or is
-    ``header``; fields past ``width`` are ignored.
+    ``header``; later fields are ignored.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh.read().split("\n")]
-    if width == 1:  # no list kept per row: the garbage collector would rescan them all
-        fields = [f for f in [ln.split(",", 1)[0] for ln in lines] if f and f != header]
-    else:
-        rows = [ln.split(",", width)[:width] for ln in lines
-                if ln.split(",", 1)[0] not in ("", header)]
-        if any(len(r) < width for r in rows):
-            raise ParseError(f"{path}: a row has fewer than {width} fields")
-        fields = [f for r in rows for f in r]
+    # no list kept per row: the garbage collector would rescan them all
+    fields = [f for f in [ln.split(",", 1)[0] for ln in lines] if f and f != header]
     try:
-        return np.fromiter(map(float, fields), float, len(fields)).reshape(-1, width)
+        return np.fromiter(map(float, fields), float, len(fields))
     except ValueError:
         for tok in fields:
             try:

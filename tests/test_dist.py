@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
 
@@ -501,8 +503,9 @@ BETA_SHAPES = [(2, 2), (2, 3), (3, 2), (0.5, 0.5), (2, 5), (5, 2), (0.1, 10), (1
 LOGNORMAL_PARAMS = [(0.0, 1.0), (1.5, 0.3), (-2.0, 2.5)]
 
 
-# i = 2^53 - 1 rounds to 1.0, outside the quantile's domain; the largest
-# grid point below 1 comes from i = 2^53 - 2
+# (i + 0.5) / 2^53 rounds to 1.0 at i = 2^53 - 1, which _open_unit clips to
+# the largest double below 1; below that, the largest grid point comes from
+# i = 2^53 - 2
 TOP_I = (1 << 53) - 2
 
 
@@ -562,3 +565,69 @@ def test_beta_quantile_is_monotone_at_the_sampler_edges(a, b):
         q = model.quantile(p)
         assert np.all(np.diff(q) >= 0)
         assert np.all((q >= 0) & (q <= 1))
+
+
+def test_open_unit_keeps_the_top_integer_below_one():
+    from tailscope import dist
+
+    i = np.array([0, 1 << 52, TOP_I, TOP_I + 1], dtype=np.int64)
+    u = dist._open_unit(i)
+    assert _same_bits(u[:3], _grid_points(i[:3]))
+    assert _grid_points(i[3]) == 1.0 and u[3] == np.nextafter(1.0, 0.0)
+    assert np.all(np.diff(u) > 0)
+
+
+def test_top_integer_draw_samples(monkeypatch):
+    # every integer of the draw is 2^53 - 1, whose (i + 0.5) / 2^53 is 1.0
+    class TopIntegers:
+        def integers(self, lo, hi, size):
+            return np.full(size, hi - 1, dtype=np.int64)
+
+    monkeypatch.setattr(ts.RandomSeed, "generator", lambda self: TopIntegers())
+    for spec in SPECS:
+        model = parse_model(spec)
+        if not isinstance(model, ts.StableSkewed):  # sampled by CMS, not inversion
+            x = model.sample(3, ts.RandomSeed(1))
+            assert np.array_equal(x, np.full(3, model.quantile(1 - 2**-53))), spec
+
+
+def test_beta_quantile_below_betaincinv_range():
+    # betaincinv returns NaN here; the quantile takes the leading term near 0
+    model = ts.Beta(2, 5)
+    x = model.quantile(1e-190)
+    assert x == pytest.approx(2.581988897471624e-96, rel=1e-14)
+    assert special.betainc(2, 5, x) == pytest.approx(1e-190, rel=1e-14)
+    tiny = np.array([1e-187, 1e-250, 1e-300, 5e-324])
+    assert np.all(np.diff(model.quantile(tiny)) < 0)
+    assert type(model.quantile(1e-300)) is float
+    # where betaincinv gives a number, the quantile keeps it bit for bit
+    p = 10.0 ** -np.arange(1, 186)
+    assert _same_bits(model.quantile(p), special.betaincinv(2, 5, p))
+
+
+# The stable law's quantile is a numerical inversion, tens of milliseconds per
+# value, so it is checked at the edge probabilities only.
+EDGE_P = [0.0, 5e-324, 1e-300, 2**-54, 0.5, 1 - 2**-52, 1 - 2**-53]
+EXTRA_SPECS = ["pareto:0.4", "gpd:-2,3", "beta:2,5", "beta:5,2", "beta:3,0.5", "beta:0.1,10",
+               "lognormal:-2,2.5"]
+
+
+def _in_closed_support(model, x):
+    lo, hi = model.support
+    return bool(np.all((lo <= x) & (x <= hi)))  # False for NaN
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if not s.startswith("stable")] + EXTRA_SPECS)
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(st.one_of(st.sampled_from(EDGE_P), st.floats(0.0, 1.0, exclude_max=True)),
+                  min_size=1, max_size=8))
+def test_quantile_is_never_nan_and_lies_in_support(spec, p):
+    model = parse_model(spec)
+    assert _in_closed_support(model, model.quantile(np.array(p)))
+    assert _in_closed_support(model, model.quantile(p[0]))
+
+
+@pytest.mark.parametrize("spec", ["stable:0.7", "stable:1", "stable:1.5"])
+def test_stable_quantile_at_edges_lies_in_support(spec):
+    model = parse_model(spec)
+    assert _in_closed_support(model, model.quantile(np.array(EDGE_P)))

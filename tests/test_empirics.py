@@ -367,8 +367,8 @@ class TestPointSet2D:
         )
         path = tmp_path / "ts_points.csv"
         pts.write_csv(path)
-        back = ts.PointSet2D.read_csv(path)
-        np.testing.assert_array_equal(back.points, pts.points)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back, pts.points)
 
     def test_restrict(self):
         pts = ts.PointSet2D(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 5.0]]))

@@ -3,6 +3,7 @@ those; importing it, and running the commands that need only numpy, loads
 no scipy module, and no command but those on the stable law loads
 `scipy.stats`."""
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,9 @@ import numpy as np
 import pytest
 
 import tailscope as ts
+from tailscope.errors import ParameterError
+from tailscope.svgplot import Series, render_plot
+from tailscope.tabular import read_csv
 
 MODULES = ("dist", "empirics", "errors", "estimators", "pipeline", "randset")
 
@@ -32,6 +36,23 @@ def test_deleted_names_are_gone():
         assert not hasattr(ts, attr), attr
     assert not hasattr(ts.ConvergenceReport, "pass_rate")
     assert not hasattr(ts.InterceptResult, "ks_against_reference")
+    assert not hasattr(ts.PointSet2D, "read_csv")
+
+
+@pytest.mark.parametrize("fn, gone", [
+    (read_csv, "width"),
+    (render_plot, "size"),
+    (Series, "color"),
+    (Series, "radius"),
+    (ts.synthetic_composite, "burn_in"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_deleted_parameters_are_gone(fn, gone):
+    assert gone not in inspect.signature(fn).parameters
+
+
+def test_theoretical_me_has_no_closed_method():
+    with pytest.raises(ParameterError, match="unknown method 'closed'"):
+        ts.theoretical_me(ts.Pareto(2), 2.0, method="closed")
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,7 @@ class TestAnalyzeSeries:
         assert an.profile == profile
         assert an.aic.tobytes() == aic.tobytes()
         assert an.model.coefficients.tobytes() == fit.coefficients.tobytes()
+        assert (an.model.noise_variance, an.model.mean) == (fit.noise_variance, fit.mean)
         assert an.residuals.tobytes() == resid.tobytes()
         assert an.acf.tobytes() == ts.acf(resid, 40).tobytes()
         assert an.trim == ts.default_trim(resid.size)
@@ -668,6 +669,7 @@ class TestAnalyzeSeries:
         series = daily_series("1999-01-01", rng.normal(size=n))
         an = ts.analyze_series(series, 3)
         x = ts.deseasonalize(series)[0].values
+        assert an.aic.tobytes() == ts.aic_table(x, 3).tobytes()
         assert an.model.order == 0
         assert an.model.coefficients.size == 0
         assert an.model.noise_variance == np.var(x)
