@@ -31,13 +31,14 @@ from .empirics import (
     default_trim,
     me_plot,
     order_statistics,
+    plotted_trim,
 )
 from .errors import ConfigError, ParseError, TailscopeError
 from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace
 from .pipeline import analyze_series, load_csv
 from .randset import Window, run_convergence
 from .svgplot import Series, render_plot
-from .tabular import read_csv, write_csv
+from .tabular import read_csv, write_csv, write_keyvals
 
 ENV_SEED = "TAILSCOPE_SEED"
 
@@ -179,15 +180,10 @@ def _parse_grid(raw: str) -> list[int]:
     return grid
 
 
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_manifest(path: str, command: str, params: dict) -> None:
     """Enough key=value lines to reproduce the run exactly."""
-    _write_lines(path, [f"tool=tailscope {__version__}", f"command={command}",
-                        *(f"{k}={params[k]}" for k in sorted(params))])
+    write_keyvals(path, [("tool", f"tailscope {__version__}"), ("command", command),
+                         *sorted(params.items())])
 
 
 def _load_sample(opt: Options) -> tuple[np.ndarray, dict]:
@@ -215,16 +211,16 @@ def _plot_fit(path: str, pts: PointSet2D, fit, **labels) -> None:
     render_plot(path, [Series(pts.points, "scatter"), Series(line, "line")], **labels)
 
 
-def _point_estimates(sample, m_ref: int) -> list[str]:
+def _point_estimates(sample, m_ref: int) -> list[tuple]:
     """Hill, Pickands and moment at m_ref (Pickands capped at n/4), or why not."""
-    lines = []
+    pairs = []
     for kind, fn in (("hill", hill), ("pickands", pickands), ("moment", moment)):
         m = min(m_ref, sample.n // 4) if kind == "pickands" else m_ref
         try:
-            lines.append(f"{kind}={fn(sample, m):.17g}")
+            pairs.append((kind, fn(sample, m)))
         except TailscopeError as exc:
-            lines.append(f"{kind}=skipped ({exc})")
-    return lines
+            pairs.append((kind, f"skipped ({exc})"))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +233,9 @@ def cmd_simulate(opt: Options) -> int:
     if n < 1:
         raise ConfigError("need n >= 1")
     seed = opt.seed()
-    opt.formats()  # the sample is always CSV, but reject bad --format early
     values = model.sample(n, seed)
     out = opt.out_dir()
-    write_csv(os.path.join(out, "sample.csv"), "value", [values], ["%.17g"])
+    write_csv(os.path.join(out, "sample.csv"), "value", [values])
     write_manifest(
         os.path.join(out, "manifest.txt"),
         "simulate",
@@ -256,9 +251,9 @@ def cmd_meplot(opt: Options) -> int:
     sample = order_statistics(values)
     n = sample.n
     trim_raw = opt.get("trim")
-    i_min, i_max = _parse_trim(trim_raw, n) if trim_raw else default_trim(n)
+    trim = _parse_trim(trim_raw, n) if trim_raw else default_trim(n)
+    i_min, i_max = plotted_trim(sample, *trim)
     pts = me_plot(sample, i_min, i_max)
-    i_min = i_max - len(pts) + 1  # thresholds tied with X_(1) leave no row
     fit = ls_fit(pts, "me")
     out = opt.out_dir()
     if "csv" in fmts:
@@ -275,12 +270,11 @@ def cmd_meplot(opt: Options) -> int:
                 f"trim={i_min}:{i_max}",
             ],
         )
-    _write_lines(os.path.join(out, "summary.txt"), [
-        f"n={n}", f"trim={i_min}:{i_max}", f"slope={fit.slope:.17g}",
-        f"intercept={fit.intercept:.17g}", f"xi_hat={fit.xi_hat:.17g}",
-        f"rss={fit.rss:.17g}",
+    write_keyvals(os.path.join(out, "summary.txt"), [
+        ("n", n), ("trim", f"{i_min}:{i_max}"), ("slope", fit.slope),
+        ("intercept", fit.intercept), ("xi_hat", fit.xi_hat), ("rss", fit.rss),
     ])
-    meta.update({"trim": f"{i_min}:{i_max}", "format": ",".join(sorted(fmts))})
+    meta.update({"trim": f"{i_min}:{i_max}", "format": sorted(fmts)})
     write_manifest(os.path.join(out, "manifest.txt"), "meplot", meta)
     print(f"meplot: xi_hat={fit.xi_hat:.4f} over trim {i_min}:{i_max}")
     return 0
@@ -302,8 +296,7 @@ def cmd_estimate(opt: Options) -> int:
     out = opt.out_dir()
     if "csv" in fmts:
         for kind, tr in traces.items():
-            write_csv(os.path.join(out, f"{kind}_trace.csv"), "m,value", [tr.m, tr.value],
-                      ["%d", "%.17g"])
+            write_csv(os.path.join(out, f"{kind}_trace.csv"), "m,value", [tr.m, tr.value])
         qq.write_csv(os.path.join(out, "qq_pos.csv"))
     if "svg" in fmts:
         series = [
@@ -324,10 +317,10 @@ def cmd_estimate(opt: Options) -> int:
             ylabel="log(X_(i)/X_(m))",
             annotations=[f"slope={qq_fit.slope:.4g} (m={m_ref})"],
         )
-    lines = [f"n={n}", f"m={m_ref}", f"qq_slope={qq_fit.slope:.17g}"]
-    lines += _point_estimates(sample, m_ref)
-    _write_lines(os.path.join(out, "summary.txt"), lines)
-    meta.update({"m": m_ref, "stride": stride, "format": ",".join(sorted(fmts))})
+    write_keyvals(os.path.join(out, "summary.txt"),
+                  [("n", n), ("m", m_ref), ("qq_slope", qq_fit.slope),
+                   *_point_estimates(sample, m_ref)])
+    meta.update({"m": m_ref, "stride": stride, "format": sorted(fmts)})
     write_manifest(os.path.join(out, "manifest.txt"), "estimate", meta)
     print(f"estimate: qq_slope={qq_fit.slope:.4f} at m={m_ref}")
     return 0
@@ -367,7 +360,7 @@ def cmd_converge(opt: Options) -> int:
                 f"median@{n}={m:.4g}" for n, m in zip(report.n_grid, med)
             ],
         )
-    _write_lines(os.path.join(out, "manifest.txt"), report.manifest_lines())
+    write_keyvals(os.path.join(out, "manifest.txt"), report.manifest_pairs())
     print(
         "converge: medians "
         + ", ".join(f"n={n}: {m:.4g}" for n, m in zip(report.n_grid, med))
@@ -396,10 +389,9 @@ def cmd_analyze(opt: Options) -> int:
         keys = sorted(scale)
         months, days = zip(*keys)
         write_csv(os.path.join(out, "profile.csv"), "month,day,scale",
-                  [months, days, [scale[k] for k in keys]], ["%d", "%d", "%.17g"])
-        write_csv(os.path.join(out, "residuals.csv"), "value", [an.residuals], ["%.17g"])
-        write_csv(os.path.join(out, "acf.csv"), "lag,rho", [np.arange(an.acf.size), an.acf],
-                  ["%d", "%.17g"])
+                  [months, days, [scale[k] for k in keys]])
+        write_csv(os.path.join(out, "residuals.csv"), "value", [an.residuals])
+        write_csv(os.path.join(out, "acf.csv"), "lag,rho", [np.arange(an.acf.size), an.acf])
         an.me_points.write_csv(os.path.join(out, "residual_me.csv"))
     if "svg" in fmts:
         _plot_fit(
@@ -410,16 +402,14 @@ def cmd_analyze(opt: Options) -> int:
             annotations=[f"xi_hat={fit.xi_hat:.4g}", f"ar_order={order}"],
         )
 
-    coef = ",".join(f"{c:.17g}" for c in model.coefficients)
-    _write_lines(os.path.join(out, "ar.txt"), [
-        f"order={order}", f"coefficients={coef}",
-        f"noise_variance={model.noise_variance:.17g}", f"mean={model.mean:.17g}",
-        *(f"aic_{p}={a:.17g}" for p, a in enumerate(an.aic)),
+    write_keyvals(os.path.join(out, "ar.txt"), [
+        ("order", order), ("coefficients", model.coefficients),
+        ("noise_variance", model.noise_variance), ("mean", model.mean),
+        *((f"aic_{p}", a) for p, a in enumerate(an.aic)),
     ])
-
-    lines = [f"n={ts.n}", f"ar_order={order}", f"xi_hat_me={fit.xi_hat:.17g}"]
-    lines += _point_estimates(sample, m_ref)
-    _write_lines(os.path.join(out, "summary.txt"), lines)
+    write_keyvals(os.path.join(out, "summary.txt"),
+                  [("n", ts.n), ("ar_order", order), ("xi_hat_me", fit.xi_hat),
+                   *_point_estimates(sample, m_ref)])
     write_manifest(
         os.path.join(out, "manifest.txt"),
         "analyze",
@@ -447,15 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--config", help="key=value option file")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--format", help="csv,svg subset (default both)")
+        if formats:
+            p.add_argument("--format", help="csv,svg subset (default both)")
         p.add_argument("--seed", type=int, help=f"seed (fallback ${ENV_SEED}, then 0)")
         p.add_argument("--stream", type=int, help="seed stream (default 0)")
 
-    p = sub.add_parser("simulate", help="draw a sample from a model")
-    common(p)
+    p = sub.add_parser("simulate", help="draw a sample from a model (always CSV)")
+    common(p, formats=False)
     p.add_argument("--model", help="model spec, e.g. pareto:2 or gpd:0.5,1")
     p.add_argument("--n", type=int, help="sample size")
 

@@ -172,12 +172,20 @@ class DistributionModel:
     a Python float for a scalar argument.  A model supplies only the
     formulas ``_tail`` or ``_cdf`` (each defaults to one minus the other)
     and ``_quantile``, which receive float arrays.
+
+    A law with closed forms also overrides the scalar hooks behind
+    ``theoretical_me`` and ``truncated_mean``, which default to quadrature of
+    the survival function: ``_mean_excess(u)`` for lo <= u < hi and
+    ``_truncated_mean(t)`` for t >= lo.
     """
 
     name = "model"
     support: tuple[float, float] = (0.0, math.inf)
     domain_shape: float | None = None  # extreme-value index of the law
-    has_finite_mean = True
+
+    @property
+    def has_finite_mean(self) -> bool:
+        return self.domain_shape is None or self.domain_shape < 1
 
     def tail(self, x):
         return _unwrap(self._tail(self._in_support(x)))
@@ -206,6 +214,33 @@ class DistributionModel:
 
     def _quantile(self, p):
         raise NotImplementedError
+
+    def _mean_excess(self, u: float) -> float:
+        from scipy.integrate import quad
+
+        tail_u = self.tail(u)
+        if tail_u <= 0.0:
+            raise DegenerateDataError("survival function vanishes at the threshold")
+        val, _ = quad(self.tail, u, self.support[1], epsabs=1e-14, epsrel=1e-11, limit=400)
+        return val / tail_u
+
+    def _truncated_mean(self, t: float) -> float:
+        from scipy.integrate import quad
+
+        lo, hi = self.support
+        t = min(t, hi)
+        # E[X 1{X <= t}] = integral(0, t) of the survival - t * survival(t);
+        # integrate over the finite range in geometric chunks so a single quad
+        # call never has to resolve mass spread over many decades
+        body = 0.0
+        a = lo
+        while a < t:
+            b = min(t, max(a * 10.0, a + 1.0))
+            piece, _ = quad(self.tail, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
+            body += piece
+            a = b
+        tail_t = self.tail(t) if t < hi else 0.0
+        return lo + body - t * tail_t
 
     def sample(self, n: int, seed: RandomSeed, k: int | None = None) -> np.ndarray:
         """n draws from the law, or with k given only the k largest of them.
@@ -239,13 +274,21 @@ class Pareto(DistributionModel):
         self.name = f"pareto(alpha={alpha:g})"
         self.support = (1.0, math.inf)
         self.domain_shape = 1.0 / self.alpha
-        self.has_finite_mean = self.alpha > 1
 
     def _tail(self, x):
         return x ** -self.alpha
 
     def _quantile(self, p):
         return np.exp(-np.log1p(-p) / self.alpha)
+
+    def _mean_excess(self, u):
+        return u / (self.alpha - 1.0)
+
+    def _truncated_mean(self, t):
+        a = self.alpha
+        if abs(a - 1.0) < 1e-12:
+            return math.log(t)
+        return (a / (a - 1.0)) * -math.expm1((1.0 - a) * math.log(t))
 
 
 class GPD(DistributionModel):
@@ -260,7 +303,6 @@ class GPD(DistributionModel):
         self.name = f"gpd(xi={xi:g},beta={beta:g})"
         self.support = (0.0, math.inf if xi >= 0 else -self.beta / self.xi)
         self.domain_shape = self.xi
-        self.has_finite_mean = self.xi < 1
 
     def _log_tail(self, x):
         if abs(self.xi) < _XI_ZERO_TOL:
@@ -281,24 +323,25 @@ class GPD(DistributionModel):
             return -self.beta * np.log1p(-p)
         return (self.beta / self.xi) * np.expm1(-self.xi * np.log1p(-p))
 
+    def _mean_excess(self, u):
+        return (self.beta + self.xi * u) / (1.0 - self.xi)
 
-class Exponential(DistributionModel):
+    def _truncated_mean(self, t):
+        if abs(self.xi) >= _XI_ZERO_TOL:  # the exponential's closed form only
+            return super()._truncated_mean(t)
+        m = self.beta
+        return m - (t + m) * math.exp(-t / m) if t < math.inf else m
+
+
+class Exponential(GPD):
+    """The exponential law with the given mean: GPD(0, mean), the GPD's shape-0 member."""
+
     def __init__(self, mean: float = 1.0):
         if not (np.isfinite(mean) and mean > 0):
             raise ParameterError("mean must be positive")
-        self.mean = float(mean)
+        super().__init__(0.0, mean)
+        self.mean = self.beta
         self.name = f"exp(mean={mean:g})"
-        self.support = (0.0, math.inf)
-        self.domain_shape = 0.0
-
-    def _tail(self, x):
-        return np.exp(-x / self.mean)
-
-    def _cdf(self, x):
-        return -np.expm1(-x / self.mean)
-
-    def _quantile(self, p):
-        return -self.mean * np.log1p(-p)
 
 
 class Beta(DistributionModel):
@@ -404,7 +447,9 @@ class StableSkewed(DistributionModel):
 
     Sampled by Chambers-Mallows-Stuck; tail, cdf and quantile are those of
     ``scipy.stats.levy_stable`` (imported on first use), the one law here
-    that needs ``scipy.stats``.
+    that needs ``scipy.stats``.  Its ppf stalls far in the lower tail: for alpha = 1.5
+    the quantile is -7.7533 at every p <= 1e-16, where cdf reads 0 from p = 1e-17 down;
+    for alpha = 0.7 and 1 it tracks p down to 1e-50.  The sampler never calls it.
     """
 
     def __init__(self, alpha: float):
@@ -414,7 +459,6 @@ class StableSkewed(DistributionModel):
         self.name = f"stable(alpha={alpha:g})"
         self.support = (0.0, math.inf) if alpha < 1 else (-math.inf, math.inf)
         self.domain_shape = 1.0 / self.alpha
-        self.has_finite_mean = self.alpha > 1
 
     def sample(self, n: int, seed: RandomSeed, k: int | None = None) -> np.ndarray:
         # the CMS draw is no inverse transform, so all n values are made first
@@ -538,27 +582,13 @@ class SkewedUnitIndex:
 # theoretical tail functionals
 
 
-def _tail_integral(model: DistributionModel, a: float) -> float:
-    """integral(a, x_F) of the survival function."""
-    lo, hi = model.support
-    head = 0.0
-    if a < lo:
-        head = lo - a
-        a = lo
-    if a >= hi:
-        return head
-    from scipy.integrate import quad
-
-    val, _ = quad(model.tail, a, hi, epsabs=1e-14, epsrel=1e-11, limit=400)
-    return head + val
-
-
 def theoretical_me(model: DistributionModel, u: float, method: str = "auto") -> float:
     """Mean excess M(u) = E[X - u | X > u] of the model at threshold u.
 
-    ``method`` is "auto" (closed form where one exists) or "quadrature".
-    The quadrature route integrates the survival function above u and
-    divides by the survival at u.
+    ``method`` is "auto" (the law's closed form where it has one) or
+    "quadrature", which integrates the survival function above u and
+    divides by the survival at u.  Below the support every observation
+    exceeds u, so M(u) = E[X] - u = M(lo) + lo - u.
     """
     if method not in ("auto", "quadrature"):
         raise ParameterError(f"unknown method {method!r}")
@@ -567,32 +597,10 @@ def theoretical_me(model: DistributionModel, u: float, method: str = "auto") -> 
     lo, hi = model.support
     if u >= hi:
         raise DomainError("threshold at or beyond the right endpoint")
-
-    closed = _closed_me(model, u) if method == "auto" else None
-    if closed is not None:
-        return closed
-
-    tail_u = model.tail(max(u, lo))
+    me = DistributionModel._mean_excess if method == "quadrature" else type(model)._mean_excess
     if u < lo:
-        # everything exceeds u; M(u) = E[X] - u
-        return _tail_integral(model, lo) + lo - u
-    if tail_u <= 0.0:
-        raise DegenerateDataError("survival function vanishes at the threshold")
-    return _tail_integral(model, u) / tail_u
-
-
-def _closed_me(model: DistributionModel, u: float) -> float | None:
-    if isinstance(model, GPD):
-        if u < 0:
-            return model.beta / (1.0 - model.xi) - u
-        return (model.beta + model.xi * u) / (1.0 - model.xi)
-    if isinstance(model, Exponential):
-        return model.mean if u >= 0 else model.mean - u
-    if isinstance(model, Pareto):
-        if u < 1:
-            return model.alpha / (model.alpha - 1.0) - u
-        return u / (model.alpha - 1.0)
-    return None
+        return me(model, lo) + lo - u
+    return me(model, u)
 
 
 def excess_cdf(model: DistributionModel, u: float, x):
@@ -619,33 +627,9 @@ def quantile_b(model: DistributionModel, t: float) -> float:
 
 def truncated_mean(model: DistributionModel, t: float) -> float:
     """E[X 1{X <= t}] for models supported on the nonnegative half-line."""
-    lo, hi = model.support
+    lo = model.support[0]
     if lo < 0:
         raise DomainError("truncated mean requires nonnegative support")
     if t < lo:
         return 0.0
-    if isinstance(model, Pareto):
-        a = model.alpha
-        tt = min(t, hi)
-        if abs(a - 1.0) < 1e-12:
-            return math.log(tt)
-        return (a / (a - 1.0)) * -math.expm1((1.0 - a) * math.log(tt))
-    if isinstance(model, Exponential):
-        m = model.mean
-        return m - (min(t, hi) + m) * math.exp(-min(t, hi) / m) if t < hi else m
-    from scipy.integrate import quad
-
-    t = min(t, hi)
-    # E[X 1{X <= t}] = integral(0, t) of the survival - t * survival(t);
-    # integrate over the finite range in geometric chunks so a single quad
-    # call never has to resolve mass spread over many decades
-    body = 0.0
-    a = lo
-    while a < t:
-        b = min(t, max(a * 10.0, a + 1.0))
-        piece, _ = quad(model.tail, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-        body += piece
-        a = b
-    tail_t = model.tail(t) if t < hi else 0.0
-    return lo + body - t * tail_t
-
+    return model._truncated_mean(t)

@@ -32,6 +32,7 @@ __all__ = [
     "PointSet2D",
     "empirical_me",
     "me_plot",
+    "plotted_trim",
     "tail_measure",
     "normalize_positive",
     "normalize_heavy",
@@ -107,7 +108,7 @@ class PointSet2D:
         return PointSet2D(self.points[window.contains(self.points)])
 
     def write_csv(self, path) -> None:
-        write_csv(path, "x,y", [self.x, self.y], ["%.17g", "%.17g"])
+        write_csv(path, "x,y", [self.x, self.y])
 
 
 def _exceed_counts(values_desc: np.ndarray, u) -> np.ndarray:
@@ -137,22 +138,30 @@ def empirical_me(sample: OrderedSample, u: float) -> float:
     return float(_mean_excess(sample.values, u)[1][0])
 
 
-def me_plot(sample: OrderedSample, i_min: int = 2, i_max: int | None = None) -> PointSet2D:
-    """Mean excess plot {(X_(i), ME(X_(i))) : i_min <= i <= i_max}.
-
-    Thresholds are the order statistics themselves; ties produce coincident
-    points, except that thresholds tied with X_(1) have no exceedance and
-    are left out.
-    """
+def plotted_trim(sample: OrderedSample, i_min: int = 2, i_max: int | None = None):
+    """The rows (lo, hi) of ``me_plot(sample, i_min, i_max)``, row r at X_(lo + r):
+    lo is i_min moved past the thresholds tied with X_(1), which have no exceedance."""
     n = sample.n
     if i_max is None:
         i_max = n
     if not 2 <= i_min <= i_max <= n:
         raise IndexRangeError(f"need 2 <= i_min <= i_max <= {n}")
-    u = sample.values[i_min - 1 : i_max]
-    c, me = _mean_excess(sample.values, u)
-    tied = np.searchsorted(c, 1)  # leading thresholds equal to X_(1)
-    return PointSet2D(np.column_stack([u[tied:], me[tied:]]))
+    ties = n - int(np.searchsorted(sample.values[::-1], sample.values[0]))  # X_(1) and its ties
+    if ties >= i_max:
+        raise EmptyExceedanceError(f"no observation exceeds u={sample.x(i_max)!r}")
+    return max(i_min, ties + 1), i_max
+
+
+def me_plot(sample: OrderedSample, i_min: int = 2, i_max: int | None = None) -> PointSet2D:
+    """Mean excess plot {(X_(i), ME(X_(i))) : i_min <= i <= i_max}.
+
+    Thresholds are the order statistics themselves; ties produce coincident
+    points, except that thresholds tied with X_(1) have no exceedance and
+    are left out (see ``plotted_trim``).
+    """
+    lo, hi = plotted_trim(sample, i_min, i_max)
+    u = sample.values[lo - 1 : hi]
+    return PointSet2D(np.column_stack([u, _mean_excess(sample.values, u)[1]]))
 
 
 def tail_measure(sample: OrderedSample, k: int, x):

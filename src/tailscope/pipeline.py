@@ -18,7 +18,8 @@ from datetime import date, datetime
 import numpy as np
 
 from .dist import DistributionModel, RandomSeed
-from .empirics import OrderedSample, PointSet2D, default_trim, me_plot, order_statistics
+from .empirics import (OrderedSample, PointSet2D, default_trim, me_plot, order_statistics,
+                       plotted_trim)
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -282,7 +283,7 @@ class SeriesAnalysis:
     residuals: np.ndarray
     acf: np.ndarray  # of the residuals, lags 0..min(40, n - 1)
     sample: OrderedSample  # the residuals' order statistics
-    trim: tuple[int, int]  # default_trim of the residual sample
+    trim: tuple[int, int]  # the rows of me_points: plotted_trim of default_trim
     me_points: PointSet2D
     me_fit: FitResult
 
@@ -311,7 +312,7 @@ def analyze_series(ts: TimeSeries, p_max: int) -> SeriesAnalysis:
     resid = residuals(x, model)
     rho = acf(resid, min(40, resid.size - 1))
     sample = order_statistics(resid)
-    trim = default_trim(sample.n)
+    trim = plotted_trim(sample, *default_trim(sample.n))
     pts = me_plot(sample, *trim)
     fit = ls_fit(pts, "me")
     return SeriesAnalysis(profile, aic, model, resid, rho, sample, trim, pts, fit)

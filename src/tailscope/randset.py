@@ -271,7 +271,6 @@ class ConvergenceReport:
     resolution: int
     seed: RandomSeed
     distances: np.ndarray  # shape (reps, len(n_grid))
-    manifest_version: str = EXPERIMENT_MANIFEST["version"]
 
     def medians(self) -> np.ndarray:
         return np.median(self.distances, axis=0)
@@ -279,22 +278,21 @@ class ConvergenceReport:
     def write_csv(self, path) -> None:
         reps, cols = self.distances.shape
         rep, n = np.repeat(np.arange(reps), cols), np.tile(self.n_grid, reps)
-        write_csv(path, "rep,n,distance", [rep, n, self.distances.ravel()],
-                  ["%d", "%d", "%.17g"])
+        write_csv(path, "rep,n,distance", [rep, n, self.distances.ravel()])
 
-    def manifest_lines(self) -> list[str]:
-        w = self.window.as_tuple()
+    def manifest_pairs(self) -> list[tuple]:
+        """The run's key=value manifest, in order; the window is written as %g."""
         return [
-            f"manifest_version={self.manifest_version}",
-            f"model={self.model}",
-            f"case={self.case}",
-            f"n_grid={','.join(str(n) for n in self.n_grid)}",
-            f"k_rule={self.k_rule}",
-            f"window={w[0]:g},{w[1]:g},{w[2]:g},{w[3]:g}",
-            f"resolution={self.resolution}",
-            f"seed={self.seed.seed}",
-            f"stream={self.seed.stream}",
-            f"reps={self.distances.shape[0]}",
+            ("manifest_version", EXPERIMENT_MANIFEST["version"]),
+            ("model", self.model),
+            ("case", self.case),
+            ("n_grid", self.n_grid),
+            ("k_rule", self.k_rule),
+            ("window", ",".join(f"{v:g}" for v in self.window.as_tuple())),
+            ("resolution", self.resolution),
+            ("seed", self.seed.seed),
+            ("stream", self.seed.stream),
+            ("reps", self.distances.shape[0]),
         ]
 
 

@@ -1,9 +1,10 @@
-"""The one CSV format, and chunked output of formatted records.
+"""The one number format, for CSV files and key=value files.
 
-A CSV file is a header line, then one row per record: floats as ``%.17g``,
-which reads back to the same double, and integers as ``%d``.  Records are
-formatted a chunk at a time, with one ``%`` on the record template repeated
-for the chunk; the bytes are those of formatting each record on its own.
+Floats are written as ``%.17g``, which reads back to the same double, and
+integers as ``%d``.  A CSV file is a header line, then one row per record.
+Records are formatted a chunk at a time, with one ``%`` on the record
+template repeated for the chunk; the bytes are those of formatting each
+record on its own.  A key=value file holds one ``key=value`` line per pair.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["CHUNK", "write_records", "write_csv", "read_csv"]
+__all__ = ["CHUNK", "write_records", "write_csv", "write_keyvals", "read_csv"]
 
 CHUNK = 1 << 15  # records formatted per call
 
@@ -28,11 +29,23 @@ def write_records(fh, template: str, columns, sep: str = "") -> None:
         fh.write((sep if start else "") + sep.join([template] * m) % tuple(fields))
 
 
-def write_csv(path, header: str, columns, formats) -> None:
-    """Write columns under a header line, column j formatted by formats[j]."""
+def write_csv(path, header: str, columns) -> None:
+    """Write columns under a header line: integer columns as %d, all others as %.17g."""
+    cols = [np.asarray(c) for c in columns]
+    formats = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in cols]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        write_records(fh, ",".join(formats) + "\n", columns)
+        write_records(fh, ",".join(formats) + "\n", cols)
+
+
+def write_keyvals(path, pairs) -> None:
+    """One key=value line per pair, in order: floats as %.17g, anything else by
+    ``str``, and the items of a list, tuple or array the same way, joined by commas."""
+    with open(path, "w") as fh:
+        for key, value in pairs:
+            items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+            fields = ["%.17g" % v if isinstance(v, float) else str(v) for v in items]
+            fh.write(f"{key}={','.join(fields)}\n")
 
 
 def read_csv(path, header: str) -> np.ndarray:

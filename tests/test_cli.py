@@ -346,6 +346,29 @@ class TestAnalyze:
         assert ar[:2] == ["order=0", "coefficients="]
         assert "ar_order=0" in (out / "summary.txt").read_text()
 
+    def test_trim_names_the_rows_of_the_residual_plot(self, tmp_path):
+        # each calendar day holds 0, 1 and 10 over the three years, so the
+        # largest residuals tie and the plot's rows start past the default trim
+        days = np.arange(np.datetime64("2001-01-01"), np.datetime64("2004-01-01"))
+        rng = np.random.default_rng(0)
+        values = np.stack([rng.permutation([0.0, 1.0, 10.0]) for _ in range(365)], 1).ravel()
+        src = tmp_path / "tied.csv"
+        src.write_text("date,value\n" + "".join(
+            f"{d},{v!r}\n" for d, v in zip(days.astype(str), values.tolist())))
+        out, me = tmp_path / "a", tmp_path / "me"
+        assert run("analyze", "--input", str(src), "--out", str(out)) == 0
+        assert run("meplot", "--input", str(out / "residuals.csv"), "--out", str(me)) == 0
+
+        def trim(path):
+            manifest = dict(line.split("=", 1) for line in path.read_text().splitlines())
+            return manifest["trim"]
+
+        lo, hi = (int(v) for v in trim(out / "manifest.txt").split(":"))
+        rows = len((out / "residual_me.csv").read_text().splitlines()) - 1
+        assert lo > ts.default_trim(hi)[0]
+        assert lo == hi - rows + 1
+        assert trim(me / "manifest.txt") == f"{lo}:{hi}"
+
     def test_gappy_series_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "gap.csv"
         lines = ["date,value"]
@@ -385,7 +408,7 @@ class TestExitCodes:
         assert run("simulate", "--n", "10", "--out", str(tmp_path)) == 2
 
     def test_bad_format(self, tmp_path):
-        assert run("simulate", "--model", "exp", "--n", "10", "--format", "png",
+        assert run("meplot", "--model", "exp", "--n", "10", "--format", "png",
                    "--out", str(tmp_path)) == 2
 
     def test_version_exits_zero(self, capsys):

@@ -244,6 +244,11 @@ class TestTruncatedMean:
         got = ts.truncated_mean(ts.GPD(0.5, 1.0), 1e8)
         assert got == pytest.approx(2.0, rel=1e-3)
 
+    def test_exponential_at_infinity_is_the_mean(self):
+        # (t + m) e^(-t/m) is inf * 0 = nan at t = inf; the whole mean is below it
+        assert ts.truncated_mean(ts.Exponential(1), math.inf) == 1.0
+        assert ts.truncated_mean(ts.Exponential(2.5), math.inf) == 2.5
+
 
 class TestSampling:
     def test_inverse_transform_matches_law(self):
@@ -356,6 +361,14 @@ class TestModels:
         assert not ts.StableSkewed(0.8).has_finite_mean
         assert ts.LambertWTail().has_finite_mean
         assert not ts.GPD(1.0).has_finite_mean
+
+    @pytest.mark.parametrize("model", [
+        *(parse_model(spec) for spec in ("pareto:2", "gpd:0.5", "beta:2,2", "exp", "lognormal",
+                                         "stable:1.5", "lambertw")),
+        ts.Pareto(1), ts.GPD(1.0), ts.StableSkewed(1.0),
+    ], ids=repr)
+    def test_finite_mean_follows_the_shape(self, model):
+        assert model.has_finite_mean == (model.domain_shape is None or model.domain_shape < 1)
 
     def test_labels_are_stable(self):
         assert ts.Pareto(2).label() == "pareto(alpha=2)"
@@ -631,3 +644,36 @@ def test_quantile_is_never_nan_and_lies_in_support(spec, p):
 def test_stable_quantile_at_edges_lies_in_support(spec):
     model = parse_model(spec)
     assert _in_closed_support(model, model.quantile(np.array(EDGE_P)))
+
+
+# ---------------------------------------------------------------------------
+# the exponential is the shape-0 GPD; closed forms live on the law
+
+
+@pytest.mark.parametrize("mean", [0.5, 1.0, 3.0])
+def test_exponential_is_gpd_zero_bit_for_bit(mean):
+    e, g = ts.Exponential(mean), ts.GPD(0.0, mean)
+    assert e.label() == f"exp(mean={mean:g})" and e.mean == mean
+    x = np.array([0.0, 1e-300, 0.1, 1.0, 7.5, 700.0, math.inf])
+    p = np.array([0.0, 1e-300, 1e-9, 0.3, 0.999, np.nextafter(1.0, 0.0)])
+    for seed in (ts.RandomSeed(3), ts.RandomSeed(4, 2)):
+        assert _same_bits(e.sample(1000, seed), g.sample(1000, seed))
+        assert _same_bits(e.sample(1000, seed, 37), g.sample(1000, seed, 37))
+    assert _same_bits(e.tail(x), g.tail(x)) and _same_bits(e.cdf(x), g.cdf(x))
+    assert _same_bits(e.quantile(p), g.quantile(p))
+    for u in (-2.0, 0.0, 0.5, 40.0):
+        assert _same_bits(ts.theoretical_me(e, u), ts.theoretical_me(g, u))
+    for t in (-1.0, 0.0, 0.1, 3.0, 800.0, math.inf):
+        assert _same_bits(ts.truncated_mean(e, t), ts.truncated_mean(g, t))
+
+
+@pytest.mark.parametrize("model", [ts.Pareto(2), ts.Pareto(1.5), ts.GPD(0.5), ts.GPD(-0.5, 2.0),
+                                   ts.Exponential(2), ts.Beta(2, 3), ts.LogNormal(0.5, 0.8),
+                                   ts.LambertWTail()], ids=repr)
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_mean_excess_below_the_support_is_shifted_from_the_lower_endpoint(model, method):
+    # every observation exceeds u < lo, so M(u) = E[X] - u = M(lo) + lo - u
+    lo = model.support[0]
+    at_lo = ts.theoretical_me(model, lo, method)
+    for u in (lo - 1e-9, lo - 0.5, lo - 7.0):
+        assert ts.theoretical_me(model, u, method) == at_lo + lo - u

@@ -119,6 +119,19 @@ class TestMePlot:
         np.testing.assert_array_equal(pts.x, [3.0, 2.0, 1.0, 1.0, 0.5])
         np.testing.assert_allclose(pts.y, [naive_me(data, u) for u in pts.x], rtol=1e-15)
 
+    @pytest.mark.parametrize("i_min, i_max, trim", [
+        (2, None, (3, 7)), (2, 2, None), (2, 3, (3, 3)), (4, 6, (4, 6)), (3, 7, (3, 7)),
+    ])
+    def test_plotted_trim_names_the_rows(self, i_min, i_max, trim):
+        s = ts.order_statistics([5.0, 5.0, 3.0, 2.0, 1.0, 1.0, 0.5])
+        if trim is None:
+            with pytest.raises(EmptyExceedanceError):
+                ts.plotted_trim(s, i_min, i_max)
+            return
+        assert ts.plotted_trim(s, i_min, i_max) == trim
+        lo, hi = trim
+        np.testing.assert_array_equal(ts.me_plot(s, i_min, i_max).x, s.values[lo - 1:hi])
+
     def test_tied_maxima_still_rejected_by_normalizers(self):
         s = ts.order_statistics([5.0, 5.0, 3.0, 2.0, 1.0, 1.0, 0.5])
         with pytest.raises(EmptyExceedanceError):

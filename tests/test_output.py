@@ -25,7 +25,7 @@ import tailscope as ts
 from tailscope.cli import main
 from tailscope.errors import ParseError
 from tailscope.svgplot import _PALETTE, Series, _fmt, _nice_ticks, render_plot
-from tailscope.tabular import CHUNK, read_csv, write_csv
+from tailscope.tabular import CHUNK, read_csv, write_csv, write_keyvals
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -265,12 +265,12 @@ class TestCsvWriterBytes:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_values(self, tmp_path, n):
         v = mixed(n)
-        same_bytes(lambda p: write_csv(p, "value", [v], ["%.17g"]),
+        same_bytes(lambda p: write_csv(p, "value", [v]),
                    lambda p: old_write_values_csv(p, v), tmp_path)
 
     def test_values_with_non_finite(self, tmp_path):
         v = np.array([np.nan, np.inf, -np.inf, 1.5])
-        same_bytes(lambda p: write_csv(p, "value", [v], ["%.17g"]),
+        same_bytes(lambda p: write_csv(p, "value", [v]),
                    lambda p: old_write_values_csv(p, v), tmp_path)
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -282,7 +282,7 @@ class TestCsvWriterBytes:
     def test_int64_trace_columns(self, tmp_path, n):
         m = np.arange(1, n + 1, dtype=np.int64) * 3
         tr = ts.EstimatorTrace("hill", m, mixed(n))
-        same_bytes(lambda p: write_csv(p, "m,value", [tr.m, tr.value], ["%d", "%.17g"]),
+        same_bytes(lambda p: write_csv(p, "m,value", [tr.m, tr.value]),
                    lambda p: old_write_trace_csv(p, tr), tmp_path)
 
     def test_convergence_report(self, tmp_path):
@@ -324,6 +324,22 @@ class TestCsvWriterBytes:
         old_acf_csv(tmp_path / "acf.csv", ts.acf(resid, min(40, resid.size - 1)))
         for name in ("profile.csv", "residuals.csv", "acf.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+class TestKeyvalWriterBytes:
+    def test_lines_match_the_per_line_formats(self, tmp_path):
+        """Each line reads as its f-string would: floats %.17g, anything else by
+        str, and the items of a list, tuple or array the same, joined by commas."""
+        v = mixed(8)
+        path = tmp_path / "kv.txt"
+        write_keyvals(path, [("n", 7), ("trim", "5:9"), ("slope", float(v[0])),
+                             ("rss", v[1]), ("coefficients", v[2:]),
+                             ("empty", np.empty(0)), ("n_grid", (10, 20)),
+                             ("hill", "skipped (m=1)")])
+        want = ["n=7", "trim=5:9", f"slope={float(v[0]):.17g}", f"rss={v[1]:.17g}",
+                "coefficients=" + ",".join(f"{c:.17g}" for c in v[2:]), "empty=",
+                "n_grid=" + ",".join(str(n) for n in (10, 20)), "hill=skipped (m=1)"]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 def render_both(tmp_path, series, **labels):
@@ -593,7 +609,7 @@ def scratch(tmp_path_factory):
 @given(values=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE))
 def test_values_round_trip_exactly(scratch, values):
     path = scratch / "values.csv"
-    write_csv(path, "value", [values], ["%.17g"])
+    write_csv(path, "value", [values])
     back = read_csv(path, "value")
     np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
 

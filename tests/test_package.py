@@ -16,7 +16,7 @@ import pytest
 import tailscope as ts
 from tailscope.errors import ParameterError
 from tailscope.svgplot import Series, render_plot
-from tailscope.tabular import read_csv
+from tailscope.tabular import read_csv, write_csv
 
 MODULES = ("dist", "empirics", "errors", "estimators", "pipeline", "randset")
 
@@ -45,6 +45,8 @@ def test_deleted_names_are_gone():
     (Series, "color"),
     (Series, "radius"),
     (ts.synthetic_composite, "burn_in"),
+    (write_csv, "formats"),
+    (ts.ConvergenceReport, "manifest_version"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_deleted_parameters_are_gone(fn, gone):
     assert gone not in inspect.signature(fn).parameters
@@ -134,3 +136,15 @@ def test_commands_load_no_scipy_stats(argv, spatial, tmp_path):
     loaded = json.loads(_run_python(_cli(argv) + _SCIPY_PACKAGES_LOADED, tmp_path))
     assert "stats" not in loaded
     assert ("spatial" in loaded) == spatial
+
+
+# the exponential is GPD(0, beta), drawn by its closed-form quantile: no scipy.stats,
+# and no scipy.integrate, which only the quadrature mean excess and truncated mean need
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "exp:1", "--n", "1000", "--out", "e"],
+    ["converge", "--model", "exp:1", "--case", "zero", "--n-grid", "1000,2000",
+     "--reps", "2", "--out", "c"],
+], ids=lambda argv: argv[0])
+def test_exponential_commands_load_no_scipy_stats_or_integrate(argv, tmp_path):
+    loaded = json.loads(_run_python(_cli(argv) + _SCIPY_PACKAGES_LOADED, tmp_path))
+    assert "stats" not in loaded and "integrate" not in loaded

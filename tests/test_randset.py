@@ -300,13 +300,13 @@ class TestRunConvergence:
         rep = ts.run_convergence(
             ts.Pareto(2), "positive", (1000,), reps=2, seed=ts.RandomSeed(7, 3)
         )
-        lines = rep.manifest_lines()
-        assert f"manifest_version={ts.EXPERIMENT_MANIFEST['version']}" in lines
-        assert "model=pareto(alpha=2)" in lines
-        assert "case=positive" in lines
-        assert "k_rule=floor(n**0.7)" in lines
-        assert "seed=7" in lines and "stream=3" in lines
-        assert "reps=2" in lines
+        pairs = rep.manifest_pairs()
+        assert ("manifest_version", ts.EXPERIMENT_MANIFEST["version"]) in pairs
+        assert ("model", "pareto(alpha=2)") in pairs
+        assert ("case", "positive") in pairs
+        assert ("k_rule", "floor(n**0.7)") in pairs
+        assert ("seed", 7) in pairs and ("stream", 3) in pairs
+        assert ("reps", 2) in pairs
 
     def test_csv_round_trip(self, tmp_path):
         rep = ts.run_convergence(
