@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _XI_ZERO_TOL = 1e-12  # below this |xi| the GPD is treated as exponential
+# 1/21!, ..., 1/3!, 1/2!: the exponential's truncated-mean series, to double precision below x = 1
+_EXP_SERIES = tuple(1.0 / math.factorial(j) for j in range(21, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +150,11 @@ def nonstd_tail(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 1):
         raise DomainError("support starts at 1")
-    w = lambert_w(x * math.exp(0.05) / 20.0)
-    return _unwrap(400.0 * np.square(w) / np.square(x))
+    # x^2 overflows from x = 1.3e154 on, where the tail reads 0; capping x keeps
+    # the Halley iteration finite there, up to x = inf
+    w = lambert_w(np.minimum(x, 1e300) * math.exp(0.05) / 20.0)
+    with np.errstate(over="ignore"):
+        return _unwrap(400.0 * np.square(w) / np.square(x))
 
 
 def nonstd_quantile(p):
@@ -169,9 +174,10 @@ class DistributionModel:
 
     The public ``tail``, ``cdf`` and ``quantile`` check their argument (x in
     ``support``, p in [0, 1)), raising ``DomainError`` otherwise, and return
-    a Python float for a scalar argument.  A model supplies only the
-    formulas ``_tail`` or ``_cdf`` (each defaults to one minus the other)
-    and ``_quantile``, which receive float arrays.
+    a Python float for a scalar argument.  ``tail`` and ``cdf`` are clipped
+    to [0, 1], which a formula's rounding can leave by an ulp.  A model
+    supplies only the formulas ``_tail`` or ``_cdf`` (each defaults to one
+    minus the other) and ``_quantile``, which receive float arrays.
 
     A law with closed forms also overrides the scalar hooks behind
     ``theoretical_me`` and ``truncated_mean``, which default to quadrature of
@@ -188,10 +194,10 @@ class DistributionModel:
         return self.domain_shape is None or self.domain_shape < 1
 
     def tail(self, x):
-        return _unwrap(self._tail(self._in_support(x)))
+        return _unwrap(np.clip(self._tail(self._in_support(x)), 0.0, 1.0))
 
     def cdf(self, x):
-        return _unwrap(self._cdf(self._in_support(x)))
+        return _unwrap(np.clip(self._cdf(self._in_support(x)), 0.0, 1.0))
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -329,8 +335,17 @@ class GPD(DistributionModel):
     def _truncated_mean(self, t):
         if abs(self.xi) >= _XI_ZERO_TOL:  # the exponential's closed form only
             return super()._truncated_mean(t)
-        m = self.beta
-        return m - (t + m) * math.exp(-t / m) if t < math.inf else m
+        # m (1 - (1 + x) e^(-x)) with x = t/m; below x = 1 its two terms cancel, so
+        # there it is t x e^(-x) (1/2! + x/3! + x^2/4! + ...), by Horner
+        x = t / self.beta
+        if x == math.inf:
+            return self.beta
+        if x >= 1.0:
+            return self.beta * (-math.expm1(-x) - x * math.exp(-x))
+        series = 0.0
+        for c in _EXP_SERIES:
+            series = series * x + c
+        return t * (x * series) * math.exp(-x)
 
 
 class Exponential(GPD):

@@ -10,7 +10,7 @@ point set converges to a deterministic or random limit set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,7 +105,8 @@ class PointSet2D:
         return self.points.shape[0]
 
     def restrict(self, window) -> "PointSet2D":
-        return PointSet2D(self.points[window.contains(self.points)])
+        """The points inside the window, in a set of the same type and fields."""
+        return replace(self, points=self.points[window.contains(self.points)])
 
     def write_csv(self, path) -> None:
         write_csv(path, "x,y", [self.x, self.y])

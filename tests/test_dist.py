@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,21 @@ class TestTruncatedMean:
         assert ts.truncated_mean(ts.Exponential(1), math.inf) == 1.0
         assert ts.truncated_mean(ts.Exponential(2.5), math.inf) == 2.5
 
+    @pytest.mark.parametrize("mean", [1.0, 3.0, 0.37, 1e5])
+    def test_exponential_within_a_few_ulp_of_mpmath(self, mean):
+        # m (1 - (1 + x) e^(-x)) with x = t/m: its two terms cancel for t << m, where
+        # the closed form m - (t + m) e^(-t/m) was 605 ulp off at m = 3, t = 0.1
+        model = ts.Exponential(mean)
+        with mpmath.workdps(40):
+            for x in np.geomspace(1e-12, 50.0, 300):
+                t = float(x * mean)
+                xm = mpmath.mpf(t) / mean
+                ref = mean * (1 - (1 + xm) * mpmath.exp(-xm))
+                got = ts.truncated_mean(model, t)
+                assert abs(got - ref) <= 4 * np.spacing(float(ref)), (t, got, ref)
+        assert ts.truncated_mean(model, 0.0) == 0.0
+        assert ts.truncated_mean(model, math.inf) == mean
+
 
 class TestSampling:
     def test_inverse_transform_matches_law(self):
@@ -411,6 +427,32 @@ def test_evaluation_contract(spec):
     for bad in (1.0, -0.1):
         with pytest.raises(DomainError):
             model.quantile(bad)
+
+
+@pytest.mark.parametrize("spec", SPECS + ["stable:1.5"])
+def test_tail_and_cdf_at_the_lower_endpoint(spec):
+    # LambertWTail's formula reads tail 1 + 4e-16 and cdf -4e-16 there
+    model = parse_model(spec)
+    lo = model.support[0]
+    assert model.tail(lo) == 1.0 and model.cdf(lo) == 0.0
+    assert model.tail(np.array([lo]))[0] == 1.0 and model.cdf(np.array([lo]))[0] == 0.0
+
+
+# points of each support, its ends included; the stable law's tail and cdf are
+# numerical integrals, so it gets fewer points per example
+@pytest.mark.parametrize("spec", SPECS + ["stable:1.5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tail_and_cdf_lie_in_the_unit_interval(spec, data):
+    model = parse_model(spec)
+    lo, hi = model.support
+    ends = st.sampled_from([v for v in (lo, np.nextafter(lo, hi), 1.0, hi) if lo <= v <= hi])
+    x = data.draw(st.lists(st.one_of(ends, st.floats(lo, hi, allow_nan=False)),
+                           min_size=1, max_size=2 if spec.startswith("stable") else 6))
+    for f in (model.tail, model.cdf):
+        v = f(np.array(x))
+        assert np.all((0.0 <= v) & (v <= 1.0)), (x, v)
+        assert 0.0 <= f(x[0]) <= 1.0
 
 
 @pytest.mark.parametrize("spec", SPECS + ["stable:1.5"])

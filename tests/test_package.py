@@ -1,7 +1,7 @@
 """The package namespace re-exports each module's public names, and only
 those; importing it, and running the commands that need only numpy, loads
-no scipy module, and no command but those on the stable law loads
-`scipy.stats`."""
+no scipy module, no command but those on the stable law loads
+`scipy.stats`, and none loads `scipy.spatial`."""
 import importlib
 import inspect
 import json
@@ -128,14 +128,26 @@ _SCIPY_PACKAGES_LOADED = (
     (["simulate", "--model", "beta:2,2", "--n", "1000", "--out", "b"], False),
     (["simulate", "--model", "lognormal", "--n", "1000", "--out", "l"], False),
     (["converge", "--model", "beta:2,2", "--case", "negative", "--n-grid", "1000,2000",
-      "--reps", "2", "--out", "c"], True),
+      "--reps", "2", "--out", "c"], False),
     (["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
-      "--reps", "2", "--out", "p"], True),
+      "--reps", "2", "--out", "p"], False),
 ], ids=["simulate-beta", "simulate-lognormal", "converge-beta", "converge-pareto"])
 def test_commands_load_no_scipy_stats(argv, spatial, tmp_path):
     loaded = json.loads(_run_python(_cli(argv) + _SCIPY_PACKAGES_LOADED, tmp_path))
     assert "stats" not in loaded
     assert ("spatial" in loaded) == spatial
+
+
+# converge measures its distances to the limit line with numpy alone, so on a law
+# with a closed-form quantile it loads no scipy module at all
+@pytest.mark.parametrize("argv", [
+    ["converge", "--model", "exp:1", "--case", "zero", "--n-grid", "1000,2000",
+     "--reps", "2", "--out", "c"],
+    ["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
+     "--reps", "2", "--out", "p"],
+], ids=["exp", "pareto"])
+def test_converge_on_closed_form_laws_loads_no_scipy(argv, tmp_path):
+    assert _scipy_modules_after(_cli(argv), tmp_path) == "0 []"
 
 
 # the exponential is GPD(0, beta), drawn by its closed-form quantile: no scipy.stats,

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import tailscope as ts
@@ -189,6 +192,126 @@ class TestDiscretize:
         grid = ts.discretize(ts.limit_set("positive", 0.5), window)
         assert grid.x.min() >= 1.5 - 1e-12
         assert grid.x.max() <= 2.5 + 1e-12
+
+
+class TestLineGrid:
+    def test_grid_keeps_its_line_through_restrict(self):
+        line = ts.limit_set("positive", 0.5)
+        grid = ts.discretize(line, ts.default_window("positive"), 64)
+        assert isinstance(grid, ts.LineGrid) and grid.line == line
+        half = grid.restrict(ts.Window(1.0, 2.0, 0.0, 4.0))
+        assert isinstance(half, ts.LineGrid) and half.line == line
+        np.testing.assert_array_equal(half.points, grid.points[grid.x <= 2.0])
+        empty = ts.discretize(line, ts.Window(0.0, 0.5, 0.0, 4.0))
+        assert isinstance(empty, ts.LineGrid) and len(empty) == 0 and empty.line == line
+
+    def test_single_point_grid(self):
+        # t_lo == t_hi: the ray's first point, on the window's right edge
+        line = ts.limit_set("positive", 0.5)
+        grid = ts.discretize(line, ts.Window(0.0, 1.0, 0.0, 4.0), 512)
+        assert isinstance(grid, ts.LineGrid) and grid.points.tolist() == [[1.0, 1.0]]
+
+
+def ckdtree_hausdorff(a, b, window):
+    """The general path of hausdorff_window: the oracle for its line path."""
+    pa, pb = a.restrict(window).points, b.restrict(window).points
+    return float(max(cKDTree(pb).query(pa, k=1)[0].max(), cKDTree(pa).query(pb, k=1)[0].max()))
+
+
+LINE_CASES = [("positive", 0.5), ("positive", 0.75), ("negative", -0.5), ("negative", -3.0),
+              ("zero", 0.0)]
+
+
+def cloud_layout(layout, case, xi, window, grid, rng, size):
+    """A point set of about `size` points near the case's limit line."""
+    line = ts.limit_set(case, xi)
+    lo, hi = np.array([window.x_lo, window.y_lo]), np.array([window.x_hi, window.y_hi])
+    if layout == "uniform":
+        return rng.uniform(lo, hi, (size, 2))
+    if layout == "parallel":  # equal distances to the line everywhere
+        return line.points_at(np.linspace(window.x_lo, window.x_hi, size)) + [0.0, 0.05]
+    if layout == "cluster":
+        return grid.points[len(grid) // 2] + 1e-6 * rng.standard_normal((size, 2))
+    if layout == "duplicates":
+        return np.repeat(rng.uniform(lo, hi, (max(1, size // 200), 2)), 200, axis=0)
+    if layout == "from-grid":
+        return grid.points[rng.integers(0, len(grid), size)]
+    # a normalized cloud of the case, as run_convergence measures it; GPD(-3)'s
+    # top values tie at its endpoint, which the normalization refuses
+    model = ts.GPD(max(xi, -0.5))
+    n = max(size, 10)
+    k = max(2, ts.default_k(n))
+    sample = ts.order_statistics(model.sample(n, ts.RandomSeed(int(rng.integers(1 << 32))), k))
+    return randset._CASES[case].normalize(sample, k).points
+
+
+LAYOUTS = ("uniform", "parallel", "cluster", "duplicates", "from-grid", "converge")
+
+
+class TestLineKernel:
+    """hausdorff_window with a line grid on either side equals the cKDTree path bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(LINE_CASES), layout=st.sampled_from(LAYOUTS),
+           resolution=st.integers(1, 4096), size=st.integers(1, 3000),
+           cut=st.sampled_from([None, "x", "y"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_ckdtree_bit_for_bit(self, case, layout, resolution, size, cut, seed):
+        case, xi = case
+        window = ts.default_window(case, xi)
+        grid = ts.discretize(ts.limit_set(case, xi), window, resolution)
+        cloud = pset(cloud_layout(layout, case, xi, window, grid, np.random.default_rng(seed),
+                                  size))
+        if cut == "x":  # a --window that keeps the grid's left part
+            window = ts.Window(window.x_lo, (window.x_lo + window.x_hi) / 2, window.y_lo,
+                               window.y_hi)
+        elif cut == "y":
+            window = ts.Window(window.x_lo, window.x_hi, window.y_lo,
+                               (window.y_lo + window.y_hi) / 2)
+        if len(cloud.restrict(window)) == 0 or len(grid.restrict(window)) == 0:
+            return
+        want = ckdtree_hausdorff(cloud, grid, window)
+        assert ts.hausdorff_window(cloud, grid, window) == want
+        assert ts.hausdorff_window(grid, cloud, window) == want
+
+    @pytest.mark.parametrize("case, xi", LINE_CASES)
+    @pytest.mark.parametrize("resolution", [1, 512, 4096])
+    @pytest.mark.parametrize("layout, size", [("parallel", 20_000), ("parallel", 200_000),
+                                              ("cluster", 20_000), ("duplicates", 10_000),
+                                              ("from-grid", 5_000), ("uniform", 20_000),
+                                              ("converge", 1_000_000)])
+    def test_large_layouts(self, case, xi, resolution, layout, size):
+        window = ts.default_window(case, xi)
+        grid = ts.discretize(ts.limit_set(case, xi), window, resolution)
+        cloud = pset(cloud_layout(layout, case, xi, window, grid, np.random.default_rng(8), size))
+        want = ckdtree_hausdorff(cloud, grid, window)
+        assert ts.hausdorff_window(cloud, grid, window) == want
+        assert ts.hausdorff_window(grid, cloud, window) == want
+
+    def test_single_point_grid_in_both_orders(self):
+        window = ts.Window(0.0, 1.0, 0.0, 4.0)
+        grid = ts.discretize(ts.limit_set("positive", 0.5), window, 1)
+        cloud = pset(np.random.default_rng(9).uniform([0.0, 0.0], [1.0, 4.0], (500, 2)))
+        want = ckdtree_hausdorff(cloud, grid, window)
+        assert ts.hausdorff_window(cloud, grid, window) == want
+        assert ts.hausdorff_window(grid, cloud, window) == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300), n=st.integers(1, 300))
+    def test_exact_whatever_the_points_a_grid_holds(self, seed, m, n):
+        # the candidates only bound each minimum; the rescan makes the result
+        # exact even for a grid whose points are neither sorted nor on its line
+        rng = np.random.default_rng(seed)
+        grid = ts.LineGrid(rng.uniform(0.0, 3.0, (m, 2)), ts.limit_set("positive", 0.5))
+        cloud = pset(rng.uniform(0.0, 3.0, (n, 2)))
+        want = ckdtree_hausdorff(cloud, grid, WIDE)
+        assert ts.hausdorff_window(cloud, grid, WIDE) == want
+        assert ts.hausdorff_window(grid, cloud, WIDE) == want
+
+    def test_two_grids(self):
+        a = ts.discretize(ts.limit_set("positive", 0.5), ts.default_window("positive"), 100)
+        b = ts.discretize(ts.limit_set("positive", 0.6), ts.default_window("positive"), 37)
+        want = ckdtree_hausdorff(a, b, WIDE)
+        assert ts.hausdorff_window(a, b, WIDE) == ts.hausdorff_window(b, a, WIDE) == want
 
 
 class TestHausdorff:
