@@ -361,9 +361,12 @@ def cmd_converge(opt: Options) -> int:
             ],
         )
     write_keyvals(os.path.join(out, "manifest.txt"), report.manifest_pairs())
+    missed = (f"; {report.missed} of {report.distances.size} cells missed the window "
+              f"and read its diagonal {report.window.diag:.4g}" if report.missed else "")
     print(
         "converge: medians "
         + ", ".join(f"n={n}: {m:.4g}" for n, m in zip(report.n_grid, med))
+        + missed
     )
     return 0
 

@@ -122,22 +122,32 @@ def _unwrap(out):
 
 
 def lambert_w(x):
-    """Principal branch of w e^w = x for x >= 0, by Halley iteration.
+    """Principal branch of w e^w = x for x >= 0, and inf at inf.
 
-    Accurate to 1e-12 relative residual.
+    Halley's iteration on w e^w = x below x = e, and Newton's on
+    w + log w = log x from e on, where w e^w would overflow.  Each stops
+    once its residual is within 1e-15 of its right side, x or log x, so
+    that w is within a few ulp of the root.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("lambert_w requires x >= 0")
-    w = np.log1p(x)  # decent start on [0, inf)
+    lo = np.minimum(x, np.e)
+    w = np.log1p(lo)  # decent start on [0, e]
     for _ in range(100):
         ew = np.exp(w)
-        f = w * ew - x
-        if np.all(np.abs(f) <= 1e-13 * np.maximum(x, 1.0)):
+        f = w * ew - lo
+        if not np.any(np.abs(f) > 1e-15 * lo):
             break
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        w = w - f / denom
-    return _unwrap(w)
+        w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    log_x = np.log(np.clip(x, np.e, np.finfo(float).max))
+    v = log_x - np.log(log_x)  # decent start on [e, inf)
+    for _ in range(100):
+        g = v + np.log(v) - log_x
+        if not np.any(np.abs(g) > 1e-15 * log_x):
+            break
+        v = v - g * v / (v + 1.0)
+    return _unwrap(np.where(x < np.e, w, np.where(x == np.inf, np.inf, v)))
 
 
 def nonstd_tail(x):
@@ -151,7 +161,7 @@ def nonstd_tail(x):
     if np.any(x < 1):
         raise DomainError("support starts at 1")
     # x^2 overflows from x = 1.3e154 on, where the tail reads 0; capping x keeps
-    # the Halley iteration finite there, up to x = inf
+    # W finite there, so that the tail reads 0 up to x = inf, not inf/inf
     w = lambert_w(np.minimum(x, 1e300) * math.exp(0.05) / 20.0)
     with np.errstate(over="ignore"):
         return _unwrap(400.0 * np.square(w) / np.square(x))

@@ -51,7 +51,7 @@ EXPERIMENT_MANIFEST = {"version": "1"}
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-parallel closed rectangle [x_lo, x_hi] x [y_lo, y_hi]."""
+    """Axis-parallel closed rectangle [x_lo, x_hi] x [y_lo, y_hi], with finite bounds."""
 
     x_lo: float
     x_hi: float
@@ -59,6 +59,8 @@ class Window:
     y_hi: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ParameterError("window bounds must be finite")
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise ParameterError("window must have positive extent")
 
@@ -146,23 +148,22 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
     ``scipy.spatial.cKDTree`` evaluates, and the result is the largest of
     the per-point minima bit for bit.  There are two paths:
 
-    - If either set is a ``LineGrid`` (as ``discretize`` returns) and all
-      coordinates are finite, numpy alone does it.  Each cloud point
-      projects onto the line at tau; one ``searchsorted`` of tau in the
-      grid's x finds the grid points around it.  With the cloud sorted by
-      tau, the index of the nearest cloud point is nondecreasing along the
-      grid, so a bisection over the grid rows finds it with one vectorized
-      pass per level, in O((|A| + |B|) log |B|).  A few neighbours of each
-      candidate are rechecked.
+    - If either set is a ``LineGrid`` (as ``discretize`` returns), numpy
+      alone does it.  Each cloud point projects onto the line at tau, the x
+      of its foot; the grid's x is already its order along the line.  Each
+      point of either set is bounded by its distance to the four points of
+      the other set around it in that order, found with one
+      ``searchsorted``.  The cost is two sorts plus the rescans below.
     - Otherwise ``scipy.spatial.cKDTree`` answers the queries; it is
       imported here, so that importing the package loads no scipy.
 
-    The line path is exact whatever the layout: each candidate is the
-    distance to a real point, so it bounds that point's minimum from
-    above.  Points are then rescanned against the whole other set in
-    descending order of their bound, until no bound left exceeds the
-    largest exact minimum found.  On the convergence clouds that takes one
-    rescan per side; the worst case is a brute force, O(|A| |B|).
+    The line path is exact whatever the layout: each bound is the distance
+    to a real point, so it is at least that point's minimum.  Points are
+    then rescanned against the whole other set in descending order of their
+    bound, until no bound left exceeds the largest exact minimum found; the
+    grid side starts from the cloud side's maximum.  On the convergence
+    clouds that takes one rescan per side; the worst case is a brute force,
+    O(|A| |B|).
     """
     pa, pb = a.restrict(window), b.restrict(window)
     if len(pa) == 0 and len(pb) == 0:
@@ -172,8 +173,7 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
     if len(pb) == 0:
         raise EmptyWindowError("second point set misses the window", side="second")
     grid, cloud = (pa, pb) if isinstance(pa, LineGrid) else (pb, pa)
-    if (isinstance(grid, LineGrid) and np.isfinite(grid.points).all()
-            and np.isfinite(cloud.points).all()):
+    if isinstance(grid, LineGrid):
         return _hausdorff_to_line(cloud.points, grid)
     from scipy.spatial import cKDTree
 
@@ -189,55 +189,22 @@ def _sq_dist(x1, y1, x2, y2) -> np.ndarray:
 
 
 def _hausdorff_to_line(cloud: np.ndarray, grid: LineGrid) -> float:
-    """``hausdorff_window`` between a finite cloud and a finite, nonempty line grid."""
-    ax, ay, gx, gy = cloud[:, 0], cloud[:, 1], grid.x, grid.y
-    s = grid.line.slope
+    """``hausdorff_window`` between a cloud and a nonempty line grid."""
+    g, gx, s = grid.points, grid.x, grid.line.slope
     # each cloud point's projection onto the line, as the x of its foot
-    tau = gx[0] + ((ax - gx[0]) + s * (ay - gy[0])) / (1.0 + s * s)
-    near = np.searchsorted(gx, tau)[:, None] + np.arange(-2, 2)
-    np.clip(near, 0, gx.size - 1, out=near)
-    to_grid = _sq_dist(ax[:, None], ay[:, None], gx[near], gy[near]).min(axis=1)
-
+    tau = gx[0] + ((cloud[:, 0] - gx[0]) + s * (cloud[:, 1] - g[0, 1])) / (1.0 + s * s)
     order = np.argsort(tau, kind="stable")
-    sx, sy = ax[order], ay[order]
-    near = _monotone_argmin(gx, gy, sx, sy)[:, None] + np.arange(-2, 3)
-    np.clip(near, 0, sx.size - 1, out=near)
-    to_cloud = _sq_dist(gx[:, None], gy[:, None], sx[near], sy[near]).min(axis=1)
-
-    d2 = max(_max_nearest(cloud, grid.points, to_grid),
-             _max_nearest(grid.points, cloud, to_cloud))
+    d2 = _max_nearest(cloud, g, _near_in_order(cloud, tau, g, gx))
+    d2 = _max_nearest(g, cloud, _near_in_order(g, gx, cloud[order], tau[order]), d2)
     return math.sqrt(d2)
 
 
-def _monotone_argmin(gx, gy, sx, sy) -> np.ndarray:
-    """For each grid point, the first index into the sorted cloud (sx, sy) at
-    its least squared distance, taking that index to be nondecreasing along
-    the grid.
-
-    Bisection over the grid rows: the middle row of each open range is
-    searched over the columns between the answers of the solved rows on
-    either side, and each level of the bisection is one vectorized pass
-    over all its ranges.
-    """
-    best = np.empty(gx.size, dtype=np.intp)
-    lo, hi = np.array([0]), np.array([gx.size - 1])  # row ranges
-    left, right = np.array([0]), np.array([sx.size - 1])  # their column ranges
-    while lo.size:
-        mid = (lo + hi) // 2
-        width = right - left + 1
-        start = np.cumsum(width) - width
-        seg = np.repeat(np.arange(width.size), width)
-        col = np.arange(seg.size) - (start - left)[seg]
-        d2 = _sq_dist(gx[mid[seg]], gy[mid[seg]], sx[col], sy[col])
-        hit = np.flatnonzero(d2 == np.minimum.reduceat(d2, start)[seg])
-        first = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
-        arg = best[mid] = col[first]
-        down, up = lo < mid, mid < hi
-        lo, hi, left, right = (np.concatenate([lo[down], mid[up] + 1]),
-                               np.concatenate([mid[down] - 1, hi[up]]),
-                               np.concatenate([left[down], arg[up]]),
-                               np.concatenate([arg[down], right[up]]))
-    return best
+def _near_in_order(p: np.ndarray, tp: np.ndarray, q: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    """For each point of p, its least squared distance to the four points of q
+    around it along the line: p's positions tp among q's sorted positions tq."""
+    near = np.searchsorted(tq, tp)[:, None] + np.arange(-2, 2)
+    np.clip(near, 0, tq.size - 1, out=near)
+    return _sq_dist(p[:, :1], p[:, 1:], q[near, 0], q[near, 1]).min(axis=1)
 
 
 def _nearest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -250,15 +217,17 @@ def _nearest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_nearest(p: np.ndarray, q: np.ndarray, bound: np.ndarray) -> float:
-    """The largest squared distance from a point of p to its nearest point of q,
-    given bound[i] >= that distance for p[i].
+def _max_nearest(p: np.ndarray, q: np.ndarray, bound: np.ndarray,
+                 best: float = -math.inf) -> float:
+    """The larger of best and the largest squared distance from a point of p to
+    its nearest point of q, given bound[i] >= that distance for p[i].
 
     Points are rescanned against all of q, those of largest bound first, in
-    batches that double, until no bound left exceeds the largest exact value.
+    batches that double, until no bound left exceeds the largest exact value;
+    a point whose bound does not exceed best is never rescanned.
     """
-    best, batch = -math.inf, 1
-    todo = np.arange(bound.size)
+    batch = 1
+    todo = np.flatnonzero(bound > best)
     while todo.size:
         if todo.size > batch:
             todo = todo[np.argpartition(bound[todo], todo.size - batch)]
@@ -379,7 +348,12 @@ def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: Ran
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Replicated windowed Hausdorff distances along a sample-size grid."""
+    """Replicated windowed Hausdorff distances along a sample-size grid.
+
+    ``missed`` counts the cells whose cloud has no point in the window; each
+    reads the window's diagonal, the largest distance that two nonempty sets
+    inside it can have.
+    """
 
     model: str
     case: str
@@ -389,6 +363,7 @@ class ConvergenceReport:
     resolution: int
     seed: RandomSeed
     distances: np.ndarray  # shape (reps, len(n_grid))
+    missed: int = 0
 
     def medians(self) -> np.ndarray:
         return np.median(self.distances, axis=0)
@@ -450,9 +425,14 @@ def run_convergence(
                           "pass a --window that it crosses")
 
     dist = np.empty((reps, len(n_grid)))
+    missed = 0
     for r, j, k, sample in _cells(model, n_grid, reps, seed, k_fn):
         cloud = spec.normalize(sample, k)
-        dist[r, j] = hausdorff_window(cloud, limit_pts, window)
+        try:
+            dist[r, j] = hausdorff_window(cloud, limit_pts, window)
+        except EmptyWindowError:  # the limit is inside the window, so the cloud missed it
+            dist[r, j] = window.diag
+            missed += 1
     return ConvergenceReport(
         model.label(),
         case,
@@ -462,6 +442,7 @@ def run_convergence(
         resolution,
         seed,
         dist,
+        missed,
     )
 
 

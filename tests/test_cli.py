@@ -1,3 +1,4 @@
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import tailscope as ts
+from tailscope import randset
 from tailscope.cli import main, parse_model
 from tailscope.errors import ConfigError
 from tailscope.svgplot import Series, render_plot
@@ -288,6 +290,38 @@ class TestConverge:
         assert run("converge", "--model", "pareto:2", "--case", "positive",
                    "--n-grid", "1000", "--reps", "1", "--window", "1,2,3",
                    "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_window_bound_is_bad_window(self, tmp_path, capsys):
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", "1000", "--reps", "1", "--window", "1,inf,0,4",
+                   "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == ("tailscope: config error: bad window '1,inf,0,4'; "
+                                           "expected x0,x1,y0,y1\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_cloud_missing_the_window_reads_the_diagonal(self, tmp_path, capsys):
+        # at seed 36, replicate 3's n = 1000 cloud lies above the window's top:
+        # X_(1) is 24.6 X_(k), so every point with x <= 3 has y near 7
+        out = tmp_path / "c"
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", "1000,10000", "--reps", "4", "--seed", "36",
+                   "--out", str(out)) == 0
+        rows = np.loadtxt(out / "distances.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (8, 3)
+        window = ts.default_window("positive")
+        grid = ts.discretize(ts.limit_set("positive", 0.5), window, 512)
+        model = parse_model("pareto:2")
+        cells = randset._cells(model, (1000, 10000), 4, ts.RandomSeed(36), ts.default_k)
+        for (r, j, k, sample), (rep, n, d) in zip(cells, rows):
+            assert (rep, n) == (r, (1000, 10000)[j])
+            if (r, j) == (3, 0):
+                assert d == math.sqrt(20.0) == window.diag
+            else:
+                cloud = randset._CASES["positive"].normalize(sample, k)
+                assert d == ts.hausdorff_window(cloud, grid, window)
+        assert "; 1 of 8 cells missed the window" in capsys.readouterr().out
+        assert "missed" not in (out / "manifest.txt").read_text()
 
 
 class TestAnalyze:

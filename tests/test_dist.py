@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
@@ -82,6 +82,28 @@ class TestLambertW:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             ts.lambert_w(-0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, np.finfo(float).max))
+    @example(x=1e-13)
+    @example(x=1e-10)
+    @example(x=1e-7)
+    @example(x=5e302)
+    @example(x=1e306)
+    @example(x=np.finfo(float).max)
+    def test_within_1e_14_of_mpmath(self, x):
+        # the stopping test is relative below x = 1, and w + log w = log x keeps
+        # the iteration finite up to the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = ts.lambert_w(x)
+        with mpmath.workdps(40):
+            want = float(mpmath.lambertw(x).real)
+        assert abs(w - want) <= 1e-14 * want
+
+    def test_infinity(self):
+        assert ts.lambert_w(math.inf) == math.inf
+        np.testing.assert_array_equal(ts.lambert_w([0.0, math.inf]), [0.0, math.inf])
 
 
 class TestNonstdTail:

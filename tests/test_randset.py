@@ -11,6 +11,7 @@ import tailscope as ts
 from tailscope import randset
 from tailscope.errors import (
     ConfigError,
+    EmptyExceedanceError,
     EmptyWindowError,
     IndexRangeError,
     InsufficientDataError,
@@ -46,6 +47,12 @@ class TestWindow:
             ts.Window(1.0, 1.0, 0.0, 2.0)
         with pytest.raises(ParameterError):
             ts.Window(0.0, 1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("bounds", [(1.0, np.inf, 0.0, 4.0), (-np.inf, 3.0, 0.0, 4.0),
+                                        (1.0, 3.0, 0.0, np.nan)])
+    def test_non_finite_bound(self, bounds):
+        with pytest.raises(ParameterError, match="window bounds must be finite"):
+            ts.Window(*bounds)
 
 
 # reference implementations: the per-case limit classes (their points_at
@@ -236,6 +243,9 @@ def cloud_layout(layout, case, xi, window, grid, rng, size):
         return np.repeat(rng.uniform(lo, hi, (max(1, size // 200), 2)), 200, axis=0)
     if layout == "from-grid":
         return grid.points[rng.integers(0, len(grid), size)]
+    if layout == "half":  # over the grid's left half only: the grid side holds the maximum
+        t = rng.uniform(grid.x[0], (grid.x[0] + grid.x[-1]) / 2, size)
+        return line.points_at(t) + 0.01 * rng.standard_normal((size, 2))
     # a normalized cloud of the case, as run_convergence measures it; GPD(-3)'s
     # top values tie at its endpoint, which the normalization refuses
     model = ts.GPD(max(xi, -0.5))
@@ -245,7 +255,7 @@ def cloud_layout(layout, case, xi, window, grid, rng, size):
     return randset._CASES[case].normalize(sample, k).points
 
 
-LAYOUTS = ("uniform", "parallel", "cluster", "duplicates", "from-grid", "converge")
+LAYOUTS = ("uniform", "parallel", "cluster", "duplicates", "from-grid", "half", "converge")
 
 
 class TestLineKernel:
@@ -278,6 +288,7 @@ class TestLineKernel:
     @pytest.mark.parametrize("layout, size", [("parallel", 20_000), ("parallel", 200_000),
                                               ("cluster", 20_000), ("duplicates", 10_000),
                                               ("from-grid", 5_000), ("uniform", 20_000),
+                                              ("half", 20_000),
                                               ("converge", 1_000_000)])
     def test_large_layouts(self, case, xi, resolution, layout, size):
         window = ts.default_window(case, xi)
@@ -493,10 +504,20 @@ class TestRunConvergence:
             assert drawn == before
 
     def test_an_earlier_cell_error_comes_before_a_bad_k(self):
-        # the first cell's cloud misses the window before n = 2 is reached
-        with pytest.raises(EmptyWindowError, match="first point set misses the window"):
-            ts.run_convergence(ts.Pareto(2), "positive", (1000, 2), 1, ts.RandomSeed(0),
-                               window=ts.Window(50.0, 60.0, 40.0, 70.0))
+        # GPD(-5)'s top values tie at its endpoint, so the first cell's
+        # normalization fails before n = 2 is reached
+        with pytest.raises(EmptyExceedanceError, match="tied maxima leave no strict exceedances"):
+            ts.run_convergence(ts.GPD(-5.0), "negative", (1000, 2), 1, ts.RandomSeed(0))
+
+    def test_a_cloud_that_misses_the_window_reads_its_diagonal(self):
+        # the limit crosses the window, so the run goes on; each cloud misses it
+        window = ts.Window(50.0, 60.0, 40.0, 70.0)
+        rep = ts.run_convergence(ts.Pareto(2), "positive", (1000, 2000), 2, ts.RandomSeed(0),
+                                 window=window)
+        assert rep.missed == 4
+        assert (rep.distances == window.diag).all()
+        full = ts.run_convergence(ts.Pareto(2), "positive", (1000, 2000), 2, ts.RandomSeed(0))
+        assert full.missed == 0
 
     def test_quantile_sees_at_most_k_points_per_cell(self, monkeypatch):
         for model, case in ((ts.Pareto(2), "positive"), (ts.Beta(2, 2), "negative"),
