@@ -84,8 +84,12 @@ class RandomSeed:
 
 
 def _largest(x: np.ndarray, k: int | None) -> np.ndarray:
-    """x itself, or with k given its k largest entries in no set order."""
-    return x if k is None else np.partition(x, x.size - k)[x.size - k:]
+    """x itself, or with k given its k largest entries in no set order, from
+    partitioning x in place (the callers own it), not a copy of it."""
+    if k is None:
+        return x
+    x.partition(x.size - k)
+    return x[x.size - k:]
 
 
 def _open_unit(i: np.ndarray) -> np.ndarray:

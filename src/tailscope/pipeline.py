@@ -90,7 +90,8 @@ def load_csv(
 
     The default ISO format is cast as one column; any other format, or an
     ISO column with a row the cast cannot read back exactly, is parsed row
-    by row, so the first bad row is the one reported.
+    by row, so the first bad row is the one reported, by the file line it
+    ends on.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -102,13 +103,13 @@ def load_csv(
         # as in csv.DictReader: a repeated name reads its last column, blank
         # lines are skipped, and a row too short for a column gives None
         di, vi = (len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
-        rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None)
-                for r in reader if r]
-    dates = _iso_dates([d for d, _ in rows]) if date_format == "%Y-%m-%d" else None
+        rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
+                 reader.line_num) for r in reader if r]
+    dates = _iso_dates([d for d, _, _ in rows]) if date_format == "%Y-%m-%d" else None
     if dates is None:
         dates, values = _parse_rows(rows, date_format)
     else:
-        values = [_parse_value(lineno, v) for lineno, (_, v) in enumerate(rows, start=2)]
+        values = [_parse_value(lineno, v) for _, v, lineno in rows]
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
     # a stable sort keeps equal dates in file order, so each repeat after
@@ -147,10 +148,11 @@ def _iso_dates(raw: list) -> np.ndarray | None:
 
 
 def _parse_rows(rows: list, date_format: str) -> tuple[np.ndarray, list]:
-    """Dates by ``strptime`` and values, row by row, failing at the first bad row."""
+    """Dates by ``strptime`` and values from (date, value, line) rows, failing
+    at the first bad row."""
     dates = []
     values = []
-    for lineno, (d, v) in enumerate(rows, start=2):
+    for d, v, lineno in rows:
         try:
             dates.append(datetime.strptime(d.strip(), date_format).date())
         except (ValueError, AttributeError) as exc:

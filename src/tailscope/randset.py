@@ -51,7 +51,8 @@ EXPERIMENT_MANIFEST = {"version": "1"}
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-parallel closed rectangle [x_lo, x_hi] x [y_lo, y_hi], with finite bounds."""
+    """Axis-parallel closed rectangle [x_lo, x_hi] x [y_lo, y_hi], with finite
+    bounds, extents and diagonal."""
 
     x_lo: float
     x_hi: float
@@ -63,6 +64,8 @@ class Window:
             raise ParameterError("window bounds must be finite")
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise ParameterError("window must have positive extent")
+        if not math.isfinite(self.diag):  # also when an extent overflows
+            raise ParameterError("window extent must be finite")
 
     @property
     def diag(self) -> float:

@@ -300,6 +300,15 @@ class TestConverge:
                                            "expected x0,x1,y0,y1\n")
         assert not (tmp_path / "x").exists()
 
+    def test_overflowing_window_is_bad_window(self, tmp_path, capsys):
+        # the width is not a double: no diagonal to measure against
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", "1000", "--reps", "1", "--window=-1e308,1e308,1e5,1e6",
+                   "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == ("tailscope: config error: bad window "
+                                           "'-1e308,1e308,1e5,1e6'; expected x0,x1,y0,y1\n")
+        assert not (tmp_path / "x").exists()
+
     def test_cloud_missing_the_window_reads_the_diagonal(self, tmp_path, capsys):
         # at seed 36, replicate 3's n = 1000 cloud lies above the window's top:
         # X_(1) is 24.6 X_(k), so every point with x <= 3 has y near 7

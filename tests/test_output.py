@@ -243,9 +243,11 @@ LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
 
 
 def mixed(n, seed=0):
-    """n doubles spanning many magnitudes, with the special values mixed in."""
+    """n doubles spanning many magnitudes, with the special values mixed in:
+    every other one in 1e-6..1e19, around the fixed-notation range of %.17g."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    x[1::2] = rng.standard_normal(n // 2) * 10.0 ** rng.integers(-5, 19, n // 2)
     x[: min(n, SPECIAL.size)] = SPECIAL[: min(n, SPECIAL.size)]
     return x
 
@@ -324,6 +326,76 @@ class TestCsvWriterBytes:
         old_acf_csv(tmp_path / "acf.csv", ts.acf(resid, min(40, resid.size - 1)))
         for name in ("profile.csv", "residuals.csv", "acf.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+# each double is written by %.17g; 1e-4 <= |v| < 1e17 is fixed notation
+FIXED_EDGES = [
+    (9.9999999999999991e-05, "9.9999999999999991e-05"),
+    (1e-4, "0.0001"),
+    (-0.00012345678901234567, "-0.00012345678901234567"),  # the longest field
+    (np.nextafter(1e16, 0), "9999999999999998"),
+    (1e16, "10000000000000000"),
+    (np.nextafter(1e16, 1e17), "10000000000000002"),
+    (99999999999999984.0, "99999999999999984"),
+    (1e17, "1e+17"),
+    (1234567890123456.75, "1234567890123456.8"),  # ties round half to even
+    (1234567890123455.25, "1234567890123455.2"),
+    (-123456789012345.625, "-123456789012345.62"),
+    (0.1, "0.10000000000000001"),
+    (1200.0, "1200"),
+    (-2.5, "-2.5"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1e300, "1.0000000000000001e+300"),
+]
+
+
+class TestFixedNotationKernel:
+    def test_edges(self, tmp_path):
+        v = np.array([x for x, _ in FIXED_EDGES])
+        path = tmp_path / "v.csv"
+        write_csv(path, "value", [v])
+        assert path.read_text() == "value\n" + "".join(f"{w}\n" for _, w in FIXED_EDGES)
+        same_bytes(lambda p: write_csv(p, "value", [v]),
+                   lambda p: old_write_values_csv(p, v), tmp_path)
+
+    def test_int64_extremes_in_a_d_column(self, tmp_path):
+        m = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
+        path = tmp_path / "t.csv"
+        write_csv(path, "m,value", [m, np.array([0.5, 1e-4, -3.0])])
+        assert path.read_text() == ("m,value\n-9223372036854775808,0.5\n0,0.0001\n"
+                                    "9223372036854775807,-3\n")
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_csv(path, "x,y", [np.empty(0), np.empty(0)])
+        assert path.read_bytes() == b"x,y\n"
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# any double: hypothesis's own floats, raw bit patterns, the fixed-notation
+# range of either sign, and quarters above 2^48, whose 18th digit is a 5
+DOUBLES = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.floats(1e-5, 2e17).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(2**50, 2**53 - 1).map(lambda i: i / 4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(DOUBLES, max_size=30), y=st.lists(DOUBLES, max_size=30))
+def test_float_columns_match_the_fstring_writers(tmp_path_factory, x, y):
+    tmp = tmp_path_factory.mktemp("kernel")
+    v = np.array(x, dtype=np.float64)
+    same_bytes(lambda p: write_csv(p, "value", [v]),
+               lambda p: old_write_values_csv(p, v), tmp)
+    pts = ts.PointSet2D(np.array(list(zip(x, y)), dtype=np.float64).reshape(-1, 2))
+    same_bytes(pts.write_csv, lambda p: old_point_set_write_csv(pts, p), tmp)
 
 
 class TestKeyvalWriterBytes:

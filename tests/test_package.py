@@ -116,6 +116,18 @@ def test_numpy_only_commands_load_no_scipy(argv, tmp_path):
     assert _scipy_modules_after(_cli(argv), tmp_path) == "0 []"
 
 
+def test_cli_import_and_csv_writer_load_no_numpy_ma(tmp_path):
+    # importing numpy.ma takes 9-15 ms on a 2-core host, and some np.unique calls load it
+    code = (
+        "import sys\nimport numpy as np\nimport tailscope.cli\n"
+        "from tailscope.tabular import write_csv\n"
+        "loaded = ['numpy.ma' in sys.modules]\n"
+        "write_csv('t.csv', 'm,x', [np.arange(3), np.array([1.5, -2e-3, np.nan])])\n"
+        "print(loaded + ['numpy.ma' in sys.modules])\n"
+    )
+    assert _run_python(code, tmp_path) == "[False, False]"
+
+
 # Beta and LogNormal evaluate through scipy.special; only StableSkewed's tail,
 # cdf and quantile load scipy.stats, and only hausdorff_window on two general
 # point sets loads scipy.spatial

@@ -94,7 +94,8 @@ def old_load_csv(path, date_col="date", value_col="value", date_format="%Y-%m-%d
             raise ParseError(f"missing column {date_col!r}")
         if value_col not in reader.fieldnames:
             raise ParseError(f"missing column {value_col!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 d = datetime.strptime(row[date_col].strip(), date_format).date()
             except (ValueError, AttributeError) as exc:
@@ -214,6 +215,21 @@ class TestLoadCsv:
         )
         with pytest.raises(ParseError, match="^line 3: bad date ' 0000-01-02'$"):
             ts.load_csv(p)
+
+    def test_bad_value_names_its_file_line_past_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("date,value\n2001-01-01,1.0\n\n\n2001-01-02,abc\n")
+        with pytest.raises(ParseError, match="^line 5: bad value 'abc'$"):
+            ts.load_csv(p)
+
+    def test_bad_date_names_its_file_line_past_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("date,value\n\n01/01/2001,1.0\n\n02/13/2001,2.0\n")
+        with pytest.raises(ParseError, match="^line 5: bad date '02/13/2001'$"):
+            ts.load_csv(p, date_format="%d/%m/%Y")
+        p.write_text("date,value\n\n01/01/2001,1.0\n\n02/01/2001,x\n")
+        with pytest.raises(ParseError, match="^line 5: bad value 'x'$"):
+            ts.load_csv(p, date_format="%d/%m/%Y")
 
     def test_timezone_suffix_is_a_bad_date_without_a_warning(self, tmp_path):
         p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02T00Z,2"])

@@ -54,6 +54,14 @@ class TestWindow:
         with pytest.raises(ParameterError, match="window bounds must be finite"):
             ts.Window(*bounds)
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, 1e5, 1e6), (1.0, 3.0, -1e308, 1e308),
+                                        (0.0, 1.5e308, 0.0, 1.5e308)])
+    def test_overflowing_extent_or_diagonal(self, bounds):
+        # finite bounds whose width, height or diagonal is not a double
+        with pytest.raises(ParameterError, match="window extent must be finite"):
+            ts.Window(*bounds)
+        assert np.isfinite(ts.Window(0.0, 1e308, 0.0, 1e308).diag)
+
 
 # reference implementations: the per-case limit classes (their points_at
 # formulas verbatim) and the discretization that LimitLine, limit_set and
