@@ -5,12 +5,21 @@ come from flags, a key=value config file (--config), or for the seed the
 TAILSCOPE_SEED environment variable; flags win over the file, the file
 over the environment.  Exit codes: 0 success, 2 configuration problem,
 3 data or degeneracy problem, 4 I/O or parse problem.
+
+Every subcommand computes its results first, then returns the files it
+writes as (file name, writer) pairs, with its stdout line.  ``_emit`` alone
+creates --out, writes those files and prints the line, so a failed run
+leaves no directory.  A .csv or .svg file is written only when --format
+lists its kind (``simulate`` takes no --format and writes its CSV), and a
+.txt file always.  Configuration errors, a bad --format included, are
+reported before any input is read or sampled.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -26,13 +35,7 @@ from .dist import (
     RandomSeed,
     StableSkewed,
 )
-from .empirics import (
-    PointSet2D,
-    default_trim,
-    me_plot,
-    order_statistics,
-    plotted_trim,
-)
+from .empirics import PointSet2D, default_trim, me_plot, order_statistics, plotted_trim
 from .errors import ConfigError, ParseError, TailscopeError
 from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace
 from .pipeline import analyze_series, load_csv
@@ -96,11 +99,17 @@ def read_config(path: str) -> dict:
 
 
 class Options:
-    """Flag > config file > environment > default resolution."""
+    """Flag > config file > environment > default resolution; --out and the
+    formats are resolved on construction."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         self.cfg = read_config(args.config) if getattr(args, "config", None) else {}
+        self.out = self.get("out", ".")
+        raw = self.get("format", "csv,svg") if "format" in self.args else "csv"
+        self.formats = {tok.strip().lower() for tok in raw.split(",") if tok.strip()}
+        if self.formats - {"csv", "svg"} or not self.formats:
+            raise ConfigError(f"format must list csv and/or svg, got {raw!r}")
 
     def get(self, key: str, default=None, cast=str):
         val = self.args.get(key)
@@ -136,30 +145,14 @@ class Options:
         except TailscopeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def formats(self) -> set:
-        raw = self.get("format", "csv,svg")
-        fmts = {tok.strip().lower() for tok in raw.split(",") if tok.strip()}
-        bad = fmts - {"csv", "svg"}
-        if bad or not fmts:
-            raise ConfigError(f"format must list csv and/or svg, got {raw!r}")
-        return fmts
 
-    def out_dir(self) -> str:
-        """The --out directory, created: call it once the command's work has succeeded,
-        so a rejected run leaves no directory behind."""
-        out = self.get("out", ".")
-        os.makedirs(out, exist_ok=True)
-        return out
-
-
-def _parse_trim(raw: str, n: int) -> tuple[int, int]:
+def _parse_trim(raw: str) -> tuple[int, int | None]:
+    """imin:imax, either side optional: imin defaults to 2, imax (None) to n."""
     try:
         a, _, b = raw.partition(":")
-        lo = int(a) if a else 2
-        hi = int(b) if b else n
+        return int(a) if a else 2, int(b) if b else None
     except ValueError as exc:
         raise ConfigError(f"bad trim {raw!r}; expected imin:imax") from exc
-    return lo, hi
 
 
 def _parse_window(raw: str) -> Window:
@@ -180,28 +173,39 @@ def _parse_grid(raw: str) -> list[int]:
     return grid
 
 
-def write_manifest(path: str, command: str, params: dict) -> None:
-    """Enough key=value lines to reproduce the run exactly."""
-    write_keyvals(path, [("tool", f"tailscope {__version__}"), ("command", command),
-                         *sorted(params.items())])
+def manifest_pairs(command: str, params: dict) -> list[tuple]:
+    """Enough key=value pairs to reproduce the run exactly."""
+    return [("tool", f"tailscope {__version__}"), ("command", command), *sorted(params.items())]
+
+
+def _keyvals(pairs) -> partial:
+    return partial(write_keyvals, pairs=pairs)
+
+
+def _csv(header: str, *columns) -> partial:
+    return partial(write_csv, header=header, columns=columns)
+
+
+def _draw(opt: Options, n_min: int) -> tuple[np.ndarray, dict]:
+    """Sample from --model/--n/--seed."""
+    model = parse_model(opt.require("model"))
+    n = opt.require("n", int)
+    if n < n_min:
+        raise ConfigError(f"need n >= {n_min}")
+    seed = opt.seed()
+    meta = {"model": model.label(), "n": n, "seed": seed.seed, "stream": seed.stream}
+    return model.sample(n, seed), meta
 
 
 def _load_sample(opt: Options) -> tuple[np.ndarray, dict]:
-    """Sample from --model/--n/--seed, or read --input."""
+    """Read --input, or sample from --model/--n/--seed."""
     input_path = opt.get("input")
-    if input_path is not None:
-        values = read_csv(input_path, "value")
-        if not values.size:
-            raise ParseError(f"{input_path}: no values")
-        return values, {"input": input_path, "n": values.size}
-    model = parse_model(opt.require("model"))
-    n = opt.require("n", int)
-    if n < 2:
-        raise ConfigError("need n >= 2")
-    seed = opt.seed()
-    values = model.sample(n, seed)
-    meta = {"model": model.label(), "n": n, "seed": seed.seed, "stream": seed.stream}
-    return values, meta
+    if input_path is None:
+        return _draw(opt, 2)
+    values = read_csv(input_path, "value")
+    if not values.size:
+        raise ParseError(f"{input_path}: no values")
+    return values, {"input": input_path, "n": values.size}
 
 
 def _plot_fit(path: str, pts: PointSet2D, fit, **labels) -> None:
@@ -223,44 +227,42 @@ def _point_estimates(sample, m_ref: int) -> list[tuple]:
     return pairs
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_simulate(opt: Options) -> int:
-    model = parse_model(opt.require("model"))
-    n = opt.require("n", int)
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    seed = opt.seed()
-    values = model.sample(n, seed)
-    out = opt.out_dir()
-    write_csv(os.path.join(out, "sample.csv"), "value", [values])
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        "simulate",
-        {"model": model.label(), "n": n, "seed": seed.seed, "stream": seed.stream},
-    )
-    print(f"simulate: wrote {n} values to {out}/sample.csv")
+def _emit(opt: Options, files: list, line: str) -> int:
+    """Create --out, write each (file name, writer) pair that the formats ask
+    for (every .txt file), then print the command's line."""
+    os.makedirs(opt.out, exist_ok=True)
+    for name, write in files:
+        ext = name.rpartition(".")[2]
+        if ext == "txt" or ext in opt.formats:
+            write(os.path.join(opt.out, name))
+    print(line)
     return 0
 
 
-def cmd_meplot(opt: Options) -> int:
-    values, meta = _load_sample(opt)
-    fmts = opt.formats()
-    sample = order_statistics(values)
-    n = sample.n
+# ---------------------------------------------------------------------------
+# subcommands: each returns its (file name, writer) pairs and its stdout line
+
+
+def cmd_simulate(opt: Options):
+    values, meta = _draw(opt, 1)
+    return ([("sample.csv", _csv("value", values)),
+             ("manifest.txt", _keyvals(manifest_pairs("simulate", meta)))],
+            f"simulate: wrote {values.size} values to {opt.out}/sample.csv")
+
+
+def cmd_meplot(opt: Options):
     trim_raw = opt.get("trim")
-    trim = _parse_trim(trim_raw, n) if trim_raw else default_trim(n)
-    i_min, i_max = plotted_trim(sample, *trim)
+    trim = _parse_trim(trim_raw) if trim_raw else None
+    values, meta = _load_sample(opt)
+    sample = order_statistics(values)
+    i_min, i_max = plotted_trim(sample, *(trim or default_trim(sample.n)))
     pts = me_plot(sample, i_min, i_max)
     fit = ls_fit(pts, "me")
-    out = opt.out_dir()
-    if "csv" in fmts:
-        pts.write_csv(os.path.join(out, "me_plot.csv"))
-    if "svg" in fmts:
-        _plot_fit(
-            os.path.join(out, "me_plot.svg"), pts, fit,
+    meta.update({"trim": f"{i_min}:{i_max}", "format": sorted(opt.formats)})
+    return [
+        ("me_plot.csv", pts.write_csv),
+        ("me_plot.svg", lambda path: _plot_fit(
+            path, pts, fit,
             title="mean excess plot",
             xlabel="threshold",
             ylabel="mean excess",
@@ -269,70 +271,57 @@ def cmd_meplot(opt: Options) -> int:
                 f"slope={fit.slope:.4g} intercept={fit.intercept:.4g}",
                 f"trim={i_min}:{i_max}",
             ],
-        )
-    write_keyvals(os.path.join(out, "summary.txt"), [
-        ("n", n), ("trim", f"{i_min}:{i_max}"), ("slope", fit.slope),
-        ("intercept", fit.intercept), ("xi_hat", fit.xi_hat), ("rss", fit.rss),
-    ])
-    meta.update({"trim": f"{i_min}:{i_max}", "format": sorted(fmts)})
-    write_manifest(os.path.join(out, "manifest.txt"), "meplot", meta)
-    print(f"meplot: xi_hat={fit.xi_hat:.4f} over trim {i_min}:{i_max}")
-    return 0
+        )),
+        ("summary.txt", _keyvals([
+            ("n", sample.n), ("trim", f"{i_min}:{i_max}"), ("slope", fit.slope),
+            ("intercept", fit.intercept), ("xi_hat", fit.xi_hat), ("rss", fit.rss),
+        ])),
+        ("manifest.txt", _keyvals(manifest_pairs("meplot", meta))),
+    ], f"meplot: xi_hat={fit.xi_hat:.4f} over trim {i_min}:{i_max}"
 
 
-def cmd_estimate(opt: Options) -> int:
+def cmd_estimate(opt: Options):
     stride = opt.get("stride", 1, int)
     if stride < 1:
         raise ConfigError("stride must be positive")
+    m_opt = opt.get("m", None, int)
     values, meta = _load_sample(opt)
-    fmts = opt.formats()
     sample = order_statistics(values)
-    n = sample.n
-    m_ref = opt.get("m", max(2, n // 10), int)
+    m_ref = max(2, sample.n // 10) if m_opt is None else m_opt
 
     traces = {kind: trace(sample, kind, stride=stride) for kind in ("hill", "pickands", "moment")}
     qq = qq_points_pos(sample, m_ref)
     qq_fit = ls_fit(qq, "qq-pos")
-    out = opt.out_dir()
-    if "csv" in fmts:
-        for kind, tr in traces.items():
-            write_csv(os.path.join(out, f"{kind}_trace.csv"), "m,value", [tr.m, tr.value])
-        qq.write_csv(os.path.join(out, "qq_pos.csv"))
-    if "svg" in fmts:
-        series = [
-            Series(np.column_stack([traces[k].m, traces[k].value]), "line")
-            for k in ("hill", "pickands", "moment")
-        ]
-        render_plot(
-            os.path.join(out, "traces.svg"),
-            series,
+    meta.update({"m": m_ref, "stride": stride, "format": sorted(opt.formats)})
+    return [
+        *((f"{kind}_trace.csv", _csv("m,value", tr.m, tr.value)) for kind, tr in traces.items()),
+        ("qq_pos.csv", qq.write_csv),
+        ("traces.svg", lambda path: render_plot(
+            path,
+            [Series(np.column_stack([tr.m, tr.value]), "line") for tr in traces.values()],
             title="estimator traces (hill, pickands, moment)",
             xlabel="m",
             ylabel="estimate",
-        )
-        _plot_fit(
-            os.path.join(out, "qq_pos.svg"), qq, qq_fit,
+        )),
+        ("qq_pos.svg", lambda path: _plot_fit(
+            path, qq, qq_fit,
             title="exponential qq plot",
             xlabel="-log(i/m)",
             ylabel="log(X_(i)/X_(m))",
             annotations=[f"slope={qq_fit.slope:.4g} (m={m_ref})"],
-        )
-    write_keyvals(os.path.join(out, "summary.txt"),
-                  [("n", n), ("m", m_ref), ("qq_slope", qq_fit.slope),
-                   *_point_estimates(sample, m_ref)])
-    meta.update({"m": m_ref, "stride": stride, "format": sorted(fmts)})
-    write_manifest(os.path.join(out, "manifest.txt"), "estimate", meta)
-    print(f"estimate: qq_slope={qq_fit.slope:.4f} at m={m_ref}")
-    return 0
+        )),
+        ("summary.txt", _keyvals([("n", sample.n), ("m", m_ref), ("qq_slope", qq_fit.slope),
+                                  *_point_estimates(sample, m_ref)])),
+        ("manifest.txt", _keyvals(manifest_pairs("estimate", meta))),
+    ], f"estimate: qq_slope={qq_fit.slope:.4f} at m={m_ref}"
 
 
-def cmd_converge(opt: Options) -> int:
+def cmd_converge(opt: Options):
     model = parse_model(opt.require("model"))
     case = opt.require("case")
     n_grid = _parse_grid(opt.require("n_grid"))
     reps = opt.require("reps", int)
     seed = opt.seed()
-    fmts = opt.formats()
     k_exp = opt.get("k", None, float)
     window_raw = opt.get("window")
     window = _parse_window(window_raw) if window_raw else None
@@ -343,38 +332,33 @@ def cmd_converge(opt: Options) -> int:
         resolution=resolution,
     )
     med = report.medians()
-    out = opt.out_dir()
-    if "csv" in fmts:
-        report.write_csv(os.path.join(out, "distances.csv"))
-    if "svg" in fmts:
+
+    def plot(path):
         log_n = np.log10(np.asarray(report.n_grid, float))
         cloud = np.column_stack([np.repeat(log_n, reps), report.distances.T.ravel()])
-        med_line = np.column_stack([log_n, med])
         render_plot(
-            os.path.join(out, "convergence.svg"),
-            [Series(cloud, "scatter"), Series(med_line, "line")],
+            path,
+            [Series(cloud, "scatter"), Series(np.column_stack([log_n, med]), "line")],
             title=f"windowed distance to {case} limit",
             xlabel="log10 n",
             ylabel="hausdorff distance",
-            annotations=[
-                f"median@{n}={m:.4g}" for n, m in zip(report.n_grid, med)
-            ],
+            annotations=[f"median@{n}={m:.4g}" for n, m in zip(report.n_grid, med)],
         )
-    write_keyvals(os.path.join(out, "manifest.txt"), report.manifest_pairs())
+
     missed = (f"; {report.missed} of {report.distances.size} cells missed the window "
               f"and read its diagonal {report.window.diag:.4g}" if report.missed else "")
-    print(
-        "converge: medians "
-        + ", ".join(f"n={n}: {m:.4g}" for n, m in zip(report.n_grid, med))
-        + missed
-    )
-    return 0
+    return [
+        ("distances.csv", report.write_csv),
+        ("convergence.svg", plot),
+        ("manifest.txt", _keyvals(report.manifest_pairs())),
+    ], ("converge: medians " + ", ".join(f"n={n}: {m:.4g}" for n, m in zip(report.n_grid, med))
+        + missed)
 
 
-def cmd_analyze(opt: Options) -> int:
+def cmd_analyze(opt: Options):
     path = opt.require("input")
-    fmts = opt.formats()
     p_max = opt.get("p_max", 10, int)
+    m_opt = opt.get("m", None, int)
     ts = load_csv(
         path,
         date_col=opt.get("date_col", "date"),
@@ -384,48 +368,32 @@ def cmd_analyze(opt: Options) -> int:
     an = analyze_series(ts, p_max)
     model, fit, sample = an.model, an.me_fit, an.sample
     order, (i_min, i_max) = model.order, an.trim
-    m_ref = opt.get("m", max(2, sample.n // 10), int)
-    out = opt.out_dir()
-
-    if "csv" in fmts:
-        scale = an.profile.scale
-        keys = sorted(scale)
-        months, days = zip(*keys)
-        write_csv(os.path.join(out, "profile.csv"), "month,day,scale",
-                  [months, days, [scale[k] for k in keys]])
-        write_csv(os.path.join(out, "residuals.csv"), "value", [an.residuals])
-        write_csv(os.path.join(out, "acf.csv"), "lag,rho", [np.arange(an.acf.size), an.acf])
-        an.me_points.write_csv(os.path.join(out, "residual_me.csv"))
-    if "svg" in fmts:
-        _plot_fit(
-            os.path.join(out, "residual_me.svg"), an.me_points, fit,
+    m_ref = max(2, sample.n // 10) if m_opt is None else m_opt
+    scale = an.profile.scale
+    days = sorted(scale)
+    return [
+        ("profile.csv", _csv("month,day,scale", *zip(*days), [scale[d] for d in days])),
+        ("residuals.csv", _csv("value", an.residuals)),
+        ("acf.csv", _csv("lag,rho", np.arange(an.acf.size), an.acf)),
+        ("residual_me.csv", an.me_points.write_csv),
+        ("residual_me.svg", lambda path: _plot_fit(
+            path, an.me_points, fit,
             title="mean excess plot of AR residuals",
             xlabel="threshold",
             ylabel="mean excess",
             annotations=[f"xi_hat={fit.xi_hat:.4g}", f"ar_order={order}"],
-        )
-
-    write_keyvals(os.path.join(out, "ar.txt"), [
-        ("order", order), ("coefficients", model.coefficients),
-        ("noise_variance", model.noise_variance), ("mean", model.mean),
-        *((f"aic_{p}", a) for p, a in enumerate(an.aic)),
-    ])
-    write_keyvals(os.path.join(out, "summary.txt"),
-                  [("n", ts.n), ("ar_order", order), ("xi_hat_me", fit.xi_hat),
-                   *_point_estimates(sample, m_ref)])
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        "analyze",
-        {
-            "input": path,
-            "p_max": p_max,
-            "order": order,
-            "trim": f"{i_min}:{i_max}",
-            "m": m_ref,
-        },
-    )
-    print(f"analyze: ar_order={order} xi_hat_me={fit.xi_hat:.4f}")
-    return 0
+        )),
+        ("ar.txt", _keyvals([
+            ("order", order), ("coefficients", model.coefficients),
+            ("noise_variance", model.noise_variance), ("mean", model.mean),
+            *((f"aic_{p}", a) for p, a in enumerate(an.aic)),
+        ])),
+        ("summary.txt", _keyvals([("n", ts.n), ("ar_order", order), ("xi_hat_me", fit.xi_hat),
+                                  *_point_estimates(sample, m_ref)])),
+        ("manifest.txt", _keyvals(manifest_pairs("analyze", {
+            "input": path, "p_max": p_max, "order": order, "trim": f"{i_min}:{i_max}", "m": m_ref,
+        }))),
+    ], f"analyze: ar_order={order} xi_hat_me={fit.xi_hat:.4f}"
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=True):
+    def common(p, formats=True, sample=False):
         p.add_argument("--config", help="key=value option file")
         p.add_argument("--out", help="output directory (default .)")
         if formats:
             p.add_argument("--format", help="csv,svg subset (default both)")
         p.add_argument("--seed", type=int, help=f"seed (fallback ${ENV_SEED}, then 0)")
         p.add_argument("--stream", type=int, help="seed stream (default 0)")
+        if sample:
+            p.add_argument("--model", help="model spec (with --n), or use --input")
+            p.add_argument("--n", type=int)
+            p.add_argument("--input", help="CSV of values (column 'value')")
 
     p = sub.add_parser("simulate", help="draw a sample from a model (always CSV)")
     common(p, formats=False)
@@ -454,17 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="sample size")
 
     p = sub.add_parser("meplot", help="mean excess plot and its LS reading")
-    common(p)
-    p.add_argument("--model", help="model spec (with --n), or use --input")
-    p.add_argument("--n", type=int)
-    p.add_argument("--input", help="CSV of values (column 'value')")
+    common(p, sample=True)
     p.add_argument("--trim", help="imin:imax order-statistic range")
 
     p = sub.add_parser("estimate", help="hill/pickands/moment traces and qq fit")
-    common(p)
-    p.add_argument("--model", help="model spec (with --n), or use --input")
-    p.add_argument("--n", type=int)
-    p.add_argument("--input", help="CSV of values (column 'value')")
+    common(p, sample=True)
     p.add_argument("--m", type=int, help="reference m for point estimates")
     p.add_argument("--stride", type=int, help="trace stride (default 1)")
 
@@ -507,7 +473,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         opt = Options(args)
-        return _DISPATCH[args.command](opt)
+        return _emit(opt, *_DISPATCH[args.command](opt))
     except ConfigError as exc:
         print(f"tailscope: config error: {exc}", file=sys.stderr)
         return 2

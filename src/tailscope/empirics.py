@@ -33,7 +33,6 @@ __all__ = [
     "empirical_me",
     "me_plot",
     "plotted_trim",
-    "tail_measure",
     "normalize_positive",
     "normalize_heavy",
     "normalize_xi1",
@@ -163,21 +162,6 @@ def me_plot(sample: OrderedSample, i_min: int = 2, i_max: int | None = None) -> 
     lo, hi = plotted_trim(sample, i_min, i_max)
     u = sample.values[lo - 1 : hi]
     return PointSet2D(np.column_stack([u, _mean_excess(sample.values, u)[1]]))
-
-
-def tail_measure(sample: OrderedSample, k: int, x):
-    """Empirical tail measure (1/k) #{i : X_i > x X_(k)} for x > 0."""
-    if not 1 <= k <= sample.n:
-        raise IndexRangeError(f"k={k} outside 1..{sample.n}")
-    xk = sample.x(k)
-    if xk <= 0:
-        raise NormalizationError("X_(k) must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("x must be positive")
-    counts = _exceed_counts(sample.values, x * xk)
-    out = counts / k
-    return out if x.ndim else float(out[0])
 
 
 def _top_k_me(sample: OrderedSample, k: int):

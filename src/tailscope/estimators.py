@@ -54,8 +54,19 @@ class FitResult:
     xi_hat: float | None = None
 
 
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v / 2^e, in place, and e, with e from ``frexp`` of max |v|, so the largest
+    magnitude lies in [1/2, 1): the scaling is exact, and squares of the scaled
+    values neither overflow nor vanish where those of v would."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -e, out=v), e
+
+
 def ls_fit(points: PointSet2D | np.ndarray, plot_kind: str = "raw") -> FitResult:
-    """Ordinary least squares line y = a + b x through a point set."""
+    """Ordinary least squares line y = a + b x through a point set.
+
+    Deviations and residuals are squared only after ``_unit_scaled``, so the
+    points times 2^j give the same slope, bit for bit, wherever they are normal."""
     if plot_kind not in PLOT_KINDS:
         raise ParameterError(f"plot_kind must be one of {PLOT_KINDS}")
     pts = points.points if isinstance(points, PointSet2D) else np.asarray(points, float)
@@ -63,14 +74,16 @@ def ls_fit(points: PointSet2D | np.ndarray, plot_kind: str = "raw") -> FitResult
         raise SingularDesignError("need at least two (x, y) points")
     x, y = pts[:, 0], pts[:, 1]
     xm, ym = x.mean(), y.mean()
-    dx = x - xm
+    dx, ex = _unit_scaled(x - xm)
+    dy, ey = _unit_scaled(y - ym)
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise SingularDesignError("all abscissae coincide")
-    slope = float(dx @ (y - ym)) / sxx
+    slope = float(np.ldexp(float(dx @ dy) / sxx, ey - ex))
     intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    rss = float(resid @ resid)
+    resid, er = _unit_scaled(y - (intercept + slope * x))
+    with np.errstate(over="ignore"):  # past about 2^510 the true rss is not a double
+        rss = float(np.ldexp(resid @ resid, 2 * er))
 
     xi_hat = None
     if plot_kind == "me":

@@ -52,7 +52,8 @@ EXPERIMENT_MANIFEST = {"version": "1"}
 @dataclass(frozen=True)
 class Window:
     """Axis-parallel closed rectangle [x_lo, x_hi] x [y_lo, y_hi], with finite
-    bounds, extents and diagonal."""
+    bounds and extents and a diagonal whose square is finite: no squared
+    distance between two of its points overflows."""
 
     x_lo: float
     x_hi: float
@@ -64,7 +65,7 @@ class Window:
             raise ParameterError("window bounds must be finite")
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise ParameterError("window must have positive extent")
-        if not math.isfinite(self.diag):  # also when an extent overflows
+        if not math.isfinite(self.diag * self.diag):  # also when an extent overflows
             raise ParameterError("window extent must be finite")
 
     @property

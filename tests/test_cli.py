@@ -69,6 +69,16 @@ class TestSimulate:
         assert "seed=7" in manifest and "stream=0" in manifest
         assert "wrote 100 values" in capsys.readouterr().out
 
+    def test_config_format_does_not_apply(self, tmp_path):
+        # simulate takes no --format: a format key in its config file is not
+        # read, and the sample is always CSV
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=svg\n")
+        out = tmp_path / "s"
+        assert run("simulate", "--config", str(cfg), "--model", "pareto:2", "--n", "10",
+                   "--out", str(out)) == 0
+        assert set(os.listdir(out)) == {"sample.csv", "manifest.txt"}
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -186,6 +196,24 @@ class TestMeplot:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("j", [510, -565])
+    def test_reading_is_the_same_at_any_power_of_two_scale(self, tmp_path, j):
+        # the least squares fit scales its deviations by powers of two: their
+        # raw squares overflow at 2^510 (xi_hat=nan) and vanish at 2^-565
+        # ("all abscissae coincide")
+        x = ts.Pareto(2).sample(2000, ts.RandomSeed(8))
+
+        def reading(values, name):
+            src = tmp_path / f"{name}.csv"
+            src.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+            assert run("meplot", "--input", str(src), "--format", "csv",
+                       "--out", str(tmp_path / name)) == 0
+            lines = (tmp_path / name / "summary.txt").read_text().splitlines()
+            return [ln for ln in lines if ln.startswith(("slope=", "xi_hat="))]
+
+        assert reading(x * 2.0**j, "scaled") == reading(x, "plain")
+
+
 class TestEstimate:
     def test_outputs(self, tmp_path):
         out = tmp_path / "e"
@@ -215,6 +243,55 @@ def test_estimate_bad_stride_is_config_error_before_the_input(tmp_path, capsys, 
                "--out", str(out)) == 2
     assert capsys.readouterr().err == "tailscope: config error: stride must be positive\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("meplot", ["--format", "pdf"], "format must list csv and/or svg, got 'pdf'"),
+    ("estimate", ["--format", "pdf"], "format must list csv and/or svg, got 'pdf'"),
+    ("analyze", ["--format", "pdf"], "format must list csv and/or svg, got 'pdf'"),
+    ("meplot", ["--trim", "a:b"], "bad trim 'a:b'; expected imin:imax"),
+], ids=["meplot-format", "estimate-format", "analyze-format", "meplot-trim"])
+def test_config_error_is_reported_before_the_input(tmp_path, capsys, command, flags, message):
+    # a missing input is not reached: the run is a config error, not an i/o error
+    out = tmp_path / "x"
+    assert run(command, "--input", str(tmp_path / "nope.csv"), *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"tailscope: config error: {message}\n"
+    assert not out.exists()
+
+
+# per command: the .csv files, the .svg files and the .txt files it writes
+OUTPUTS = {
+    "meplot": ({"me_plot.csv"}, {"me_plot.svg"}, {"summary.txt", "manifest.txt"}),
+    "estimate": ({"hill_trace.csv", "pickands_trace.csv", "moment_trace.csv", "qq_pos.csv"},
+                 {"traces.svg", "qq_pos.svg"}, {"summary.txt", "manifest.txt"}),
+    "converge": ({"distances.csv"}, {"convergence.svg"}, {"manifest.txt"}),
+    "analyze": ({"profile.csv", "residuals.csv", "acf.csv", "residual_me.csv"},
+                {"residual_me.svg"}, {"ar.txt", "summary.txt", "manifest.txt"}),
+}
+
+
+@pytest.fixture(scope="module")
+def daily_csv(tmp_path_factory):
+    return write_composite_csv(tmp_path_factory.mktemp("daily") / "series.csv", 3,
+                               [0.5], ts.Exponential(1), ts.RandomSeed(2))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg", "csv,svg"])
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_each_command_writes_exactly_the_files_its_formats_ask_for(tmp_path, daily_csv,
+                                                                     command, fmt):
+    args = {
+        "meplot": ["--model", "pareto:2", "--n", "500", "--seed", "1"],
+        "estimate": ["--model", "pareto:2", "--n", "500", "--seed", "1"],
+        "converge": ["--model", "pareto:2", "--case", "positive", "--n-grid", "1000",
+                     "--reps", "1", "--seed", "1"],
+        "analyze": ["--input", str(daily_csv), "--p-max", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *args, "--format", fmt, "--out", str(out)) == 0
+    csv, svg, txt = OUTPUTS[command]
+    expected = txt | (csv if "csv" in fmt else set()) | (svg if "svg" in fmt else set())
+    assert set(os.listdir(out)) == expected
 
 
 class TestConverge:
@@ -307,6 +384,16 @@ class TestConverge:
                    "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == ("tailscope: config error: bad window "
                                            "'-1e308,1e308,1e5,1e6'; expected x0,x1,y0,y1\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_window_whose_squared_diagonal_overflows_is_bad_window(self, tmp_path, capsys):
+        # a finite diagonal is not enough: squared distances inside the
+        # window must be doubles too
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", "1000", "--reps", "1", "--window=0,1e154,0,1e154",
+                   "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == ("tailscope: config error: bad window "
+                                           "'0,1e154,0,1e154'; expected x0,x1,y0,y1\n")
         assert not (tmp_path / "x").exists()
 
     def test_cloud_missing_the_window_reads_the_diagonal(self, tmp_path, capsys):

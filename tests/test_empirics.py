@@ -209,37 +209,6 @@ class TestMeanExcessProperties:
             assert abs(y - exact) <= 1e-13 * (s.x(1) - s.x(s.n))
 
 
-class TestTailMeasure:
-    def test_hand_values(self):
-        s = ts.order_statistics([10.0, 8.0, 5.0, 2.0, 1.0])
-        # x X_(k) = 2x; strict exceedance counts over 2x, divided by 4
-        assert ts.tail_measure(s, 4, 1.0) == pytest.approx(3 / 4)
-        assert ts.tail_measure(s, 4, 4.0) == pytest.approx(1 / 4)
-        assert ts.tail_measure(s, 4, 6.0) == pytest.approx(0.0)
-
-    def test_one_at_levels_below_smallest_ratio(self):
-        s = ts.order_statistics([10.0, 8.0, 5.0, 2.0, 1.0])
-        assert ts.tail_measure(s, 4, 0.4) == pytest.approx(5 / 4)
-
-    def test_pareto_consistency(self):
-        # empirical tail measure at k = n^0.7 approximates x^(-alpha)
-        x = ts.Pareto(2).sample(50_000, ts.RandomSeed(21))
-        s = ts.order_statistics(x)
-        k = ts.default_k(s.n)
-        for level in (1.5, 2.0, 4.0):
-            assert ts.tail_measure(s, k, level) == pytest.approx(level**-2.0, abs=0.05)
-
-    def test_requires_positive_pivot(self):
-        s = ts.order_statistics([3.0, 2.0, -1.0])
-        with pytest.raises(NormalizationError):
-            ts.tail_measure(s, 3, 1.0)
-
-    def test_vector_input(self):
-        s = ts.order_statistics([10.0, 8.0, 5.0, 2.0, 1.0])
-        out = ts.tail_measure(s, 4, np.array([1.0, 4.0]))
-        np.testing.assert_allclose(out, [0.75, 0.25])
-
-
 class TestNormalizePositive:
     def test_pivot_maps_to_abscissa_one(self):
         x = ts.Pareto(2).sample(2000, ts.RandomSeed(31))

@@ -68,6 +68,21 @@ class TestLsFit:
         with pytest.raises(ParameterError):
             ts.ls_fit(np.array([[1.0, 2.0], [2.0, 3.0]]), "bogus")
 
+    @pytest.mark.parametrize("j", [-900, -565, -300, 300, 505, 510])
+    def test_fit_scales_exactly_by_powers_of_two(self, j):
+        # x and y times 2^j: the same slope, the intercept times 2^j and the
+        # rss times 2^2j, bit for bit, or inf where that is not a double
+        rng = np.random.default_rng(5)
+        x = rng.pareto(2.0, 300) + 1.0
+        pts = np.column_stack([x, 0.8 * x + rng.standard_normal(300)])
+        ref, fit = ts.ls_fit(pts, "me"), ts.ls_fit(pts * 2.0**j, "me")
+        assert (fit.slope, fit.xi_hat) == (ref.slope, ref.xi_hat)
+        assert fit.intercept == math.ldexp(ref.intercept, j)
+        try:
+            assert fit.rss == math.ldexp(ref.rss, 2 * j)
+        except OverflowError:
+            assert fit.rss == math.inf
+
     def test_me_slope_minus_one_rejected(self):
         x = np.linspace(0, 1, 5)
         with pytest.raises(DegenerateDataError):

@@ -32,7 +32,7 @@ def test_module_names_resolve_on_package(name):
 def test_deleted_names_are_gone():
     for attr in ("PositiveLine", "NegativeSegment", "ZeroLine", "HeavyCurve", "Xi1Curve",
                  "ks_two_sample", "QuantileDefined", "ShapeScale", "gpd_tail", "gpd_cdf",
-                 "gpd_quantile"):
+                 "gpd_quantile", "tail_measure"):
         assert not hasattr(ts, attr), attr
     assert not hasattr(ts.ConvergenceReport, "pass_rate")
     assert not hasattr(ts.InterceptResult, "ks_against_reference")

@@ -55,12 +55,14 @@ class TestWindow:
             ts.Window(*bounds)
 
     @pytest.mark.parametrize("bounds", [(-1e308, 1e308, 1e5, 1e6), (1.0, 3.0, -1e308, 1e308),
-                                        (0.0, 1.5e308, 0.0, 1.5e308)])
+                                        (0.0, 1.5e308, 0.0, 1.5e308), (0.0, 1e308, 0.0, 1e308),
+                                        (0.0, 1e154, 0.0, 1e154)])
     def test_overflowing_extent_or_diagonal(self, bounds):
-        # finite bounds whose width, height or diagonal is not a double
+        # finite bounds whose width, height, diagonal or squared diagonal is
+        # not a double
         with pytest.raises(ParameterError, match="window extent must be finite"):
             ts.Window(*bounds)
-        assert np.isfinite(ts.Window(0.0, 1e308, 0.0, 1e308).diag)
+        assert np.isfinite(ts.Window(0.0, 1e153, 0.0, 1e153).diag ** 2)
 
 
 # reference implementations: the per-case limit classes (their points_at
