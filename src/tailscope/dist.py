@@ -126,32 +126,14 @@ def _unwrap(out):
 
 
 def lambert_w(x):
-    """Principal branch of w e^w = x for x >= 0, and inf at inf.
-
-    Halley's iteration on w e^w = x below x = e, and Newton's on
-    w + log w = log x from e on, where w e^w would overflow.  Each stops
-    once its residual is within 1e-15 of its right side, x or log x, so
-    that w is within a few ulp of the root.
-    """
+    """Principal branch of w e^w = x for x >= 0, and inf at inf, from
+    ``scipy.special.lambertw`` (imported on first use)."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("lambert_w requires x >= 0")
-    lo = np.minimum(x, np.e)
-    w = np.log1p(lo)  # decent start on [0, e]
-    for _ in range(100):
-        ew = np.exp(w)
-        f = w * ew - lo
-        if not np.any(np.abs(f) > 1e-15 * lo):
-            break
-        w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
-    log_x = np.log(np.clip(x, np.e, np.finfo(float).max))
-    v = log_x - np.log(log_x)  # decent start on [e, inf)
-    for _ in range(100):
-        g = v + np.log(v) - log_x
-        if not np.any(np.abs(g) > 1e-15 * log_x):
-            break
-        v = v - g * v / (v + 1.0)
-    return _unwrap(np.where(x < np.e, w, np.where(x == np.inf, np.inf, v)))
+    from scipy.special import lambertw
+
+    return _unwrap(lambertw(x).real)
 
 
 def nonstd_tail(x):

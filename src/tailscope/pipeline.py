@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .estimators import FitResult, ls_fit
+from .estimators import FitResult, _unit_scaled, ls_fit
 
 __all__ = [
     "TimeSeries",
@@ -172,7 +172,8 @@ def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
     """Divide each observation by the std of its calendar day across years.
 
     Every calendar day present needs at least two observations with
-    nonzero spread; otherwise the day is reported as degenerate.
+    nonzero spread; otherwise the day is reported as degenerate.  Each std is
+    taken after ``_unit_scaled``, so values times 2^j give the same quotients.
     """
     months = ts.dates.astype("datetime64[M]").astype(int) % 12 + 1
     days = (ts.dates - ts.dates.astype("datetime64[M]")).astype(int) + 1
@@ -186,7 +187,8 @@ def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
         day = f"calendar day {key // 100:02d}-{key % 100:02d}"
         if obs.size < 2:
             raise DegenerateDataError(f"{day} has fewer than two observations")
-        s = float(np.std(obs, ddof=1))
+        obs, e = _unit_scaled(obs)  # obs is a slice of a sorted copy
+        s = math.ldexp(float(np.std(obs, ddof=1)), e)
         if s == 0.0:
             raise DegenerateDataError(f"{day} has zero spread")
         scale[divmod(key, 100)] = s
@@ -194,19 +196,20 @@ def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
     return TimeSeries(ts.dates, scaled), SeasonalProfile(scale)
 
 
-def _autocovariance(x: np.ndarray, h_max: int) -> np.ndarray:
-    """Biased (divide by n) autocovariances of the mean-centred series at lags
-    0..h_max; the series needs more than h_max values and nonzero variance."""
+def _autocovariance(x: np.ndarray, h_max: int) -> tuple[np.ndarray, int]:
+    """Biased (divide by n) autocovariances r at lags 0..h_max of the series,
+    centred and put through ``_unit_scaled``: r / 4^e and e, so x times 2^j gives
+    the same r / 4^e.  Needs more than h_max values and nonzero variance."""
     n = x.shape[0]
     if n <= h_max:
         raise InsufficientDataError(f"need more than {h_max} observations")
-    xc = x - x.mean()
+    xc, e = _unit_scaled(x - x.mean())
     r = np.asarray([float(xc[: n - h] @ xc[h:]) / n for h in range(h_max + 1)])
     # constant series can leave rounding dust in r[0]; compare to the
     # series' own scale rather than to exact zero
-    if r[0] <= float(np.mean(x * x)) * 1e-28:
+    if r[0] <= float(np.mean(np.square(np.ldexp(x, -e)))) * 1e-28:
         raise DegenerateDataError("series has zero variance")
-    return r
+    return r, e
 
 
 def _levinson(r: np.ndarray, p_max: int):
@@ -231,8 +234,11 @@ def yule_walker(x, p: int) -> ARModel:
     x = np.asarray(x, dtype=float).ravel()
     if p < 1:
         raise ParameterError("order must be at least 1")
-    phis, sig2 = _levinson(_autocovariance(x, p), p)
-    return ARModel(p, phis[p], float(sig2[p]), float(x.mean()))
+    r, e = _autocovariance(x, p)
+    phis, sig2 = _levinson(r, p)
+    with np.errstate(over="ignore"):  # the true variance may not be a double
+        noise = float(np.ldexp(sig2[p], 2 * e))
+    return ARModel(p, phis[p], noise, float(x.mean()))
 
 
 def aic_table(x, p_max: int) -> np.ndarray:
@@ -240,9 +246,13 @@ def aic_table(x, p_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if p_max < 0:
         raise ParameterError("p_max must be nonnegative")
-    _, sig2 = _levinson(_autocovariance(x, p_max), p_max)
-    with np.errstate(divide="ignore"):
-        return x.shape[0] * np.log(np.maximum(sig2, 0.0)) + 2.0 * np.arange(p_max + 1)
+    r, e = _autocovariance(x, p_max)
+    scaled = np.maximum(_levinson(r, p_max)[1], 0.0)
+    with np.errstate(over="ignore", divide="ignore"):  # where sigma2 is not a normal
+        sig2 = np.ldexp(scaled, 2 * e)  # double, log(sigma2 / 4^e) + 2e log 2
+        far = (sig2 < np.finfo(float).tiny) | (sig2 == np.inf)
+        log_sig2 = np.where(far, np.log(scaled) + 2 * e * math.log(2.0), np.log(sig2))
+    return x.shape[0] * log_sig2 + 2.0 * np.arange(p_max + 1)
 
 
 def select_order_aic(x, p_max: int) -> int:
@@ -271,7 +281,7 @@ def acf(x, h_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if h_max < 0:
         raise ParameterError("h_max must be nonnegative")
-    r = _autocovariance(x, h_max)
+    r, _ = _autocovariance(x, h_max)
     return r / r[0]
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -463,6 +464,30 @@ class TestAnalyze:
             line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
         )
         assert float(summary["xi_hat_me"]) == pytest.approx(0.4, abs=0.1)
+
+    @pytest.mark.parametrize("j", [520, -560])
+    def test_outputs_are_the_same_at_any_power_of_two_scale(self, tmp_path, j):
+        # each calendar day's std and the AR fit square their values only after
+        # power-of-two scaling: raw, they overflowed at 2^520 ("series has zero
+        # variance") and vanished at 2^-560 ("calendar day 01-01 has zero spread")
+        comp = ts.synthetic_composite(6, (0.5, -0.3), ts.Pareto(5), ts.RandomSeed(11, 77))
+
+        def analyze(values, name):
+            src = tmp_path / f"{name}.csv"
+            src.write_text("date,value\n" + "".join(
+                f"{d},{v!r}\n" for d, v in zip(comp.dates.astype(str), values.tolist())))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("analyze", "--input", str(src), "--out", str(tmp_path / name)) == 0
+            return tmp_path / name
+
+        plain, scaled = analyze(comp.values, "plain"), analyze(comp.values * 2.0**j, "scaled")
+        for name in ("ar.txt", "summary.txt", "residuals.csv", "acf.csv", "residual_me.csv"):
+            assert (scaled / name).read_bytes() == (plain / name).read_bytes(), name
+        profile = [np.loadtxt(d / "profile.csv", delimiter=",", skiprows=1)
+                   for d in (plain, scaled)]
+        assert np.array_equal(profile[1][:, -1], np.ldexp(profile[0][:, -1], j))
+        assert np.array_equal(profile[1][:, :-1], profile[0][:, :-1])
 
     def test_white_noise_fits_order_zero(self, tmp_path):
         src = tmp_path / "white.csv"

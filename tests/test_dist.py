@@ -92,8 +92,8 @@ class TestLambertW:
     @example(x=1e306)
     @example(x=np.finfo(float).max)
     def test_within_1e_14_of_mpmath(self, x):
-        # the stopping test is relative below x = 1, and w + log w = log x keeps
-        # the iteration finite up to the largest double
+        # relative accuracy near 0, where W(x) is about x, and no overflow up to
+        # the largest double
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = ts.lambert_w(x)
@@ -453,7 +453,8 @@ def test_evaluation_contract(spec):
 
 @pytest.mark.parametrize("spec", SPECS + ["stable:1.5"])
 def test_tail_and_cdf_at_the_lower_endpoint(spec):
-    # LambertWTail's formula reads tail 1 + 4e-16 and cdf -4e-16 there
+    # LambertWTail's formula reads tail 1 + 2e-16 and cdf -2e-16 there: W is 0.05,
+    # but 400 * 0.05**2 rounds up
     model = parse_model(spec)
     lo = model.support[0]
     assert model.tail(lo) == 1.0 and model.cdf(lo) == 0.0

@@ -289,6 +289,30 @@ class TestTraceProperties:
                 assert ts.moment(b, m) == pytest.approx(ts.moment(a, m), rel=1e-9)
 
 
+class TestPowerOfTwoScale:
+    # multiplying by 2^j is exact, and each reading below is a ratio of sums
+    # taken after power-of-two scaling, or of logs of ratios, so it reads the
+    # same bit for bit wherever the data stay normal
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-900, 505),
+           law=st.sampled_from([ts.Pareto(2), ts.Pareto(0.8), ts.LogNormal(0, 1),
+                                ts.GPD(-0.3, 1)]))
+    def test_readings_bitwise_equal_at_any_power_of_two_scale(self, seed, j, law):
+        x = law.sample(300, ts.RandomSeed(seed))
+        scaled = x * 2.0**j
+        assert np.array_equal(scaled * 2.0**-j, x)  # every value stayed normal
+        a, b = srt(x), srt(scaled)
+        trim = ts.plotted_trim(a, *ts.default_trim(a.n))
+        assert (ts.ls_fit(ts.me_plot(b, *trim), "me").xi_hat
+                == ts.ls_fit(ts.me_plot(a, *trim), "me").xi_hat)
+        m = ts.default_k(a.n)
+        assert (ts.ls_fit(ts.qq_points_pos(b, m), "qq-pos").slope
+                == ts.ls_fit(ts.qq_points_pos(a, m), "qq-pos").slope)
+        for kind in ESTIMATORS:
+            ta, tb = ts.trace(a, kind), ts.trace(b, kind)
+            assert np.array_equal(tb.m, ta.m) and np.array_equal(tb.value, ta.value)
+            assert tb.skipped == ta.skipped
+
+
 class TestTrace:
     def test_matches_scalar_estimators(self):
         rng = np.random.default_rng(8)

@@ -172,3 +172,22 @@ def test_converge_on_closed_form_laws_loads_no_scipy(argv, tmp_path):
 def test_exponential_commands_load_no_scipy_stats_or_integrate(argv, tmp_path):
     loaded = json.loads(_run_python(_cli(argv) + _SCIPY_PACKAGES_LOADED, tmp_path))
     assert "stats" not in loaded and "integrate" not in loaded
+
+
+# the lambertw model samples through its closed-form quantile, so no command on it
+# evaluates Lambert W; lambert_w loads scipy.special on its first call, and only that
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "lambertw", "--n", "1000", "--out", "s"],
+    ["meplot", "--model", "lambertw", "--n", "1000", "--out", "m"],
+    ["estimate", "--model", "lambertw", "--n", "1000", "--out", "e"],
+    ["converge", "--model", "lambertw", "--case", "positive", "--n-grid", "1000,2000",
+     "--reps", "2", "--out", "c"],
+], ids=lambda argv: argv[0])
+def test_lambertw_commands_load_no_scipy(argv, tmp_path):
+    assert _scipy_modules_after(_cli(argv), tmp_path) == "0 []"
+
+
+def test_lambert_w_loads_scipy_special_only(tmp_path):
+    code = "import tailscope as ts\nassert ts.lambert_w(1.0) > 0\n" + _SCIPY_PACKAGES_LOADED
+    loaded = json.loads(_run_python(code, tmp_path))
+    assert "special" in loaded and "stats" not in loaded and "integrate" not in loaded

@@ -1,4 +1,5 @@
 import csv
+import math
 import time
 import warnings
 from datetime import date, datetime, timedelta
@@ -434,6 +435,24 @@ class TestYuleWalker:
         fit = ts.yule_walker(x, 1)
         assert abs(fit.coefficients[0]) < 3.0 / np.sqrt(n)
 
+    @pytest.mark.parametrize("j", [520, -520, -560])
+    def test_fit_is_the_same_at_any_power_of_two_scale(self, j):
+        # the lag products are summed after power-of-two scaling: raw, they
+        # overflowed at 2^520 and vanished at 2^-560 ("series has zero
+        # variance"), and at 2^-520 the coefficients drifted
+        x = ar_series([0.5, -0.3], 5000, np.random.default_rng(14))
+        ref = ts.yule_walker(x, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ts.yule_walker(x * 2.0**j, 2)
+            assert np.array_equal(ts.acf(x * 2.0**j, 10), ts.acf(x, 10))
+            assert ts.select_order_aic(x * 2.0**j, 5) == ts.select_order_aic(x, 5)
+        assert np.array_equal(fit.coefficients, ref.coefficients)
+        # the noise variance scales by 4^j: inf or 0 where that leaves the doubles
+        with np.errstate(over="ignore"):
+            assert fit.noise_variance == np.ldexp(ref.noise_variance, 2 * j)
+        assert fit.mean == math.ldexp(ref.mean, j)
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             ts.yule_walker([1.0, 2.0, 3.0], 0)
@@ -441,6 +460,20 @@ class TestYuleWalker:
             ts.yule_walker([1.0, 2.0], 2)
         with pytest.raises(DegenerateDataError):
             ts.yule_walker(np.ones(100), 1)
+
+
+    # multiplying by 2^j is exact, and the lag products are summed after
+    # power-of-two scaling, so the fit and the autocorrelations read the same
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-900, 505),
+           phi=st.sampled_from([[0.5], [0.5, -0.3], [0.9, -0.2, 0.1]]))
+    def test_fit_and_acf_bitwise_equal_at_any_power_of_two_scale(self, seed, j, phi):
+        x = ar_series(phi, 400, np.random.default_rng(seed))
+        scaled = x * 2.0**j
+        assert np.array_equal(scaled * 2.0**-j, x)  # every value stayed normal
+        p = len(phi)
+        assert np.array_equal(ts.yule_walker(scaled, p).coefficients,
+                              ts.yule_walker(x, p).coefficients)
+        assert np.array_equal(ts.acf(scaled, 20), ts.acf(x, 20))
 
 
 class TestAicSelection:
