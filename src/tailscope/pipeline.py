@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
 
@@ -88,28 +87,37 @@ def load_csv(
 ) -> TimeSeries:
     """Read a dated series from CSV; strictly increasing unique dates.
 
-    The default ISO format is cast as one column; any other format, or an
-    ISO column with a row the cast cannot read back exactly, is parsed row
-    by row, so the first bad row is the one reported, by the file line it
-    ends on.
+    The file is read as bytes once.  A plain file (see ``_plain_cells``) is
+    split into its cells in one call; any other is read by ``csv.reader``.
+    Dates in the default ISO format are read from their digits and the values
+    converted in one call.  Any other format, a date that is not a canonical
+    ISO date, or a value ``float`` refuses sends the rows through the
+    row-by-row parsers, so the first bad row is the one reported, by the file
+    line it ends on.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or date_col not in header:
-            raise ParseError(f"missing column {date_col!r}")
-        if value_col not in header:
-            raise ParseError(f"missing column {value_col!r}")
-        # as in csv.DictReader: a repeated name reads its last column, blank
-        # lines are skipped, and a row too short for a column gives None
-        di, vi = (len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
-        rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
-                 reader.line_num) for r in reader if r]
-    dates = _iso_dates([d for d, _, _ in rows]) if date_format == "%Y-%m-%d" else None
-    if dates is None:
-        dates, values = _parse_rows(rows, date_format)
+    with open(path, "rb") as fh:
+        plain = _plain_cells(fh.read())
+    if plain is None:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            di, vi = _column_indices(header, date_col, value_col)
+            # as in csv.DictReader: blank lines are skipped, and a row too
+            # short for a column gives None
+            rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
+                     reader.line_num) for r in reader if r]
+        date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
     else:
-        values = [_parse_value(lineno, v) for _, v, lineno in rows]
+        width, cells = plain
+        di, vi = _column_indices(cells[:width], date_col, value_col)
+        date_raw, value_raw = cells[width + di::width], cells[width + vi::width]
+        # row i of a plain file ends on file line i + 2
+        lines = range(2, len(date_raw) + 2)
+    dates = _iso_dates(date_raw) if date_format == "%Y-%m-%d" else None
+    if dates is None:
+        dates, values = _parse_rows(zip(date_raw, value_raw, lines), date_format)
+    else:
+        values = _parse_values(value_raw, lines)
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
     # a stable sort keeps equal dates in file order, so each repeat after
@@ -125,29 +133,85 @@ def load_csv(
     return TimeSeries(dates_arr, values_arr)
 
 
-def _iso_dates(raw: list) -> np.ndarray | None:
-    """``%Y-%m-%d`` strings cast to ``datetime64[D]`` in one call.
+def _column_indices(header: list | None, date_col: str, value_col: str) -> tuple[int, int]:
+    """Where the two columns sit; as in csv.DictReader, a repeated name reads
+    its last column."""
+    if header is None or date_col not in header:
+        raise ParseError(f"missing column {date_col!r}")
+    if value_col not in header:
+        raise ParseError(f"missing column {value_col!r}")
+    return tuple(len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
 
-    None unless every stripped string reads back as itself and lies in the
-    years 1-9999 that ``strptime`` accepts; numpy also reads forms such as
-    "2001-01", "today", "NaT", timezone suffixes and five-digit or negative
-    years.
+
+def _plain_cells(data: bytes) -> tuple[int, list] | None:
+    """The number of columns of a plain CSV file, and its cells row by row,
+    header first; None for any other file.
+
+    Plain means ASCII with no quote, carriage return or NUL byte, no blank
+    line, no cell longer than ``csv.field_size_limit()``, and the header's
+    number of commas on every line.  ``csv.reader`` reads each line of such a
+    file as its comma-separated fields, so one split gives the same cells.
     """
+    body = data[:-1] if data.endswith(b"\n") else data
+    if not body.isascii() or b'"' in body or b"\r" in body or b"\0" in body:
+        return None
+    buf = np.frombuffer(body, np.uint8)
+    at = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    seps = np.append(buf[at], np.uint8(ord("\n")))  # the last line ends too
+    width = int(np.argmax(seps == ord("\n"))) + 1  # the header's commas, and its newline
+    pattern = np.full(width, ord(","), np.uint8)
+    pattern[-1] = ord("\n")
+    if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
+        return None
+    # with the same commas on every line, a blank line is a one-cell row
+    # whose cell is empty
+    sizes = np.diff(at, prepend=-1, append=buf.size) - 1
+    if (width == 1 and not sizes.all()) or sizes.max() > csv.field_size_limit():
+        return None
+    return width, body.decode("ascii").replace("\n", ",").split(",")
+
+
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit columns of YYYY-MM-DD
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _iso_dates(raw: list) -> np.ndarray | None:
+    """``%Y-%m-%d`` strings as ``datetime64[D]``, read from their digits.
+
+    None unless every string, stripped, is a canonical ``YYYY-MM-DD``: ten
+    ASCII characters, dashes at positions 4 and 7, digits elsewhere, a month
+    01-12, a day within its month (Feb 29 in leap years only) and a year
+    0001-9999.  These are the stripped strings that ``strptime`` accepts
+    and that read back as themselves.
+    """
+    n = len(raw)
     try:
-        text = [d.strip() for d in raw]
-        with warnings.catch_warnings():
-            # numpy reads a timezone suffix such as "T00Z" with a UserWarning
-            warnings.simplefilter("error")
-            dates = np.array(text, dtype=str).astype("datetime64[D]")
-    except (ValueError, AttributeError, Warning):
+        text = "\n".join([d.strip() for d in raw]) + "\n"
+    except AttributeError:
         return None
-    in_range = (dates >= np.datetime64("0001-01-01")) & (dates <= np.datetime64("9999-12-31"))
-    if not in_range.all() or dates.astype(str).tolist() != text:
+    # n newlines, each in column 10 of an 11-byte row, leave no room for a
+    # string that is not exactly ten characters long
+    if len(text) != 11 * n or not text.isascii():
         return None
-    return dates
+    rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(n, 11)
+    digits = rows[:, _DIGITS] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    if not ((rows[:, 10] == ord("\n")).all() and (rows[:, [4, 7]] == ord("-")).all()
+            and (digits <= 9).all()):
+        return None
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month = d[:, 4] * 10 + d[:, 5]
+    day = d[:, 6] * 10 + d[:, 7]
+    if not ((year >= 1).all() and (month >= 1).all() and (month <= 12).all()):
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not ((day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))).all():
+        return None
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    return months.astype("datetime64[D]") + (day - 1)
 
 
-def _parse_rows(rows: list, date_format: str) -> tuple[np.ndarray, list]:
+def _parse_rows(rows, date_format: str) -> tuple[np.ndarray, list]:
     """Dates by ``strptime`` and values from (date, value, line) rows, failing
     at the first bad row."""
     dates = []
@@ -159,6 +223,17 @@ def _parse_rows(rows: list, date_format: str) -> tuple[np.ndarray, list]:
             raise ParseError(f"line {lineno}: bad date {d!r}") from exc
         values.append(_parse_value(lineno, v))
     return np.asarray(dates, dtype="datetime64[D]"), values
+
+
+def _parse_values(raw: list, lines) -> np.ndarray:
+    """The values as floats in one call; the first that ``float`` refuses is
+    reported by its file line."""
+    try:
+        return np.fromiter(map(float, raw), float, len(raw))
+    except (TypeError, ValueError):
+        for lineno, text in zip(lines, raw):
+            _parse_value(lineno, text)
+        raise
 
 
 def _parse_value(lineno: int, text) -> float:
@@ -206,8 +281,10 @@ def _autocovariance(x: np.ndarray, h_max: int) -> tuple[np.ndarray, int]:
     xc, e = _unit_scaled(x - x.mean())
     r = np.asarray([float(xc[: n - h] @ xc[h:]) / n for h in range(h_max + 1)])
     # constant series can leave rounding dust in r[0]; compare to the
-    # series' own scale rather than to exact zero
-    if r[0] <= float(np.mean(np.square(np.ldexp(x, -e)))) * 1e-28:
+    # series' own scale rather than to exact zero.  An exact zero passes that
+    # test whatever the scale, and is taken first: e is then 0, and x squared
+    # unscaled may overflow
+    if r[0] == 0.0 or r[0] <= float(np.mean(np.square(np.ldexp(x, -e)))) * 1e-28:
         raise DegenerateDataError("series has zero variance")
     return r, e
 

@@ -170,16 +170,28 @@ def write_keyvals(path, pairs) -> None:
             fh.write(f"{key}={','.join(fields)}\n")
 
 
+# the comma, and the ASCII whitespace that str.strip removes but for "\n" and
+# "\r": text mode has turned every line end into "\n"
+_NOT_A_FIELD = ", \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def read_csv(path, header: str) -> np.ndarray:
     """Floats from the first field of each row, as a 1-D array.
 
     Lines are stripped and skipped when their first field is empty or is
-    ``header``; later fields are ignored.
+    ``header``; later fields are ignored.  Text with no comma and no
+    whitespace but its newlines, in ASCII, is all first fields already, so
+    only then are the lines taken as they are.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh.read().split("\n")]
-    # no list kept per row: the garbage collector would rescan them all
-    fields = [f for f in [ln.split(",", 1)[0] for ln in lines] if f and f != header]
+        text = fh.read()
+    plain = text.isascii() and not any(c in text for c in _NOT_A_FIELD)
+    lines = text.split("\n")
+    del text  # the lines hold its characters again
+    if not plain:
+        # no list kept per row: the garbage collector would rescan them all
+        lines = [ln.strip().split(",", 1)[0] for ln in lines]
+    fields = [f for f in lines if f and f != header]
     try:
         return np.fromiter(map(float, fields), float, len(fields))
     except ValueError:

@@ -49,6 +49,22 @@ class TestOrderStatistics:
         with pytest.raises(DomainError):
             ts.order_statistics([1.0, math.inf])
 
+    @given(data=hnp.arrays(np.float64, st.integers(2, 60),
+                           elements=st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]),
+                                              st.floats(allow_nan=False, allow_infinity=False))))
+    def test_bitwise_equal_to_stable_sort(self, data):
+        # repeated values and mixed zeros: -0.0 and 0.0 compare equal, and
+        # keep their input order as under the stable sort
+        got = ts.order_statistics(data).values
+        want = np.sort(data, kind="stable")[::-1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_signed_zeros_keep_input_order(self):
+        data = np.array([0.0, -1.0, -0.0, 0.0, 2.0, -0.0] * 500)
+        got = ts.order_statistics(data).values
+        want = np.sort(data, kind="stable")[::-1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_input_not_mutated(self):
         data = np.array([3.0, 1.0, 2.0])
         ts.order_statistics(data)

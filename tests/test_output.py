@@ -657,6 +657,39 @@ class TestCsvReader:
             read_csv(path, "value")
         assert str(new.value) == str(old.value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        st.floats(allow_nan=False).map(repr), st.integers(-99, 99).map(str),
+        st.sampled_from(["", "value", "1_000", "abc", "-0", "nan", "inf", "\u0661"])),
+        max_size=6),
+        pads=st.lists(st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f",
+                                       "\u00a0", "\u3000", "\r"]), min_size=12, max_size=12),
+        tails=st.lists(st.sampled_from(["", ",", ",x", ",1,2"]), min_size=6, max_size=6),
+        end=st.sampled_from(["\n", "\r\n", "\r"]), messy=st.booleans())
+    def test_messy_text_matches_old_reader(self, lines, pads, tails, end, messy,
+                                           tmp_path_factory):
+        # equal bits, or the same message; where the old reader found no
+        # values the new one gives an empty array, which the CLI refuses.
+        # Without padding and extra fields the lines are taken as they are
+        if not messy:
+            pads, tails = [""] * 12, [""] * 6
+        text = end.join(pads[2 * i] + ln + pads[2 * i + 1] + tails[i]
+                        for i, ln in enumerate(lines))
+        path = tmp_path_factory.mktemp("messy") / "v.csv"
+        path.write_bytes(("value" + end + text + end).encode())
+        try:
+            old = old_read_values_csv(path)
+        except ParseError as exc:
+            if str(exc).endswith(": no values"):
+                assert read_csv(path, "value").size == 0
+                return
+            with pytest.raises(ParseError) as new:
+                read_csv(path, "value")
+            assert str(new.value) == str(exc)
+            return
+        got = read_csv(path, "value")
+        assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+
     def test_no_values_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "v.csv"
         path.write_text("value\n\n")

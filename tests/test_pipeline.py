@@ -193,6 +193,42 @@ def csv_file(draw):
     return header, rows
 
 
+def old_iso_dates(raw):
+    """The datetime64 cast that read ISO dates before the digit reader."""
+    try:
+        text = [d.strip() for d in raw]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dates = np.array(text, dtype=str).astype("datetime64[D]")
+    except (ValueError, AttributeError, Warning):
+        return None
+    in_range = (dates >= np.datetime64("0001-01-01")) & (dates <= np.datetime64("9999-12-31"))
+    if not in_range.all() or dates.astype(str).tolist() != text:
+        return None
+    return dates
+
+
+@st.composite
+def iso_like_cells(draw):
+    """A canonical date, padded, with up to two characters replaced, inserted
+    or deleted; or an odd cell."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(ODD_DATES))
+    cell = draw(st.one_of(broad_dates, narrow_dates, st.dates(date(1900, 2, 27), date(1900, 3, 1))))
+    cell = list(cell.isoformat())
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(cell)))
+        c = draw(st.sampled_from("0123456789-/ T:\u0661\u00a0"))
+        kind = draw(st.sampled_from(["set", "insert", "delete"]))
+        if kind == "insert" or i == len(cell):
+            cell.insert(i, c)
+        elif kind == "set":
+            cell[i] = c
+        else:
+            del cell[i]
+    return draw(pads) + "".join(cell) + draw(pads)
+
+
 class TestLoadCsv:
     @settings(max_examples=400)
     @given(file=csv_file())
@@ -247,6 +283,71 @@ class TestLoadCsv:
         assert got.astype(str).tolist() == ["2001-01-01", "0001-01-01", "9999-12-31"]
         for cell in ODD_DATES + [None]:
             assert pipeline._iso_dates(["2001-01-01", cell]) is None, repr(cell)
+
+    @pytest.mark.parametrize("text", [
+        "date,value\r\n2001-01-01,1\r\n2001-01-02,2\r\n",  # CRLF line ends
+        'date,value\n2001-01-01,"1,5"\n2001-01-02,2\n',  # a quoted field
+        'date,value\n"2001-01-01",1\n2001-01-02,2\n',
+        "date,value\n2001-01-01,1\x00\n2001-01-02,2\n",  # a NUL byte
+        "date,value\n2001-01-01,\u00a01\n2001-01-02,2\n",  # a non-ASCII cell
+        "date,value\n2001-01-01,1\n2001-01-02,2",  # no final newline
+        "date,value\n2001-01-01,1\n2001-01-02,2\n\n",  # a trailing blank line
+        "\ndate,value\n2001-01-01,1\n2001-01-02,2\n",  # a leading blank line
+        "date,value\n",  # header only
+        "date,value",
+        "",
+        "\n",
+        "d,v\n1,2,3\n4\n",  # ragged rows whose comma totals match
+        "date,value\n2001-01-01,1,3\n2001-01-02\n",
+        "date\n\n2001-01-01\n",  # one column: a blank line is an empty cell
+        "\ndate\n2001-01-01\n",
+        "value,date\n1,2001-01-01\n2,2001-01-02\n",
+    ])
+    def test_plain_layout_guards(self, text, tmp_path):
+        # each file is either plain or read by csv.reader; both read it as
+        # the row-by-row reference does
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        for cols in ({}, {"date_col": "d", "value_col": "v"}, {"value_col": "date"}):
+            assert (outcome(lambda q: ts.load_csv(q, **cols), p)
+                    == outcome(lambda q: old_load_csv(q, **cols), p)), cols
+
+    def test_cell_past_the_csv_field_limit_is_read_by_csv_reader(self, tmp_path):
+        p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02," + "2" * 200_000])
+        assert pipeline._plain_cells(p.read_bytes()) is None
+        assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
+
+    def test_plain_file_does_not_reach_csv_reader(self, tmp_path, monkeypatch):
+        start = np.datetime64("1990-01-01")
+        rows = [f"{start + i},{i * 0.25!r}" for i in range(1000)]
+        p = write_series_csv(tmp_path / "s.csv", rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain file")
+
+        monkeypatch.setattr(pipeline.csv, "reader", refuse)
+        series = ts.load_csv(p)
+        assert series.n == 1000
+        assert series.values.tolist() == [i * 0.25 for i in range(1000)]
+        assert series.dates[-1] == start + 999
+
+    def test_iso_dates_match_strptime_on_every_day_of_leap_and_common_years(self):
+        days = [date(y, 1, 1) + timedelta(i) for y in (1, 1900, 2000, 2023, 2024, 9999)
+                for i in range(365)]
+        assert pipeline._iso_dates([d.isoformat() for d in days]).tolist() == days
+        for cell in ["2001-02-29", "1900-02-29", "2000-02-30", "2001-04-31", "2001-12-32",
+                     "2001-00-10", "2001-13-01", "2001-01-00", "2001-01-0a", "2001/01/01",
+                     "2001-01-01 01", "2001-01-\u0661\u0661", "\u0662001-01-01"]:
+            assert pipeline._iso_dates(["2001-01-01", cell]) is None, cell
+
+    @settings(max_examples=300)
+    @given(cells=st.lists(iso_like_cells(), min_size=1, max_size=4))
+    def test_iso_dates_accept_what_the_datetime64_cast_read_back(self, cells):
+        got = pipeline._iso_dates(cells)
+        old = old_iso_dates(cells)
+        assert (got is None) == (old is None)
+        if got is not None:
+            assert got.dtype == old.dtype and got.tolist() == old.tolist()
 
     def test_round_trip(self, tmp_path):
         p = write_series_csv(
@@ -452,6 +553,17 @@ class TestYuleWalker:
         with np.errstate(over="ignore"):
             assert fit.noise_variance == np.ldexp(ref.noise_variance, 2 * j)
         assert fit.mean == math.ldexp(ref.mean, j)
+
+    @pytest.mark.parametrize("v", [1e300, -1e300, 1e-300, 5e-324, 0.0])
+    def test_constant_series_is_degenerate_without_a_warning(self, v):
+        # the centred series is exact zeros: no scale to compare with, and
+        # squaring 1e300 would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="zero variance"):
+                ts.yule_walker(np.full(100, v), 2)
+            with pytest.raises(DegenerateDataError, match="zero variance"):
+                ts.aic_table(np.full(100, v), 2)
 
     def test_errors(self):
         with pytest.raises(ParameterError):
