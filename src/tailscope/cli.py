@@ -1,10 +1,13 @@
 """Command line interface.
 
-Subcommands: simulate, meplot, estimate, converge, analyze.  Options may
-come from flags, a key=value config file (--config), or for the seed the
-TAILSCOPE_SEED environment variable; flags win over the file, the file
-over the environment.  Exit codes: 0 success, 2 configuration problem,
-3 data or degeneracy problem, 4 I/O or parse problem.
+Subcommands: simulate, meplot, estimate, converge, analyze.  ``build_parser``
+declares each option once, with its type and default (``--help`` shows it).
+A config file (--config) holds key=value lines and ``#`` comments, with ``-``
+or ``_`` alike in keys; the keys that name an option of the subcommand become
+its argparse defaults, so flags win, argparse converts the values as it
+converts flags, and other keys are ignored.  The seed falls back to the
+TAILSCOPE_SEED environment variable, then 0.  Exit codes: 0 success, 2
+configuration problem, 3 data or degeneracy problem, 4 I/O or parse problem.
 
 Every subcommand computes its results first, then returns the files it
 writes as (file name, writer) pairs, with its stdout line.  ``_emit`` alone
@@ -98,56 +101,38 @@ def read_config(path: str) -> dict:
     return cfg
 
 
-class Options:
-    """Flag > config file > environment > default resolution; --out and the
-    formats are resolved on construction."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.cfg = read_config(args.config) if getattr(args, "config", None) else {}
-        self.out = self.get("out", ".")
-        raw = self.get("format", "csv,svg") if "format" in self.args else "csv"
-        self.formats = {tok.strip().lower() for tok in raw.split(",") if tok.strip()}
-        if self.formats - {"csv", "svg"} or not self.formats:
-            raise ConfigError(f"format must list csv and/or svg, got {raw!r}")
-
-    def get(self, key: str, default=None, cast=str):
-        val = self.args.get(key)
-        if val is not None:
-            return val
-        if key in self.cfg:
-            try:
-                return cast(self.cfg[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key}: bad value {self.cfg[key]!r}") from exc
-        return default
-
-    def require(self, key: str, cast=str):
-        val = self.get(key, None, cast)
-        if val is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return val
-
-    def seed(self) -> RandomSeed:
-        val = self.get("seed", None, int)
-        if val is None:
-            env = os.environ.get(ENV_SEED)
-            if env is not None:
-                try:
-                    val = int(env)
-                except ValueError as exc:
-                    raise ConfigError(f"bad {ENV_SEED}={env!r}") from exc
-            else:
-                val = 0
-        stream = self.get("stream", 0, int)
-        try:
-            return RandomSeed(int(val), int(stream))
-        except TailscopeError as exc:
-            raise ConfigError(str(exc)) from exc
+def _require(args: argparse.Namespace, name: str):
+    """An option with no default, which a flag or the config file must give."""
+    value = getattr(args, name)
+    if value is None:
+        raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+    return value
 
 
-def _parse_trim(raw: str) -> tuple[int, int | None]:
-    """imin:imax, either side optional: imin defaults to 2, imax (None) to n."""
+def _seed(args: argparse.Namespace) -> RandomSeed:
+    """--seed, else $TAILSCOPE_SEED, else 0, in stream --stream."""
+    env = os.environ.get(ENV_SEED, "0")
+    try:
+        return RandomSeed(int(env) if args.seed is None else args.seed, args.stream)
+    except TailscopeError as exc:
+        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad {ENV_SEED}={env!r}") from exc
+
+
+def _parse_formats(raw: str) -> set:
+    formats = {tok.strip().lower() for tok in raw.split(",") if tok.strip()}
+    if formats - {"csv", "svg"} or not formats:
+        raise ConfigError(f"format must list csv and/or svg, got {raw!r}")
+    return formats
+
+
+def _parse_trim(raw: str) -> tuple[int, int | None] | None:
+    """imin:imax, either side optional: imin defaults to 2, imax (None) to n;
+    empty for the default trim.  Like every argparse type here, it raises
+    ConfigError, which main reports with exit code 2."""
+    if not raw:
+        return None
     try:
         a, _, b = raw.partition(":")
         return int(a) if a else 2, int(b) if b else None
@@ -155,7 +140,10 @@ def _parse_trim(raw: str) -> tuple[int, int | None]:
         raise ConfigError(f"bad trim {raw!r}; expected imin:imax") from exc
 
 
-def _parse_window(raw: str) -> Window:
+def _parse_window(raw: str) -> Window | None:
+    """x0,x1,y0,y1; empty for the case's default window."""
+    if not raw:
+        return None
     try:
         x0, x1, y0, y1 = (float(tok) for tok in raw.split(","))
         return Window(x0, x1, y0, y1)
@@ -170,7 +158,19 @@ def _parse_grid(raw: str) -> list[int]:
         raise ConfigError(f"bad n-grid {raw!r}") from exc
     if not grid:
         raise ConfigError("empty n-grid")
+    if min(grid) < 1:
+        raise ConfigError(f"n-grid sizes must be positive, got {raw!r}")
     return grid
+
+
+def _parse_p_max(raw: str) -> int:
+    try:
+        p_max = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad p-max {raw!r}") from exc
+    if p_max < 0:
+        raise ConfigError(f"p_max must be nonnegative, got {p_max}")
+    return p_max
 
 
 def manifest_pairs(command: str, params: dict) -> list[tuple]:
@@ -186,26 +186,25 @@ def _csv(header: str, *columns) -> partial:
     return partial(write_csv, header=header, columns=columns)
 
 
-def _draw(opt: Options, n_min: int) -> tuple[np.ndarray, dict]:
+def _draw(args: argparse.Namespace, n_min: int) -> tuple[np.ndarray, dict]:
     """Sample from --model/--n/--seed."""
-    model = parse_model(opt.require("model"))
-    n = opt.require("n", int)
+    model = parse_model(_require(args, "model"))
+    n = _require(args, "n")
     if n < n_min:
         raise ConfigError(f"need n >= {n_min}")
-    seed = opt.seed()
+    seed = _seed(args)
     meta = {"model": model.label(), "n": n, "seed": seed.seed, "stream": seed.stream}
     return model.sample(n, seed), meta
 
 
-def _load_sample(opt: Options) -> tuple[np.ndarray, dict]:
+def _load_sample(args: argparse.Namespace) -> tuple[np.ndarray, dict]:
     """Read --input, or sample from --model/--n/--seed."""
-    input_path = opt.get("input")
-    if input_path is None:
-        return _draw(opt, 2)
-    values = read_csv(input_path, "value")
+    if args.input is None:
+        return _draw(args, 2)
+    values = read_csv(args.input, "value")
     if not values.size:
-        raise ParseError(f"{input_path}: no values")
-    return values, {"input": input_path, "n": values.size}
+        raise ParseError(f"{args.input}: no values")
+    return values, {"input": args.input, "n": values.size}
 
 
 def _plot_fit(path: str, pts: PointSet2D, fit, **labels) -> None:
@@ -227,14 +226,15 @@ def _point_estimates(sample, m_ref: int) -> list[tuple]:
     return pairs
 
 
-def _emit(opt: Options, files: list, line: str) -> int:
-    """Create --out, write each (file name, writer) pair that the formats ask
-    for (every .txt file), then print the command's line."""
-    os.makedirs(opt.out, exist_ok=True)
+def _emit(args: argparse.Namespace, files: list, line: str) -> int:
+    """Create --out, write each (file name, writer) pair that --format asks
+    for (every .txt file, and simulate's CSV), then print the command's line."""
+    formats = getattr(args, "format", {"csv"})
+    os.makedirs(args.out, exist_ok=True)
     for name, write in files:
         ext = name.rpartition(".")[2]
-        if ext == "txt" or ext in opt.formats:
-            write(os.path.join(opt.out, name))
+        if ext == "txt" or ext in formats:
+            write(os.path.join(args.out, name))
     print(line)
     return 0
 
@@ -243,22 +243,20 @@ def _emit(opt: Options, files: list, line: str) -> int:
 # subcommands: each returns its (file name, writer) pairs and its stdout line
 
 
-def cmd_simulate(opt: Options):
-    values, meta = _draw(opt, 1)
+def cmd_simulate(args: argparse.Namespace):
+    values, meta = _draw(args, 1)
     return ([("sample.csv", _csv("value", values)),
              ("manifest.txt", _keyvals(manifest_pairs("simulate", meta)))],
-            f"simulate: wrote {values.size} values to {opt.out}/sample.csv")
+            f"simulate: wrote {values.size} values to {args.out}/sample.csv")
 
 
-def cmd_meplot(opt: Options):
-    trim_raw = opt.get("trim")
-    trim = _parse_trim(trim_raw) if trim_raw else None
-    values, meta = _load_sample(opt)
+def cmd_meplot(args: argparse.Namespace):
+    values, meta = _load_sample(args)
     sample = order_statistics(values)
-    i_min, i_max = plotted_trim(sample, *(trim or default_trim(sample.n)))
+    i_min, i_max = plotted_trim(sample, *(args.trim or default_trim(sample.n)))
     pts = me_plot(sample, i_min, i_max)
     fit = ls_fit(pts, "me")
-    meta.update({"trim": f"{i_min}:{i_max}", "format": sorted(opt.formats)})
+    meta.update({"trim": f"{i_min}:{i_max}", "format": sorted(args.format)})
     return [
         ("me_plot.csv", pts.write_csv),
         ("me_plot.svg", lambda path: _plot_fit(
@@ -280,19 +278,18 @@ def cmd_meplot(opt: Options):
     ], f"meplot: xi_hat={fit.xi_hat:.4f} over trim {i_min}:{i_max}"
 
 
-def cmd_estimate(opt: Options):
-    stride = opt.get("stride", 1, int)
-    if stride < 1:
+def cmd_estimate(args: argparse.Namespace):
+    if args.stride < 1:
         raise ConfigError("stride must be positive")
-    m_opt = opt.get("m", None, int)
-    values, meta = _load_sample(opt)
+    values, meta = _load_sample(args)
     sample = order_statistics(values)
-    m_ref = max(2, sample.n // 10) if m_opt is None else m_opt
+    m_ref = max(2, sample.n // 10) if args.m is None else args.m
 
-    traces = {kind: trace(sample, kind, stride=stride) for kind in ("hill", "pickands", "moment")}
+    traces = {kind: trace(sample, kind, stride=args.stride)
+              for kind in ("hill", "pickands", "moment")}
     qq = qq_points_pos(sample, m_ref)
     qq_fit = ls_fit(qq, "qq-pos")
-    meta.update({"m": m_ref, "stride": stride, "format": sorted(opt.formats)})
+    meta.update({"m": m_ref, "stride": args.stride, "format": sorted(args.format)})
     return [
         *((f"{kind}_trace.csv", _csv("m,value", tr.m, tr.value)) for kind, tr in traces.items()),
         ("qq_pos.csv", qq.write_csv),
@@ -316,21 +313,11 @@ def cmd_estimate(opt: Options):
     ], f"estimate: qq_slope={qq_fit.slope:.4f} at m={m_ref}"
 
 
-def cmd_converge(opt: Options):
-    model = parse_model(opt.require("model"))
-    case = opt.require("case")
-    n_grid = _parse_grid(opt.require("n_grid"))
-    reps = opt.require("reps", int)
-    seed = opt.seed()
-    k_exp = opt.get("k", None, float)
-    window_raw = opt.get("window")
-    window = _parse_window(window_raw) if window_raw else None
-    resolution = opt.get("resolution", 512, int)
-
-    report = run_convergence(
-        model, case, n_grid, reps, seed, k_rule=k_exp, window=window,
-        resolution=resolution,
-    )
+def cmd_converge(args: argparse.Namespace):
+    model = parse_model(_require(args, "model"))
+    case, n_grid, reps = (_require(args, name) for name in ("case", "n_grid", "reps"))
+    report = run_convergence(model, case, n_grid, reps, _seed(args), k_rule=args.k,
+                             window=args.window, resolution=args.resolution)
     med = report.medians()
 
     def plot(path):
@@ -355,20 +342,14 @@ def cmd_converge(opt: Options):
         + missed)
 
 
-def cmd_analyze(opt: Options):
-    path = opt.require("input")
-    p_max = opt.get("p_max", 10, int)
-    m_opt = opt.get("m", None, int)
-    ts = load_csv(
-        path,
-        date_col=opt.get("date_col", "date"),
-        value_col=opt.get("value_col", "value"),
-        date_format=opt.get("date_format", "%Y-%m-%d"),
-    )
+def cmd_analyze(args: argparse.Namespace):
+    path, p_max = _require(args, "input"), args.p_max
+    ts = load_csv(path, date_col=args.date_col, value_col=args.value_col,
+                  date_format=args.date_format)
     an = analyze_series(ts, p_max)
     model, fit, sample = an.model, an.me_fit, an.sample
     order, (i_min, i_max) = model.order, an.trim
-    m_ref = max(2, sample.n // 10) if m_opt is None else m_opt
+    m_ref = max(2, sample.n // 10) if args.m is None else args.m
     scale = an.profile.scale
     days = sorted(scale)
     return [
@@ -400,80 +381,70 @@ def cmd_analyze(opt: Options):
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tailscope",
-        description="Mean excess plot diagnostics for heavy-tailed data",
-    )
-    parser.add_argument("--version", action="version", version=f"tailscope {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, formats=True, sample=False):
-        p.add_argument("--config", help="key=value option file")
-        p.add_argument("--out", help="output directory (default .)")
-        if formats:
-            p.add_argument("--format", help="csv,svg subset (default both)")
-        p.add_argument("--seed", type=int, help=f"seed (fallback ${ENV_SEED}, then 0)")
-        p.add_argument("--stream", type=int, help="seed stream (default 0)")
-        if sample:
-            p.add_argument("--model", help="model spec (with --n), or use --input")
-            p.add_argument("--n", type=int)
-            p.add_argument("--input", help="CSV of values (column 'value')")
-
-    p = sub.add_parser("simulate", help="draw a sample from a model (always CSV)")
-    common(p, formats=False)
-    p.add_argument("--model", help="model spec, e.g. pareto:2 or gpd:0.5,1")
-    p.add_argument("--n", type=int, help="sample size")
-
-    p = sub.add_parser("meplot", help="mean excess plot and its LS reading")
-    common(p, sample=True)
-    p.add_argument("--trim", help="imin:imax order-statistic range")
-
-    p = sub.add_parser("estimate", help="hill/pickands/moment traces and qq fit")
-    common(p, sample=True)
-    p.add_argument("--m", type=int, help="reference m for point estimates")
-    p.add_argument("--stride", type=int, help="trace stride (default 1)")
-
-    p = sub.add_parser("converge", help="replicated distance-to-limit experiment")
-    common(p)
-    p.add_argument("--model", help="model spec")
-    p.add_argument("--case", help="positive, negative or zero")
-    p.add_argument("--n-grid", dest="n_grid", help="comma list of sample sizes")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--k", type=float, help="k-rule exponent (default 0.7)")
-    p.add_argument("--window", help="x0,x1,y0,y1 observation window")
-    p.add_argument("--resolution", type=int, help="limit discretization (default 512)")
-
-    p = sub.add_parser("analyze", help="deseasonalize, fit AR, read residual tails")
-    common(p)
-    p.add_argument("--input", help="CSV with date and value columns")
-    p.add_argument("--date-col", dest="date_col")
-    p.add_argument("--value-col", dest="value_col")
-    p.add_argument("--date-format", dest="date_format")
-    p.add_argument("--p-max", dest="p_max", type=int, help="max AR order (default 10)")
-    p.add_argument("--m", type=int, help="reference m for point estimates")
-
-    return parser
-
-
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "meplot": cmd_meplot,
-    "estimate": cmd_estimate,
-    "converge": cmd_converge,
-    "analyze": cmd_analyze,
+# subcommand -> (handler, help, its options besides --config, --out, --seed, --stream)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "draw a sample from a model (always CSV)", "--model --n"),
+    "meplot": (cmd_meplot, "mean excess plot and its LS reading",
+               "--format --model --n --input --trim"),
+    "estimate": (cmd_estimate, "hill/pickands/moment traces and qq fit",
+                 "--format --model --n --input --m --stride"),
+    "converge": (cmd_converge, "replicated distance-to-limit experiment",
+                 "--format --model --case --n-grid --reps --k --window --resolution"),
+    "analyze": (cmd_analyze, "deseasonalize, fit AR, read residual tails",
+                "--format --input --date-col --value-col --date-format --p-max --m"),
 }
 
 
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's parser by name."""
+    options = {
+        "--config": dict(help="key=value option file; flags win over it"),
+        "--out": dict(default=".", help="output directory (default %(default)s)"),
+        "--format": dict(type=_parse_formats, default="csv,svg",
+                         help="csv,svg subset (default %(default)s)"),
+        "--seed": dict(type=int, help=f"seed (default ${ENV_SEED}, else 0)"),
+        "--stream": dict(type=int, default=0, help="seed stream (default %(default)s)"),
+        "--model": dict(help="model spec, e.g. pareto:2 or gpd:0.5,1"),
+        "--n": dict(type=int, help="sample size"),
+        "--input": dict(help="input CSV: a value column, or for analyze date and value columns"),
+        "--trim": dict(type=_parse_trim, help="imin:imax order-statistic range"),
+        "--m": dict(type=int, help="reference m for point estimates (default max(2, n // 10))"),
+        "--stride": dict(type=int, default=1, help="trace stride (default %(default)s)"),
+        "--case": dict(help="positive, negative or zero"),
+        "--n-grid": dict(type=_parse_grid, help="comma list of sample sizes"),
+        "--reps": dict(type=int, help="replicates per sample size"),
+        "--k": dict(type=float, default=0.7, help="k-rule exponent (default %(default)s)"),
+        "--window": dict(type=_parse_window, help="x0,x1,y0,y1 observation window"),
+        "--resolution": dict(type=int, default=512, help="limit grid steps (default %(default)s)"),
+        "--date-col": dict(default="date", help="date column (default %(default)s)"),
+        "--value-col": dict(default="value", help="value column (default %(default)s)"),
+        "--date-format": dict(default="%Y-%m-%d", help="date format (default %(default)s)"),
+        "--p-max": dict(type=_parse_p_max, default=10, help="max AR order (default %(default)s)"),
+    }
+    parser = argparse.ArgumentParser(
+        prog="tailscope", description="Mean excess plot diagnostics for heavy-tailed data")
+    parser.add_argument("--version", action="version", version=f"tailscope {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, about, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for flag in ("--config", "--out", *flags.split(), "--seed", "--stream"):
+            p.add_argument(flag, **options[flag])
+    return parser, sub.choices
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's keys for this subcommand's options become its defaults
+            cfg = read_config(args.config)
+            commands[args.command].set_defaults(
+                **{key: cfg[key] for key in cfg.keys() & vars(args).keys() - {"command"}})
+            args = parser.parse_args(argv)
+        return _emit(args, *_COMMANDS[args.command][0](args))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        opt = Options(args)
-        return _emit(opt, *_DISPATCH[args.command](opt))
     except ConfigError as exc:
         print(f"tailscope: config error: {exc}", file=sys.stderr)
         return 2

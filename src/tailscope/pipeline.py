@@ -271,22 +271,26 @@ def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:
     return TimeSeries(ts.dates, scaled), SeasonalProfile(scale)
 
 
-def _autocovariance(x: np.ndarray, h_max: int) -> tuple[np.ndarray, int]:
+def _autocovariance(x: np.ndarray, h_max: int) -> tuple[np.ndarray, int, float]:
     """Biased (divide by n) autocovariances r at lags 0..h_max of the series,
-    centred and put through ``_unit_scaled``: r / 4^e and e, so x times 2^j gives
-    the same r / 4^e.  Needs more than h_max values and nonzero variance."""
+    centred and put through ``_unit_scaled``: r / 4^e, e and the mean, so x times
+    2^j gives the same r / 4^e.  The mean and the centring are taken after
+    ``_unit_scaled`` too, where no sum overflows.  Needs more than h_max values
+    and nonzero variance."""
     n = x.shape[0]
     if n <= h_max:
         raise InsufficientDataError(f"need more than {h_max} observations")
-    xc, e = _unit_scaled(x - x.mean())
+    xs, e = _unit_scaled(x.copy())
+    mean = xs.mean()
+    xc, f = _unit_scaled(xs - mean)
     r = np.asarray([float(xc[: n - h] @ xc[h:]) / n for h in range(h_max + 1)])
     # constant series can leave rounding dust in r[0]; compare to the
     # series' own scale rather than to exact zero.  An exact zero passes that
-    # test whatever the scale, and is taken first: e is then 0, and x squared
+    # test whatever the scale, and is taken first: f is then 0, and xs squared
     # unscaled may overflow
-    if r[0] == 0.0 or r[0] <= float(np.mean(np.square(np.ldexp(x, -e)))) * 1e-28:
+    if r[0] == 0.0 or r[0] <= float(np.mean(np.square(np.ldexp(xs, -f)))) * 1e-28:
         raise DegenerateDataError("series has zero variance")
-    return r, e
+    return r, e + f, float(np.ldexp(mean, e))
 
 
 def _levinson(r: np.ndarray, p_max: int):
@@ -311,11 +315,11 @@ def yule_walker(x, p: int) -> ARModel:
     x = np.asarray(x, dtype=float).ravel()
     if p < 1:
         raise ParameterError("order must be at least 1")
-    r, e = _autocovariance(x, p)
+    r, e, mean = _autocovariance(x, p)
     phis, sig2 = _levinson(r, p)
     with np.errstate(over="ignore"):  # the true variance may not be a double
         noise = float(np.ldexp(sig2[p], 2 * e))
-    return ARModel(p, phis[p], noise, float(x.mean()))
+    return ARModel(p, phis[p], noise, mean)
 
 
 def aic_table(x, p_max: int) -> np.ndarray:
@@ -323,7 +327,7 @@ def aic_table(x, p_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if p_max < 0:
         raise ParameterError("p_max must be nonnegative")
-    r, e = _autocovariance(x, p_max)
+    r, e, _ = _autocovariance(x, p_max)
     scaled = np.maximum(_levinson(r, p_max)[1], 0.0)
     with np.errstate(over="ignore", divide="ignore"):  # where sigma2 is not a normal
         sig2 = np.ldexp(scaled, 2 * e)  # double, log(sigma2 / 4^e) + 2e log 2
@@ -358,7 +362,7 @@ def acf(x, h_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if h_max < 0:
         raise ParameterError("h_max must be nonnegative")
-    r, _ = _autocovariance(x, h_max)
+    r = _autocovariance(x, h_max)[0]
     return r / r[0]
 
 

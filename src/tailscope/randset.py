@@ -9,7 +9,7 @@ windowed distance, and seeded replication experiments around them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,7 +167,8 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
     bound, until no bound left exceeds the largest exact minimum found; the
     grid side starts from the cloud side's maximum.  On the convergence
     clouds that takes one rescan per side; the worst case is a brute force,
-    O(|A| |B|).
+    O(|A| |B|).  Both paths take the sets times 2^-e, e from ``frexp`` of the
+    window's diagonal, so no square vanishes at any power-of-two scale.
     """
     pa, pb = a.restrict(window), b.restrict(window)
     if len(pa) == 0 and len(pb) == 0:
@@ -176,14 +177,16 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
         raise EmptyWindowError("first point set misses the window", side="first")
     if len(pb) == 0:
         raise EmptyWindowError("second point set misses the window", side="second")
+    e = math.frexp(window.diag)[1]
+    pa, pb = (replace(p, points=np.ldexp(p.points, -e)) for p in (pa, pb))
     grid, cloud = (pa, pb) if isinstance(pa, LineGrid) else (pb, pa)
     if isinstance(grid, LineGrid):
-        return _hausdorff_to_line(cloud.points, grid)
+        return math.ldexp(_hausdorff_to_line(cloud.points, grid), e)
     from scipy.spatial import cKDTree
 
     d_ab = cKDTree(pb.points).query(pa.points, k=1)[0].max()
     d_ba = cKDTree(pa.points).query(pb.points, k=1)[0].max()
-    return float(max(d_ab, d_ba))
+    return math.ldexp(float(max(d_ab, d_ba)), e)
 
 
 def _sq_dist(x1, y1, x2, y2) -> np.ndarray:

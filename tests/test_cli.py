@@ -606,3 +606,122 @@ class TestSvgPlot:
         path = tmp_path / "p.svg"
         render_plot(path, [Series(pts, "scatter")])
         assert len(series_groups(path)[0].findall(f"{SVG}circle")) == 2
+
+
+# the flags each command below runs with, besides the option under test
+BASE_FLAGS = {
+    "simulate": {"model": "pareto:2", "n": "200", "seed": "1"},
+    "meplot": {"model": "pareto:2", "n": "500", "seed": "1"},
+    "estimate": {"model": "pareto:2", "n": "500", "seed": "1"},
+    "converge": {"model": "pareto:2", "case": "positive", "n-grid": "1000", "reps": "1",
+                 "seed": "1"},
+    "analyze": {"p-max": "2"},
+}
+
+
+def daily_variant(path, daily_csv, flag, value):
+    """daily_csv with the date column, the value column or the date format that
+    --flag value names."""
+    header, *rows = daily_csv.read_text().splitlines()
+    if flag == "date-col":
+        header = f"{value},value"
+    elif flag == "value-col":
+        header = f"date,{value}"
+    elif flag == "date-format":  # only %d.%m.%Y is used
+        rows = [f"{r[8:10]}.{r[5:7]}.{r[:4]}{r[10:]}" for r in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+def outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("meplot", "trim", "10:400"),
+    ("estimate", "m", "37"),
+    ("estimate", "stride", "3"),
+    ("converge", "n-grid", "1000,2000"),
+    ("converge", "reps", "2"),
+    ("converge", "k", "0.6"),
+    ("converge", "window", "1,2.5,0,3"),
+    ("converge", "resolution", "64"),
+    ("simulate", "stream", "3"),
+    ("analyze", "p_max", "1"),
+    ("analyze", "date-col", "day"),
+    ("analyze", "value_col", "level"),
+    ("analyze", "date_format", "%d.%m.%Y"),
+])
+def test_config_key_gives_the_bytes_of_its_flag(tmp_path, daily_csv, command, key, value):
+    # argparse converts the file's value with the flag's type, whichever of -
+    # and _ the key is written with
+    flag = key.replace("_", "-")
+    base = {k: v for k, v in BASE_FLAGS[command].items() if k != flag}
+    if command == "analyze":
+        base["input"] = str(daily_variant(tmp_path / "in.csv", daily_csv, flag, value))
+    argv = [command, *(tok for k, v in base.items() for tok in (f"--{k}", v))]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# {flag}\n{key}={value}\n")
+    via_flag, via_cfg, neither = tmp_path / "flag", tmp_path / "cfg", tmp_path / "neither"
+    assert run(*argv, f"--{flag}", value, "--out", str(via_flag)) == 0
+    assert run(*argv, "--config", str(cfg), "--out", str(via_cfg)) == 0
+    assert outputs(via_cfg) == outputs(via_flag)
+    # the option is read: without it the run fails or writes other bytes
+    assert run(*argv, "--out", str(neither)) != 0 or outputs(neither) != outputs(via_flag)
+
+
+def test_config_keys_of_other_subcommands_and_command_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command=converge\ntrim=a:b\nwindow=1,2\np_max=-1\nstride=0\ncase=sideways\n")
+    argv = ["simulate", "--model", "pareto:2", "--n", "50", "--seed", "4"]
+    plain, via_cfg = tmp_path / "plain", tmp_path / "cfg"
+    assert run(*argv, "--out", str(plain)) == 0
+    assert run(*argv, "--config", str(cfg), "--out", str(via_cfg)) == 0
+    assert outputs(via_cfg) == outputs(plain)
+
+
+BAD_CONFIG_LINES = [
+    ("simulate", "n=x", "error: argument --n: invalid int value: 'x'"),
+    ("converge", "reps=two", "error: argument --reps: invalid int value: 'two'"),
+    ("estimate", "stride=1.5", "error: argument --stride: invalid int value: '1.5'"),
+    ("converge", "k=big", "error: argument --k: invalid float value: 'big'"),
+    ("meplot", "trim=a:b", "config error: bad trim 'a:b'; expected imin:imax"),
+    ("converge", "window=1,2", "config error: bad window '1,2'; expected x0,x1,y0,y1"),
+    ("converge", "n-grid=1000,x", "config error: bad n-grid '1000,x'"),
+    ("analyze", "format=pdf", "config error: format must list csv and/or svg, got 'pdf'"),
+    ("analyze", "p-max=-1", "config error: p_max must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, line, message", BAD_CONFIG_LINES,
+                         ids=[line for _, line, _ in BAD_CONFIG_LINES])
+def test_bad_value_in_config_file_is_config_error(tmp_path, daily_csv, capsys, command, line,
+                                                 message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    base = {k: v for k, v in BASE_FLAGS[command].items() if k != line.partition("=")[0]}
+    if command == "analyze":
+        base["input"] = str(daily_csv)
+    out = tmp_path / "x"
+    assert run(command, *(tok for k, v in base.items() for tok in (f"--{k}", v)),
+               "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("converge", ["--n-grid", "0"], "n-grid sizes must be positive, got '0'"),
+    ("converge", ["--n-grid", "1000,-5"], "n-grid sizes must be positive, got '1000,-5'"),
+    ("analyze", ["--p-max", "-1"], "p_max must be nonnegative, got -1"),
+    ("analyze", ["--p-max", "ten"], "bad p-max 'ten'"),
+])
+def test_out_of_range_size_or_order_is_config_error_before_the_input(tmp_path, capsys, command,
+                                                                     flags, message):
+    # exit 2 like --n 0 or --stride 0, not the library's data error (exit 3);
+    # analyze's missing input is not reached
+    out = tmp_path / "x"
+    argv = (["--model", "pareto:2", "--case", "positive", "--reps", "1"] if command == "converge"
+            else ["--input", str(tmp_path / "nope.csv")])
+    assert run(command, *argv, *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"tailscope: config error: {message}\n"
+    assert not out.exists()

@@ -565,6 +565,20 @@ class TestYuleWalker:
             with pytest.raises(DegenerateDataError, match="zero variance"):
                 ts.aic_table(np.full(100, v), 2)
 
+    @pytest.mark.parametrize("pair, mean", [((1.7e308, 1.6e308), 1.65e308),
+                                            ((1e308, -1e308), 0.0)])
+    def test_series_near_the_largest_double(self, pair, mean):
+        # the mean and the centring are taken after power-of-two scaling: raw,
+        # the sum overflowed ("series has zero variance", or NaN coefficients)
+        x = np.array(pair * 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ts.yule_walker(x, 2)
+        assert np.array_equal(fit.coefficients, ts.yule_walker(x * 2.0**-600, 2).coefficients)
+        np.testing.assert_allclose(fit.coefficients, [-0.99497487437186, -0.00502512562814],
+                                   rtol=1e-12)
+        assert fit.mean == pytest.approx(mean)
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             ts.yule_walker([1.0, 2.0, 3.0], 0)

@@ -1,8 +1,10 @@
 import hashlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -327,6 +329,28 @@ class TestLineKernel:
         want = ckdtree_hausdorff(cloud, grid, WIDE)
         assert ts.hausdorff_window(cloud, grid, WIDE) == want
         assert ts.hausdorff_window(grid, cloud, WIDE) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(LINE_CASES), layout=st.sampled_from(LAYOUTS),
+           size=st.integers(1, 2000), general=st.booleans(), j=st.integers(-900, 505),
+           seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_scale_is_exact(self, case, layout, size, general, j, seed):
+        # both sets are scaled by the window's diagonal before any square is
+        # taken: raw, the squares vanished at 2^-600 and every distance read 0
+        case, xi = case
+        window = ts.default_window(case, xi)
+        grid = ts.discretize(ts.limit_set(case, xi), window, 512)
+        cloud = pset(cloud_layout(layout, case, xi, window, grid, np.random.default_rng(seed),
+                                  size))
+        if general:  # the cKDTree path
+            grid = pset(grid.points)
+        assume(len(cloud.restrict(window)) > 0)
+        scaled = [replace(s, points=np.ldexp(s.points, j)) for s in (cloud, grid)]
+        # the property holds where every scaled value is still a normal double
+        assume(all(np.array_equal(np.ldexp(s.points, -j), p.points)
+                   for s, p in zip(scaled, (cloud, grid))))
+        got = ts.hausdorff_window(*scaled, ts.Window(*np.ldexp(window.as_tuple(), j)))
+        assert got == math.ldexp(ts.hausdorff_window(cloud, grid, window), j)
 
     def test_two_grids(self):
         a = ts.discretize(ts.limit_set("positive", 0.5), ts.default_window("positive"), 100)
