@@ -6,8 +6,11 @@ A config file (--config) holds key=value lines and ``#`` comments, with ``-``
 or ``_`` alike in keys; the keys that name an option of the subcommand become
 its argparse defaults, so flags win, argparse converts the values as it
 converts flags, and other keys are ignored.  The seed falls back to the
-TAILSCOPE_SEED environment variable, then 0.  Exit codes: 0 success, 2
-configuration problem, 3 data or degeneracy problem, 4 I/O or parse problem.
+TAILSCOPE_SEED environment variable, then 0.  ``meplot`` and ``estimate``
+read --input or draw from --model/--n/--seed/--stream, and refuse a run that
+gives both.  ``analyze`` draws nothing and takes no --seed or --stream.  Exit
+codes: 0 success, 2 configuration problem, 3 data or degeneracy problem, 4
+I/O or parse problem.
 
 Every subcommand computes its results first, then returns the files it
 writes as (file name, writer) pairs, with its stdout line.  ``_emit`` alone
@@ -16,6 +19,16 @@ leaves no directory.  A .csv or .svg file is written only when --format
 lists its kind (``simulate`` takes no --format and writes its CSV), and a
 .txt file always.  Configuration errors, a bad --format included, are
 reported before any input is read or sampled.
+
+Each command runs on one thread.  Importing this module sets
+OPENBLAS_NUM_THREADS=1 before it imports numpy, unless the variable is
+already set, so OpenBLAS starts no worker threads: they would spin beside
+the command and cost CPU time, and its dot products of more than 10 000
+values would split across as many threads as the host has cores, making
+the output bytes depend on the core count.  ``import tailscope`` loads no
+numpy, so the entry points (``python -m tailscope.cli``, the ``tailscope``
+script) reach this line first; a program that imports numpy before
+``tailscope.cli`` keeps numpy's own thread count.
 """
 from __future__ import annotations
 
@@ -24,10 +37,13 @@ import os
 import sys
 from functools import partial
 
-import numpy as np
+# before numpy loads: each command runs on one thread, so BLAS gets one too
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
-from .dist import (
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .dist import (  # noqa: E402
     GPD,
     Beta,
     DistributionModel,
@@ -38,13 +54,14 @@ from .dist import (
     RandomSeed,
     StableSkewed,
 )
-from .empirics import PointSet2D, default_trim, me_plot, order_statistics, plotted_trim
-from .errors import ConfigError, ParseError, TailscopeError
-from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace
-from .pipeline import analyze_series, load_csv
-from .randset import Window, run_convergence
-from .svgplot import Series, render_plot
-from .tabular import read_csv, write_csv, write_keyvals
+from .empirics import (  # noqa: E402
+    PointSet2D, default_trim, me_plot, order_statistics, plotted_trim)
+from .errors import ConfigError, ParseError, TailscopeError  # noqa: E402
+from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace  # noqa: E402
+from .pipeline import analyze_series, load_csv  # noqa: E402
+from .randset import Window, run_convergence  # noqa: E402
+from .svgplot import Series, render_plot  # noqa: E402
+from .tabular import read_csv, write_csv, write_keyvals  # noqa: E402
 
 ENV_SEED = "TAILSCOPE_SEED"
 
@@ -110,10 +127,10 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def _seed(args: argparse.Namespace) -> RandomSeed:
-    """--seed, else $TAILSCOPE_SEED, else 0, in stream --stream."""
+    """--seed, else $TAILSCOPE_SEED, else 0, in stream --stream, else 0."""
     env = os.environ.get(ENV_SEED, "0")
     try:
-        return RandomSeed(int(env) if args.seed is None else args.seed, args.stream)
+        return RandomSeed(int(env) if args.seed is None else args.seed, args.stream or 0)
     except TailscopeError as exc:
         raise ConfigError(str(exc)) from exc
     except ValueError as exc:
@@ -198,9 +215,14 @@ def _draw(args: argparse.Namespace, n_min: int) -> tuple[np.ndarray, dict]:
 
 
 def _load_sample(args: argparse.Namespace) -> tuple[np.ndarray, dict]:
-    """Read --input, or sample from --model/--n/--seed."""
+    """Read --input, or sample from --model/--n/--seed; not both."""
     if args.input is None:
         return _draw(args, 2)
+    given = [f"--{name}" for name in ("model", "n", "seed", "stream")
+             if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"--input cannot be combined with {', '.join(given)}, "
+                          "which choose a sample to draw")
     values = read_csv(args.input, "value")
     if not values.size:
         raise ParseError(f"{args.input}: no values")
@@ -381,15 +403,17 @@ def cmd_analyze(args: argparse.Namespace):
 # entry point
 
 
-# subcommand -> (handler, help, its options besides --config, --out, --seed, --stream)
+# subcommand -> (handler, help, its options besides --config and --out)
 _COMMANDS = {
-    "simulate": (cmd_simulate, "draw a sample from a model (always CSV)", "--model --n"),
+    "simulate": (cmd_simulate, "draw a sample from a model (always CSV)",
+                 "--model --n --seed --stream"),
     "meplot": (cmd_meplot, "mean excess plot and its LS reading",
-               "--format --model --n --input --trim"),
+               "--format --model --n --input --trim --seed --stream"),
     "estimate": (cmd_estimate, "hill/pickands/moment traces and qq fit",
-                 "--format --model --n --input --m --stride"),
+                 "--format --model --n --input --m --stride --seed --stream"),
     "converge": (cmd_converge, "replicated distance-to-limit experiment",
-                 "--format --model --case --n-grid --reps --k --window --resolution"),
+                 "--format --model --case --n-grid --reps --k --window --resolution "
+                 "--seed --stream"),
     "analyze": (cmd_analyze, "deseasonalize, fit AR, read residual tails",
                 "--format --input --date-col --value-col --date-format --p-max --m"),
 }
@@ -403,10 +427,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--format": dict(type=_parse_formats, default="csv,svg",
                          help="csv,svg subset (default %(default)s)"),
         "--seed": dict(type=int, help=f"seed (default ${ENV_SEED}, else 0)"),
-        "--stream": dict(type=int, default=0, help="seed stream (default %(default)s)"),
+        "--stream": dict(type=int, help="seed stream (default 0)"),
         "--model": dict(help="model spec, e.g. pareto:2 or gpd:0.5,1"),
         "--n": dict(type=int, help="sample size"),
-        "--input": dict(help="input CSV: a value column, or for analyze date and value columns"),
+        "--input": dict(help="input CSV: a value column (in place of --model, --n, --seed "
+                        "and --stream), or for analyze date and value columns"),
         "--trim": dict(type=_parse_trim, help="imin:imax order-statistic range"),
         "--m": dict(type=int, help="reference m for point estimates (default max(2, n // 10))"),
         "--stride": dict(type=int, default=1, help="trace stride (default %(default)s)"),
@@ -427,7 +452,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, about, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
-        for flag in ("--config", "--out", *flags.split(), "--seed", "--stream"):
+        for flag in ("--config", "--out", *flags.split()):
             p.add_argument(flag, **options[flag])
     return parser, sub.choices
 

@@ -1,7 +1,10 @@
 import math
 import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -725,3 +728,107 @@ def test_out_of_range_size_or_order_is_config_error_before_the_input(tmp_path, c
     assert run(command, *argv, *flags, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"tailscope: config error: {message}\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# every option a command takes does something
+
+
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--stream", "2"]], ids=lambda f: f[0])
+def test_analyze_takes_no_seed_or_stream(tmp_path, daily_csv, capsys, flags):
+    # analyze draws nothing; argparse refuses the flag before the input is read
+    out = tmp_path / "x"
+    assert run("analyze", "--input", str(daily_csv), *flags, "--out", str(out)) == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_ignores_seed_and_stream_config_keys(tmp_path, daily_csv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\nstream=2\n")
+    argv = ["analyze", "--input", str(daily_csv), "--p-max", "2"]
+    plain, via_cfg = tmp_path / "plain", tmp_path / "cfg"
+    assert run(*argv, "--out", str(plain)) == 0
+    assert run(*argv, "--config", str(cfg), "--out", str(via_cfg)) == 0
+    assert outputs(via_cfg) == outputs(plain)
+
+
+@pytest.mark.parametrize("given, named", [
+    (["--model", "pareto:2"], "--model"),
+    (["--n", "500"], "--n"),
+    (["--seed", "3"], "--seed"),
+    (["--stream", "0"], "--stream"),
+    (["--seed", "3", "--model", "nonsense:9", "--n", "-5"], "--model, --n, --seed"),
+])
+@pytest.mark.parametrize("command", ["meplot", "estimate"])
+def test_input_with_sampling_options_is_config_error_before_the_input(tmp_path, capsys,
+                                                                     command, given, named):
+    # the input is not reached (it does not exist) and no --out is made
+    out = tmp_path / "x"
+    assert run(command, "--input", str(tmp_path / "nope.csv"), *given, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"tailscope: config error: --input cannot be combined with {named}, "
+        "which choose a sample to draw\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["model=pareto:2", "n=500", "seed=3", "stream=1"])
+@pytest.mark.parametrize("command", ["meplot", "estimate"])
+def test_input_with_sampling_config_key_is_config_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(key + "\n")
+    out = tmp_path / "x"
+    assert run(command, "--input", str(tmp_path / "nope.csv"), "--config", str(cfg),
+               "--out", str(out)) == 2
+    named = "--" + key.partition("=")[0]
+    assert f"--input cannot be combined with {named}," in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["meplot", "estimate"])
+def test_input_with_env_seed_runs_as_without_it(tmp_path, monkeypatch, command):
+    src = tmp_path / "in.csv"
+    src.write_text("value\n" + "".join(f"{v!r}\n" for v in
+                                         ts.Pareto(2).sample(300, ts.RandomSeed(1)).tolist()))
+    plain, env = tmp_path / "plain", tmp_path / "env"
+    assert run(command, "--input", str(src), "--out", str(plain)) == 0
+    monkeypatch.setenv("TAILSCOPE_SEED", "9")
+    assert run(command, "--input", str(src), "--out", str(env)) == 0
+    assert outputs(env) == outputs(plain)
+
+
+def test_stream_help_still_names_its_default(capsys):
+    assert run("meplot", "--help") == 0
+    assert "seed stream (default 0)" in " ".join(capsys.readouterr().out.split())
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per command, so the bytes do not depend on the core count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(argv, cwd, threads):
+    """python -m tailscope.cli argv, with OPENBLAS_NUM_THREADS unset or set to threads."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-m", "tailscope.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["meplot", "analyze"])
+def test_bytes_are_those_of_one_blas_thread(tmp_path, command):
+    # OpenBLAS splits a dot product of more than 10 000 values across its threads:
+    # the ME plot's fit (19 901 rows) and the AR fit on 30 years (10 957 days)
+    src = tmp_path / "in.csv"
+    if command == "meplot":
+        values = ts.Pareto(2).sample(20_000, ts.RandomSeed(5)).tolist()
+        src.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    else:
+        write_composite_csv(src, 30, [0.5], ts.Exponential(1), ts.RandomSeed(2))
+    for threads in (None, "1"):
+        run_process([command, "--input", src.name, "--out", f"out-{threads}"], tmp_path, threads)
+    assert outputs(tmp_path / "out-None") == outputs(tmp_path / "out-1")

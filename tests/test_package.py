@@ -1,7 +1,14 @@
 """The package namespace re-exports each module's public names, and only
 those; importing it, and running the commands that need only numpy, loads
 no scipy module, no command but those on the stable law loads
-`scipy.stats`, and none loads `scipy.spatial`."""
+`scipy.stats`, and none loads `scipy.spatial`.
+
+`import tailscope` loads no numpy: the first public name asked for imports
+the library modules.  `import tailscope.cli` loads them all, and sets
+OPENBLAS_NUM_THREADS=1 before numpy unless the variable is set, so a
+command runs BLAS on one thread (no worker spinning beside it, and dot
+products whose bytes do not depend on the host's core count), while a
+value the user exported is kept."""
 import importlib
 import inspect
 import json
@@ -191,3 +198,71 @@ def test_lambert_w_loads_scipy_special_only(tmp_path):
     code = "import tailscope as ts\nassert ts.lambert_w(1.0) > 0\n" + _SCIPY_PACKAGES_LOADED
     loaded = json.loads(_run_python(code, tmp_path))
     assert "special" in loaded and "stats" not in loaded and "integrate" not in loaded
+
+
+# ---------------------------------------------------------------------------
+# a lazy package namespace, and one BLAS thread in the command line
+
+_NUMPY_LOADED = "import sys\nprint('numpy' in sys.modules)\n"
+
+
+def test_import_loads_no_numpy(tmp_path):
+    assert _run_python("import tailscope\n" + _NUMPY_LOADED, tmp_path) == "False"
+
+
+def test_star_import_binds_the_public_names_and_the_submodules(tmp_path):
+    expected = {attr for name in MODULES
+                for attr in importlib.import_module(f"tailscope.{name}").__all__}
+    expected |= {*MODULES, "tabular"}
+    assert len(expected) == 88
+    code = (
+        "import json\nfrom tailscope import *\n"
+        "print(json.dumps(sorted(k for k in dir() if not k.startswith('_') and k != 'json')))\n"
+    )
+    assert set(json.loads(_run_python(code, tmp_path))) == expected
+    assert set(ts.__all__) == expected
+    assert expected <= set(dir(ts))
+
+
+def test_unknown_name_raises_attribute_error(tmp_path):
+    # in a fresh process the first lookup loads the modules, then fails
+    code = ("import tailscope\ntry:\n    tailscope.tail_measure\n"
+            "except AttributeError as exc:\n    print(exc)\n")
+    assert _run_python(code, tmp_path) == "module 'tailscope' has no attribute 'tail_measure'"
+    with pytest.raises(AttributeError):
+        ts.tail_measure
+    with pytest.raises(AttributeError):
+        ts.__wrapped__
+
+
+def test_cli_import_loads_every_library_module(tmp_path):
+    code = (
+        "import sys\nimport tailscope.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tailscope.')))\n"
+    )
+    assert _run_python(code, tmp_path) == str(sorted(
+        f"tailscope.{name}" for name in (*MODULES, "cli", "svgplot", "tabular")))
+
+
+def _run_with_threads(code: str, cwd, threads) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_cli_process_runs_one_thread(tmp_path):
+    code = ("import tailscope.cli\n"
+            "print([ln.split()[1] for ln in open('/proc/self/status')"
+            " if ln.startswith('Threads:')][0])\n")
+    assert _run_with_threads(code, tmp_path, None) == "1"
+
+
+def test_exported_blas_thread_count_is_kept(tmp_path):
+    code = "import os\nimport tailscope.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert _run_with_threads(code, tmp_path, "3") == "3"
