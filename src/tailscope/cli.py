@@ -113,7 +113,7 @@ def read_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 cfg[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return cfg
 

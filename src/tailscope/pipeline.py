@@ -100,12 +100,16 @@ def load_csv(
     if plain is None:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            di, vi = _column_indices(header, date_col, value_col)
-            # as in csv.DictReader: blank lines are skipped, and a row too
-            # short for a column gives None
-            rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
-                     reader.line_num) for r in reader if r]
+            try:
+                header = next(reader, None)
+                di, vi = _column_indices(header, date_col, value_col)
+                # as in csv.DictReader: blank lines are skipped, and a row too
+                # short for a column gives None
+                rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
+                         reader.line_num) for r in reader if r]
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not {exc.encoding} text "
+                                 f"(byte {exc.object[exc.start]:#04x})") from exc
         date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
     else:
         width, cells = plain

@@ -31,8 +31,40 @@ sorted by E and sign, each such group is laid out once with the stripped
 zeros as trailing NUL bytes, and the rows are put back in order in an
 ``S`` array, whose ``tolist`` gives each field as bytes without the NULs.
 The records are joined by one bytes ``%`` per chunk.
+
+``read_csv`` reads the file once as bytes.  A plain file, ASCII with no
+comma and no control or space byte but its newlines, is all first fields
+already.  Its lines, less the empty ones and the header, are read a chunk
+at a time by a decimal kernel after W. D. Clinger ("How to read floating
+point numbers accurately", PLDI 1990).  It takes the 24 bytes that end
+each line as three 8-byte words, and reads a line that is an optional
+``-`` and then digits with at most one point:
+
+- the point's gap is closed by a masked one-byte shift, and the digits
+  become an integer D, eight at a time (D. Lemire's SWAR step); with q
+  digits after the point the value is D / 10^q;
+- 10^q is a double for q <= 22, so for D <= 2^53 the value is one IEEE
+  division, rounded once: exact;
+- for a larger D (below 10^18), Q = fl(fl(D) / 10^q) is within 1.5 ulp of
+  D / 10^q.  The remainder D - Q 10^q is exact in doubles: Dekker's
+  product gives Q 10^q as hi + err, D is fl(D) plus an int64 rest, and
+  fl(D) - hi is exact by Sterbenz's lemma.  So the remainder over 10^q,
+  r, is known to about 1e-15 ulp, and Q + r rounds to the double nearest
+  D / 10^q unless that is within the error of a half-ulp.  The line is
+  certified only when r is more than 1e-6 ulp from every half-ulp, and Q
+  at least two ulps inside its binade, so that its neighbours have its ulp.
+
+Every other line goes through ``float``: longer than 24 bytes, more than
+22 digits after the point or 18 after the leading zeros, an exponent,
+``inf``, ``nan``, ``_``, ``+``, an uncertified row (exact ties among them).
+The first line that ``float`` refuses, in file order, is the ``bad value``.
+Any other file is read as text, as ``open`` decodes it, with each line
+stripped and cut at its first comma; a file that does not decode is a
+``ParseError`` that names it.
 """
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -40,7 +72,7 @@ from .errors import ParseError
 
 __all__ = ["CHUNK", "write_records", "write_csv", "write_keyvals", "read_csv"]
 
-CHUNK = 1 << 15  # records formatted per call
+CHUNK = 1 << 15  # records formatted, or lines read, per call
 
 
 def write_records(fh, template: str, columns, sep: str = "") -> None:
@@ -73,7 +105,7 @@ def write_csv(path, header: str, columns) -> None:
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1
-_POW10 = np.array([float(10**p) for p in range(21)])  # exact doubles
+_POW10 = np.array([float(10**p) for p in range(23)])  # exact doubles
 _LONGEST = len("-0.00012345678901234567")
 
 
@@ -174,17 +206,144 @@ def write_keyvals(path, pairs) -> None:
 # "\r": text mode has turned every line end into "\n"
 _NOT_A_FIELD = ", \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
+_WIDTH = 24  # the longest line the kernel reads: three 8-byte words
+_ROW = np.dtype((np.void, _WIDTH))
+_ZEROS = np.uint64(0x3030303030303030)  # b"00000000"
+_ONES = np.uint64(0x0101010101010101)
+_BIG = np.uint64(0x7676767676767676)  # added to a byte of at most 9, sets no top bit
+_TOPS = np.uint64(0x8080808080808080)
+_PAIRS = np.uint64(0x000000FF000000FF)
+
+
+def _masks():
+    """For n = 0..24, the last n and the first n bytes of a row, as (3, 25)
+    tables of little-endian words: column n is the mask of n bytes."""
+    n, col = np.arange(_WIDTH + 1)[:, None], np.arange(_WIDTH)
+    last = np.where(col >= _WIDTH - n, 255, 0).astype(np.uint8)
+    first = np.where(col < n, 255, 0).astype(np.uint8)
+    return last.view("<u8").T.copy(), first.view("<u8").T.copy()
+
+
+_LAST, _FIRST = _masks()
+# word j times its multiplier has, in its top byte, 8j + i + 1 for the one
+# byte i of the word that is 1, and 0 when all are 0
+_PLACE = np.array([int.from_bytes(bytes(8 * j + 8 - i for i in range(8)), "little")
+                   for j in range(3)], np.uint64)[:, None]
+
+
+def _decimals(data: bytes, ends: np.ndarray, lens: np.ndarray):
+    """Read the lines ``data[ends - lens:ends]`` as decimals: (values, exact).
+
+    values[i] is ``float``'s double of line i where exact[i] is set, and means
+    nothing elsewhere.  Every line must end at byte 24 or later.
+    """
+    rows = np.ndarray((len(data) - _WIDTH + 1,), _ROW, data, strides=(1,))
+    words = np.ascontiguousarray(rows[ends - _WIDTH].view("<u8").reshape(-1, 3).T)
+    neg = np.frombuffer(data, np.uint8)[ends - lens] == ord("-")
+    n = np.minimum(lens - neg, _WIDTH)  # the bytes after the sign
+    # each digit byte as its value, the point as 0x1e, the bytes before as 0
+    z = (words ^ _ZEROS) & _LAST.take(n, axis=1)
+    dots = (z.view(np.uint8) == (ord(".") ^ 0x30)).view("<u8")
+    count = (dots.sum(0) * _ONES) >> 56
+    at = ((dots * _PLACE) >> 56).sum(0).astype(np.intp)  # the point's column + 1
+    # close the point's gap: each byte up to it moves one column right
+    moved = z << 8
+    moved[1:] |= z[:-1] >> 56
+    z ^= (z ^ moved) & _FIRST.take(at, axis=1, mode="clip")
+    q = np.where(at > 0, _WIDTH - at, 0)  # digits after the point
+    exact = (~((z + _BIG) & _TOPS).any(0) & (count <= 1) & (n > count)
+             & (lens <= _WIDTH) & (q <= 22))
+    # eight digits per word to their value (Lemire's SWAR step), then D
+    v = z * 10 + (z >> 8)
+    v = ((v & _PAIRS) * (100 + (1000000 << 32))
+         + ((v >> 16) & _PAIRS) * (1 + (10000 << 32))) >> 32
+    exact &= v[0] < 100  # at most 18 digits after the leading zeros
+    d = ((v[0] * 10**8 + v[1]) * 10**8 + v[2]).astype(np.int64)
+    d[~exact], q[~exact] = 0, 0  # plain numbers for the rows left to float()
+    # D / 10^q rounded once; exact for D <= 2^53 (Clinger's fast path)
+    dh = d.astype(np.float64)
+    p = _POW10[q]
+    x = dh / p
+    # else D - x 10^q exactly, from Dekker's product x 10^q = hi + err and D = dh + dl
+    hi = x * p
+    xh, xl = _split(x)
+    err = xl * _POW10_LO[q] - (((hi - xh * _POW10_HI[q]) - xl * _POW10_HI[q])
+                               - xh * _POW10_LO[q])
+    dl = (d - dh.astype(np.int64)).astype(np.float64)
+    fix = ((dh - hi) + (dl - err)) / p
+    mant, e = np.frexp(x)
+    ulps = np.abs(np.ldexp(fix, 53 - e))
+    slow = d > 2**53
+    exact &= ~slow | ((np.abs(ulps - np.floor(ulps) - 0.5) > 1e-6)
+                      & (mant >= 0.5 + 2**-52) & (mant <= 1 - 2**-52))
+    x = np.where(slow, x + fix, x)
+    np.negative(x, out=x, where=neg)
+    return x, exact
+
+
+def _plain_lines(data: bytes, header: str):
+    """The end and length of each line of data that is neither empty nor
+    ``header``, or None unless data is plain: ASCII with no comma and no
+    control or space byte but newlines."""
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if np.count_nonzero(buf.view(np.int8) < 33) != ends.size or b"," in data:
+        return None
+    ends = np.append(ends, len(data))  # the last line, empty if data ends in a newline
+    lens = np.diff(ends, prepend=-1) - 1
+    keep = lens > 0
+    head = header.encode()
+    same = np.flatnonzero(lens == len(head)) if head else []
+    if len(same):
+        lines = np.ndarray((len(data) - len(head) + 1,), f"S{len(head)}", data, strides=(1,))
+        keep[same[lines[ends[same] - len(head)] == head]] = False
+    return ends[keep], lens[keep]
+
+
+def _float(path, tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad value {tok!r}") from exc
+
 
 def read_csv(path, header: str) -> np.ndarray:
     """Floats from the first field of each row, as a 1-D array.
 
     Lines are stripped and skipped when their first field is empty or is
-    ``header``; later fields are ignored.  Text with no comma and no
-    whitespace but its newlines, in ASCII, is all first fields already, so
-    only then are the lines taken as they are.
+    ``header``; later fields are ignored.  A plain file (``_plain_lines``) is
+    all first fields already: its lines are read by the decimal kernel a chunk
+    at a time, and any line the kernel does not certify by ``float``.
     """
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        # newlines before the file: each line then ends at byte 24 or later
+        data = b"\n" * _WIDTH + fh.read()
+    lines = _plain_lines(data, header)
+    if lines is None:
+        return _read_text(path, data[_WIDTH:], header)
+    ends, lens = lines
+    out = np.empty(ends.size)
+    for start in range(0, ends.size, CHUNK):
+        part = slice(start, start + CHUNK)
+        values, exact = _decimals(data, ends[part], lens[part])
+        for i in np.flatnonzero(~exact).tolist():
+            end = ends[start + i]
+            values[i] = _float(path, data[end - lens[start + i]:end].decode())
+        out[part] = values
+    return out
+
+
+def _read_text(path, data: bytes, header: str) -> np.ndarray:
+    """read_csv on text as open() decodes it, with every line end as "\n".
+
+    Text with no comma and no whitespace but its newlines, in ASCII, is all
+    first fields already, so only then are the lines taken as they are.
+    """
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text "
+                         f"(byte {exc.object[exc.start]:#04x})") from exc
     plain = text.isascii() and not any(c in text for c in _NOT_A_FIELD)
     lines = text.split("\n")
     del text  # the lines hold its characters again
@@ -196,8 +355,5 @@ def read_csv(path, header: str) -> np.ndarray:
         return np.fromiter(map(float, fields), float, len(fields))
     except ValueError:
         for tok in fields:
-            try:
-                float(tok)
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad value {tok!r}") from exc
+            _float(path, tok)
         raise

@@ -145,6 +145,16 @@ class TestConfigFile:
         assert run("simulate", "--config", str(cfg), "--n", "10") == 2
         assert "expected key=value" in capsys.readouterr().err
 
+    def test_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"model=pareto:2\n# caf\xe9\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg), "--n", "10", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tailscope: config error: cannot read config {cfg}: ")
+        assert "can't decode byte 0xe9" in err
+        assert not out.exists()
+
 
 class TestMeplot:
     def test_outputs(self, tmp_path, capsys):
@@ -260,6 +270,21 @@ def test_config_error_is_reported_before_the_input(tmp_path, capsys, command, fl
     out = tmp_path / "x"
     assert run(command, "--input", str(tmp_path / "nope.csv"), *flags, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"tailscope: config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, byte", [
+    ("meplot", b"value\n1.5\n2.\xff5\n", "0xff"),
+    ("estimate", b"value\n1.5\n2.\xff5\n", "0xff"),
+    ("analyze", b"date,value\n2001-01-01,1.5\n2001-01-02,caf\xe9\n", "0xe9"),
+])
+def test_input_that_is_not_utf8_is_an_io_error(tmp_path, capsys, command, text, byte):
+    src = tmp_path / "in.csv"
+    src.write_bytes(text)
+    out = tmp_path / "x"
+    assert run(command, "--input", str(src), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err == f"tailscope: i/o error: {src}: not utf-8 text (byte {byte})\n"
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 from collections import Counter
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tailscope as ts
+from tailscope import tabular
 from tailscope.cli import main
 from tailscope.errors import ParseError
 from tailscope.svgplot import _PALETTE, Series, _fmt, _nice_ticks, render_plot
@@ -697,6 +699,87 @@ class TestCsvReader:
             old_read_values_csv(path)
         assert main(["meplot", "--input", str(path), "--out", str(tmp_path)]) == 4
         assert str(old.value) in capsys.readouterr().err
+
+
+def _token(digits: str, point: int, neg: bool) -> str:
+    """digits with a point before digit ``point`` (none when negative), and a sign."""
+    if point >= 0:
+        point = min(point, len(digits))
+        digits = digits[:point] + "." + digits[point:]
+    return "-" * neg + digits
+
+
+def _midpoint_cut(x: float, digits: int, rounding: str) -> str:
+    """The midpoint of x and the next double up, rounded to a number of
+    significant digits, in fixed notation."""
+    mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+    return format(Context(prec=digits, rounding=rounding).plus(mid), "f")
+
+
+# doubles whose fixed notation fits the kernel: spread over the range, from
+# 2^51 up (where midpoints have 18 digits or fewer, so exact ties occur), and
+# at binade edges and just below them
+MIDPOINT_BASES = st.one_of(
+    st.floats(1e-5, 1e18),
+    st.floats(2.0**51, 1e18),
+    st.integers(-16, 59).map(lambda e: math.ldexp(1.0, e)),
+    st.integers(-16, 59).map(lambda e: math.nextafter(math.ldexp(1.0, e), 0.0)),
+)
+DECIMAL_TOKENS = st.one_of(
+    # 1-20 digits, the point anywhere or nowhere: ".5", "5.", "-0", "007.50"
+    st.builds(_token, st.text("0123456789", min_size=1, max_size=20),
+              st.integers(-3, 20), st.booleans()),
+    # longer than the kernel's 24 bytes
+    st.builds(_token, st.text("0123456789", min_size=24, max_size=40),
+              st.integers(-3, 40), st.booleans()),
+    st.builds(_midpoint_cut, MIDPOINT_BASES, st.sampled_from([17, 18, 19]),
+              st.sampled_from([ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP])),
+    # the kernel's bounds: 24 bytes, 22 digits after the point, 18 digits
+    st.sampled_from(["." + "0" * 5 + "1" * 18, "-." + "1" * 22, "0." + "0" * 21 + "1", "1" * 24,
+                     "9" * 18, "1" + "0" * 18, "0" * 5 + "9" * 18 + ".", "-" + "9" * 17 + ".9"]),
+    # what the kernel leaves to float(), and what float() refuses
+    st.sampled_from(["inf", "-nan", "1e5", "1_000", "+2.5", "0x10", ".", "-", "1.2.3",
+                     "--1", "1-"]),
+)
+
+
+class TestDecimalKernel:
+    """The plain-file reader against ``float`` on each token."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(DECIMAL_TOKENS, min_size=1, max_size=30))
+    def test_bits_or_message_match_float(self, tokens, tmp_path_factory):
+        path = tmp_path_factory.mktemp("decimals") / "v.csv"
+        path.write_text("value\n" + "\n".join(tokens) + "\n")
+        try:
+            old = old_read_values_csv(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as new:
+                read_csv(path, "value")
+            assert str(new.value) == str(exc)
+            return
+        got = read_csv(path, "value")
+        assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+
+    def test_written_pareto_sample_needs_no_float_call(self, tmp_path, monkeypatch):
+        # a too-cautious certificate stays exact but sends rows to float()
+        x = ts.Pareto(2).sample(100_000, ts.RandomSeed(1))
+        path = tmp_path / "sample.csv"
+        write_csv(path, "value", [x])
+
+        def refuse(path, tok):
+            raise AssertionError(f"float() fallback on {tok!r}")
+
+        monkeypatch.setattr(tabular, "_float", refuse)
+        np.testing.assert_array_equal(read_csv(path, "value").view(np.uint64),
+                                      x.view(np.uint64))
+
+    def test_first_bad_token_in_file_order(self, tmp_path):
+        # the first chunk holds a token float() reads, then a bad one; a later chunk another
+        path = tmp_path / "v.csv"
+        path.write_text("value\n1e3\n" + "1.5\n" * (CHUNK - 2) + "x1\n" + "2.5\n" * CHUNK + "x2\n")
+        with pytest.raises(ParseError, match=r"bad value 'x1'$"):
+            read_csv(path, "value")
 
 
 # ---------------------------------------------------------------------------
