@@ -20,12 +20,15 @@ lists its kind (``simulate`` takes no --format and writes its CSV), and a
 .txt file always.  Configuration errors, a bad --format included, are
 reported before any input is read or sampled.
 
-Each command runs on one thread.  Importing this module sets
+BLAS runs on one thread.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 before it imports numpy, unless the variable is
 already set, so OpenBLAS starts no worker threads: they would spin beside
 the command and cost CPU time, and its dot products of more than 10 000
 values would split across as many threads as the host has cores, making
-the output bytes depend on the core count.  ``import tailscope`` loads no
+the output bytes depend on the core count.  CSV files of more than one
+chunk are formatted, and --input samples read, on one worker thread per
+CPU (``tailscope.tabular``); those workers block when idle, and the bytes
+do not depend on their number either.  ``import tailscope`` loads no
 numpy, so the entry points (``python -m tailscope.cli``, the ``tailscope``
 script) reach this line first; a program that imports numpy before
 ``tailscope.cli`` keeps numpy's own thread count.

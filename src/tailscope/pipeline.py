@@ -9,7 +9,9 @@ the innovation tail survives every stage.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -87,8 +89,9 @@ def load_csv(
 ) -> TimeSeries:
     """Read a dated series from CSV; strictly increasing unique dates.
 
-    The file is read as bytes once.  A plain file (see ``_plain_cells``) is
-    split into its cells in one call; any other is read by ``csv.reader``.
+    The file is read as bytes once, less one leading UTF-8 byte order mark.
+    A plain file (see ``_plain_cells``) is split into its cells in one call;
+    any other is read by ``csv.reader``.
     Dates in the default ISO format are read from their digits and the values
     converted in one call.  Any other format, a date that is not a canonical
     ISO date, or a value ``float`` refuses sends the rows through the
@@ -96,20 +99,21 @@ def load_csv(
     line it ends on.
     """
     with open(path, "rb") as fh:
-        plain = _plain_cells(fh.read())
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    plain = _plain_cells(data)
     if plain is None:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                di, vi = _column_indices(header, date_col, value_col)
-                # as in csv.DictReader: blank lines are skipped, and a row too
-                # short for a column gives None
-                rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
-                         reader.line_num) for r in reader if r]
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: not {exc.encoding} text "
-                                 f"(byte {exc.object[exc.start]:#04x})") from exc
+        # as open(path, newline="") reads the file
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+        try:
+            header = next(reader, None)
+            di, vi = _column_indices(header, date_col, value_col)
+            # as in csv.DictReader: blank lines are skipped, and a row too
+            # short for a column gives None
+            rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
+                     reader.line_num) for r in reader if r]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not {exc.encoding} text "
+                             f"(byte {exc.object[exc.start]:#04x})") from exc
         date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
     else:
         width, cells = plain

@@ -2,11 +2,19 @@
 
 Floats are written as ``%.17g``, which reads back to the same double, and
 integers as ``%d``.  A CSV file is a header line, then one row per record.
-Records are formatted a chunk at a time, with one ``%`` on the record
-template repeated for the chunk; the bytes are those of formatting each
-record on its own.  A key=value file holds one ``key=value`` line per pair.
+A key=value file holds one ``key=value`` line per pair.
 
-A CSV float column is formatted in numpy, to the bytes of ``"%.17g" % v``.
+A CSV file is written CHUNK records at a time, and each chunk becomes one
+``(m, W)`` matrix of bytes, one row per record, with no Python object per
+field.  Each column is a block of fixed-width fields: 24 bytes (three
+little-endian words) for ``%.17g``, whose longest output is 24 bytes, and
+eight digits per word for ``%d``, as many words as the chunk's largest |v|
+needs, after a sign word if any v < 0.  A ``,`` byte follows each block
+and a ``\n`` the last.  A field's unused bytes are NUL, and they may sit
+anywhere in it: no byte of a number, a separator or a newline is ever 0,
+so dropping every NUL of the matrix (``rows[rows != 0]``) leaves the lines.
+
+A float column is formatted in numpy, to the bytes of ``"%.17g" % v``.
 For 1e-4 <= |v| < 1e17, ``%.17g`` writes fixed notation: the 17 significant
 digits D = round(|v| 10^p) with p = 16 - E, where E = floor(log10 |v|),
 with the point placed by E and trailing fraction zeros (and then a bare
@@ -26,19 +34,31 @@ point) stripped.  The digits are exact because:
 Every other value goes through Python's own ``%.17g``, one by one: the
 exponent form, 0, subnormals, inf, NaN and the D outside those bounds.
 
-The digits become bytes through a '0000'-'9999' table.  The rows are
-sorted by E and sign, each such group is laid out once with the stripped
-zeros as trailing NUL bytes, and the rows are put back in order in an
-``S`` array, whose ``tolist`` gives each field as bytes without the NULs.
-The records are joined by one bytes ``%`` per chunk.
+The digits become bytes eight at a time in a word, by multiply-shift
+divisions on its lanes (the reverse of the reader's SWAR step below).  The
+field holds the sign, the zeros of a number below 1 and the 17 digits, in
+that order.  A byte smear over the last 16 digits keeps each byte that is,
+or is followed by, a digit other than 0, so the trailing zeros of the
+fraction become NUL.  One masked byte shift then moves the integer part one
+byte left, and the point takes the byte it frees when a digit follows it.
+An integer column takes the same words, with each leading zero a NUL.
 
-``read_csv`` reads the file once as bytes.  A plain file, ASCII with no
-comma and no control or space byte but its newlines, is all first fields
-already.  Its lines, less the empty ones and the header, are read a chunk
-at a time by a decimal kernel after W. D. Clinger ("How to read floating
-point numbers accurately", PLDI 1990).  It takes the 24 bytes that end
-each line as three 8-byte words, and reads a line that is an optional
-``-`` and then digits with at most one point:
+A file of more than one chunk has its chunks formatted on a pool of threads,
+one per CPU this process may run on (``os.sched_getaffinity``), while the
+calling thread writes them in file order, with at most two chunks per
+worker in flight.  The numpy steps release the interpreter lock, so the
+workers run side by side, and each chunk's bytes are those of formatting
+it alone, so the file does not depend on the number of workers.  A file of
+one chunk is formatted on the calling thread, with no pool.
+
+``read_csv`` reads the file once as bytes, less one leading UTF-8 byte
+order mark.  A plain file, ASCII with no comma and no control or space byte
+but its newlines, is all first fields already.  Its lines, less the empty
+ones and the header, are read a chunk at a time, on the writer's pool, by
+a decimal kernel after W. D. Clinger ("How to read floating point numbers
+accurately", PLDI 1990).  It takes the 24 bytes that end each line as
+three 8-byte words, and reads a line that is an optional ``-`` and then
+digits with at most one point:
 
 - the point's gap is closed by a masked one-byte shift, and the digits
   become an integer D, eight at a time (D. Lemire's SWAR step); with q
@@ -57,14 +77,18 @@ each line as three 8-byte words, and reads a line that is an optional
 Every other line goes through ``float``: longer than 24 bytes, more than
 22 digits after the point or 18 after the leading zeros, an exponent,
 ``inf``, ``nan``, ``_``, ``+``, an uncertified row (exact ties among them).
-The first line that ``float`` refuses, in file order, is the ``bad value``.
-Any other file is read as text, as ``open`` decodes it, with each line
-stripped and cut at its first comma; a file that does not decode is a
-``ParseError`` that names it.
+These run on the calling thread, in file order, so the first line that
+``float`` refuses is the ``bad value``.  Any other file is read as text,
+as ``open`` decodes it, with each line stripped and cut at its first
+comma; a file that does not decode is a ``ParseError`` that names it.
 """
 from __future__ import annotations
 
+import codecs
 import io
+import os
+from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -72,7 +96,9 @@ from .errors import ParseError
 
 __all__ = ["CHUNK", "write_records", "write_csv", "write_keyvals", "read_csv"]
 
-CHUNK = 1 << 15  # records formatted, or lines read, per call
+# records formatted, or lines read, per call; each worker thread's malloc
+# arena keeps about 280 bytes a record after its first chunk
+CHUNK = 1 << 14
 
 
 def write_records(fh, template: str, columns, sep: str = "") -> None:
@@ -90,23 +116,70 @@ def write_records(fh, template: str, columns, sep: str = "") -> None:
 def write_csv(path, header: str, columns) -> None:
     """Write columns under a header line: integer columns as %d, all others as %.17g."""
     cols = [np.asarray(c) for c in columns]
-    ints = [np.issubdtype(c.dtype, np.integer) for c in cols]
-    template = b",".join(b"%d" if i else b"%s" for i in ints) + b"\n"
-    width, n = len(cols), cols[0].shape[0]
+    n = cols[0].shape[0]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, n, CHUNK):
-            m = min(CHUNK, n - start)
-            fields = [None] * (m * width)
-            for j, c in enumerate(cols):
-                part = c[start:start + m]
-                fields[j::width] = part.tolist() if ints[j] else _g17(part)
-            fh.write(template * m % tuple(fields))
+        _in_order(partial(_rows, cols), range(0, n, CHUNK), fh.write)
+
+
+def _workers() -> int:
+    """One worker per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _in_order(work, parts, take) -> None:
+    """``take(work(p))`` for each p of parts, in order.
+
+    With more than one part, work runs on a pool of ``_workers()`` threads,
+    with at most two parts per worker in flight, and take on the calling
+    thread.  The pool is joined before this returns or raises.
+    """
+    if len(parts) < 2:
+        for p in parts:
+            take(work(p))
+        return
+    from concurrent.futures import ThreadPoolExecutor  # about 4 ms to import
+
+    workers = _workers()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for p in parts:
+            if len(pending) == 2 * workers:
+                take(pending.popleft().result())
+            pending.append(pool.submit(work, p))
+        while pending:
+            take(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _rows(cols, start: int) -> np.ndarray:
+    """Records start to start + CHUNK of cols as CSV lines, in bytes."""
+    fields = [_int_fields(part) if np.issubdtype(part.dtype, np.integer) else
+              _float_fields(part) for part in (c[start:start + CHUNK] for c in cols)]
+    rows = np.empty((fields[0].shape[1], sum(8 * f.shape[0] + 1 for f in fields)), np.uint8)
+    at = 0
+    for f in fields:
+        rows[:, at:at + 8 * f.shape[0]].view("<u8")[...] = f.T
+        at += 8 * f.shape[0] + 1
+        rows[:, at - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows[rows != 0]
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact doubles
-_LONGEST = len("-0.00012345678901234567")
+# three words: the longest %.17g, "-1.7976931348623157e+308", and the longest
+# line the decimal kernel reads
+_WIDTH = 24
+_ZEROS = np.uint64(0x3030303030303030)  # b"00000000"
+_ONES = np.uint64(0x0101010101010101)
+_TOPS = np.uint64(0x8080808080808080)
+_LOWS = np.uint64(0x7F7F7F7F7F7F7F7F)
 
 
 def _split(a):
@@ -116,80 +189,151 @@ def _split(a):
     return hi, a - hi
 
 
-def _quads() -> np.ndarray:
-    """'0000'..'9999' as four bytes each, then the same with trailing zeros as NUL."""
-    quads = np.empty((2, 10000, 4), np.uint8)
-    quads[0] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
-    kept = quads[0] > ord("0")
-    for j in (2, 1, 0):
-        kept[:, j] |= kept[:, j + 1]
-    quads[1] = quads[0] * kept
-    return quads.view(np.uint32).ravel()
-
-
 _POW10_HI, _POW10_LO = _split(_POW10)
-_QUADS = _quads()
 
 
-def _g17(x: np.ndarray) -> list:
-    """``b"%.17g" % v`` for each v of x, as a list of bytes."""
-    x = x.astype(np.float64, copy=False)
+def _masks():
+    """For n = 0..24, the last n and the first n bytes of a row, as (3, 25)
+    tables of little-endian words: column n is the mask of n bytes."""
+    n, col = np.arange(_WIDTH + 1)[:, None], np.arange(_WIDTH)
+    last = np.where(col >= _WIDTH - n, 255, 0).astype(np.uint8)
+    first = np.where(col < n, 255, 0).astype(np.uint8)
+    return last.view("<u8").T.copy(), first.view("<u8").T.copy()
+
+
+_LAST, _FIRST = _masks()
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each v < 10^8 as the bytes of a
+    little-endian word, most significant first, each byte a value 0-9.
+
+    Each step splits every lane of the word in two by a multiply-shift
+    division: v into two 4-digit lanes, then four 2-digit lanes, then
+    eight digits.  A lane x with quotient q = x // c becomes
+    q + ((x - q c) << w), that is (x << w) - q ((c << w) - 1).
+    """
+    q = v * 109951163
+    q >>= 40  # v // 10^4
+    v = v << 32
+    q *= (10000 << 32) - 1
+    v -= q
+    np.multiply(v, 10486, out=q)
+    q >>= 20
+    q &= 0x0000007F0000007F  # each lane // 100
+    v <<= 16
+    q *= (100 << 16) - 1
+    v -= q
+    np.multiply(v, 103, out=q)
+    q >>= 10
+    q &= 0x000F000F000F000F  # each lane // 10
+    v <<= 8
+    q *= (10 << 8) - 1
+    v -= q
+    return v
+
+
+def _nonzero_bytes(s: np.ndarray) -> np.ndarray:
+    """0xFF for each byte of s that is not 0, for bytes of at most 0x80."""
+    return (((s + _LOWS) & _TOPS) >> 7) * 255
+
+
+def _layouts():
+    """Per p = 16 - E = 0..20: the prefix word (the zeros between the sign
+    and the lead digit), the bytes of the last 16 digits that are in the
+    integer part, the bytes that move one left to make room for the point,
+    and the point's byte; the last three as (words, 21) tables."""
+    e = 16 - np.arange(21)
+    prefix = np.array([int.from_bytes(b"\0" * (7 - k) + b"0" * k, "little")
+                       for k in np.maximum(-e, 0)], np.uint64)
+    head = _FIRST[1:, 8 + np.clip(e, 0, 16)]
+    return prefix, head, _FIRST[:, 8 + e], _FIRST[:, 8 + e] ^ _FIRST[:, 7 + e]
+
+
+_PREFIX, _HEAD, _SHIFT, _SPOT = _layouts()
+
+
+def _digits17(x: np.ndarray):
+    """(D, p, fixed) for each v of x: D = round(|v| 10^p), the 17 digits of
+    ``%.17g``, where fixed is set, with p = 16 - E."""
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
-    a = np.where(fixed, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    a[~fixed] = 1.0
+    p = (16 - np.clip(np.floor(np.log10(a)), -4, 16)).astype(np.intp)
     ah, al = _split(a)
-    bh, bl = _POW10_HI[16 - e], _POW10_LO[16 - e]
-    hi = a * _POW10[16 - e]
+    bh, bl = _POW10_HI.take(p), _POW10_LO.take(p)
+    hi = a * _POW10.take(p)
     err = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
     whole = np.floor(err)
     frac = err - whole
     d = hi.astype(np.int64) + whole.astype(np.int64)
     d += (frac > 0.5) | ((frac == 0.5) & ((d & 1) == 1))
     fixed &= (d > 10**16) & (d < 10**17)
-    d[~fixed] = 10**16 + 1  # laid out like the others, then replaced
+    return d.view(np.uint64), p, fixed
 
-    # sort by (E, sign), so that each group is a slice
-    key = ((e + 4) * 2 + (x < 0)).astype(np.uint8)
-    order = np.argsort(key, kind="stable")
-    lead, rest = np.divmod(d[order], 10**16)
-    quads = np.empty((x.size, 4), np.intp)
-    quads[:, 0], quads[:, 1] = np.divmod(rest // 10**8, 10**4)
-    quads[:, 2], quads[:, 3] = np.divmod(rest % 10**8, 10**4)
-    tail = np.ones(x.size, bool)  # every quad after this one is zero
-    for q in quads.T[::-1]:
-        zero = q == 0
-        q += 10000 * tail  # the form with trailing zeros as NUL
-        tail &= zero
-    buf = np.zeros((x.size, 6), np.uint32)
-    buf[:, 1:5] = _QUADS[quads]
-    # the lead digit in the last byte of the first word: 17 digits and a NUL
-    digits = buf.view(np.uint8)[:, 3:21]
-    digits[:, 0] = lead + ord("0")
 
-    out = np.zeros((x.size, _LONGEST), np.uint8)
-    counts = np.bincount(key, minlength=42)
-    stops = np.cumsum(counts)
-    for k in np.flatnonzero(counts).tolist():
-        rows = slice(stops[k] - counts[k], stops[k])
-        exp, neg = k // 2 - 4, k % 2
-        o, g = out[rows, neg:], digits[rows]
-        if neg:
-            out[rows, 0] = ord("-")
-        if exp < 0:
-            o[:, :1 - exp] = np.frombuffer(b"0.000"[:1 - exp], np.uint8)
-            o[:, 1 - exp:18 - exp] = g[:, :17]
-        else:  # zeros of the integer part stay; a point only before a digit
-            o[:, :exp + 1] = np.maximum(g[:, :exp + 1], ord("0"))
-            o[:, exp + 1] = np.where(g[:, exp + 1], ord("."), 0)
-            o[:, exp + 2:18] = g[:, exp + 1:17]
-    fields = np.empty(x.size, f"S{_LONGEST}")
-    fields[order] = out.view(fields.dtype).ravel()
-    fields = fields.tolist()
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for each v of x as a 24-byte field padded with NUL
+    bytes, as (3, x.size) little-endian words."""
+    x = x.astype(np.float64, copy=False)
+    d, p, fixed = _digits17(x)
+    # byte 2 holds the sign, 7 the lead digit and 8-23 the other 16 digits,
+    # each trailing zero of the fraction a NUL; the zeros of a number below
+    # 1 sit before the lead digit
+    lead = d // 10**16
+    d -= lead * 10**16
+    words = np.empty((3, x.size), np.uint64)
+    words[1] = d // 10**8
+    words[2] = d - words[1] * 10**8
+    tail = _ascii8(words[1:])
+    seen = tail | (tail >> 8)  # a byte is not 0 when it or one after it is not 0
+    seen |= seen >> 16
+    seen |= seen >> 32
+    seen[0] |= (seen[1] & 0xFF) * _ONES
+    words[1:] = (tail + _ZEROS) & (_nonzero_bytes(seen) | _HEAD.take(p, axis=1))
+    words[0] = _PREFIX.take(p) | (lead + ord("0")) << 56
+    words[0] |= (x < 0).view(np.uint8) * np.uint64(ord("-") << 16)
+    # the point goes after byte 7 + E: the bytes up to it move one left, and
+    # the point takes byte 7 + E if a digit, or the first zero, follows it
+    moved = words >> 8
+    moved[:-1] |= words[1:] << 56
+    words ^= (words ^ moved) & _SHIFT.take(p, axis=1)
+    spot = _SPOT.take(p, axis=1)
+    dots = (words >> 5) & spot & _ONES  # 1 where that byte is a digit
+    words ^= (words ^ dots * ord(".")) & spot
+
     slow = np.flatnonzero(~fixed)
-    for i, v in zip(slow.tolist(), x[slow].tolist()):
-        fields[i] = b"%.17g" % v
-    return fields
+    if slow.size:
+        text = b"".join(b"%-24.17g" % v for v in x[slow].tolist()).replace(b" ", b"\0")
+        words[:, slow] = np.frombuffer(text, "<u8").reshape(-1, 3).T
+    return words
+
+
+def _int_fields(x: np.ndarray) -> np.ndarray:
+    """``b"%d" % v`` for each v of x, padded with NUL bytes, as (k, x.size)
+    little-endian words: eight digits per word, as few words as the largest
+    |v| needs, after a word for the sign if any v < 0."""
+    u = x.astype(np.uint64)
+    neg = x < 0
+    np.negative(u, out=u, where=neg)  # |v| of the least int64 too
+    top = int(u.max(initial=0))
+    words = np.empty((1 + (top >= 10**8) + (top >= 10**16), x.size), np.uint64)
+    for j in range(len(words) - 1, 0, -1):
+        q = u // 10**8
+        words[j] = u - q * 10**8
+        u = q
+    words[0] = u
+    words = _ascii8(words)
+    seen = words | (words << 8)  # a byte is not 0 when it or one before it is not 0
+    seen |= seen << 16
+    seen |= seen << 32
+    for j in range(1, len(words)):
+        seen[j] |= (seen[j - 1] >> 56) * _ONES
+    seen[-1] |= np.uint64(1 << 56)  # the last digit, 0 included
+    words = (words + _ZEROS) & _nonzero_bytes(seen)
+    if neg.any():
+        words = np.vstack([neg.view(np.uint8) * np.uint64(ord("-") << 56), words])
+    return words
 
 
 def write_keyvals(path, pairs) -> None:
@@ -206,25 +350,9 @@ def write_keyvals(path, pairs) -> None:
 # "\r": text mode has turned every line end into "\n"
 _NOT_A_FIELD = ", \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-_WIDTH = 24  # the longest line the kernel reads: three 8-byte words
 _ROW = np.dtype((np.void, _WIDTH))
-_ZEROS = np.uint64(0x3030303030303030)  # b"00000000"
-_ONES = np.uint64(0x0101010101010101)
 _BIG = np.uint64(0x7676767676767676)  # added to a byte of at most 9, sets no top bit
-_TOPS = np.uint64(0x8080808080808080)
 _PAIRS = np.uint64(0x000000FF000000FF)
-
-
-def _masks():
-    """For n = 0..24, the last n and the first n bytes of a row, as (3, 25)
-    tables of little-endian words: column n is the mask of n bytes."""
-    n, col = np.arange(_WIDTH + 1)[:, None], np.arange(_WIDTH)
-    last = np.where(col >= _WIDTH - n, 255, 0).astype(np.uint8)
-    first = np.where(col < n, 255, 0).astype(np.uint8)
-    return last.view("<u8").T.copy(), first.view("<u8").T.copy()
-
-
-_LAST, _FIRST = _masks()
 # word j times its multiplier has, in its top byte, 8j + i + 1 for the one
 # byte i of the word that is 1, and 0 when all are 0
 _PLACE = np.array([int.from_bytes(bytes(8 * j + 8 - i for i in range(8)), "little")
@@ -311,25 +439,32 @@ def read_csv(path, header: str) -> np.ndarray:
     """Floats from the first field of each row, as a 1-D array.
 
     Lines are stripped and skipped when their first field is empty or is
-    ``header``; later fields are ignored.  A plain file (``_plain_lines``) is
-    all first fields already: its lines are read by the decimal kernel a chunk
-    at a time, and any line the kernel does not certify by ``float``.
+    ``header``; later fields are ignored.  One leading UTF-8 byte order mark
+    is dropped.  A plain file (``_plain_lines``) is all first fields already:
+    its lines are read by the decimal kernel a chunk at a time, on the
+    writer's pool, and any line the kernel does not certify by ``float``.
     """
     with open(path, "rb") as fh:
         # newlines before the file: each line then ends at byte 24 or later
-        data = b"\n" * _WIDTH + fh.read()
+        data = b"\n" * _WIDTH + fh.read().removeprefix(codecs.BOM_UTF8)
     lines = _plain_lines(data, header)
     if lines is None:
         return _read_text(path, data[_WIDTH:], header)
     ends, lens = lines
     out = np.empty(ends.size)
-    for start in range(0, ends.size, CHUNK):
+
+    def read(start):
         part = slice(start, start + CHUNK)
-        values, exact = _decimals(data, ends[part], lens[part])
+        return part, *_decimals(data, ends[part], lens[part])
+
+    def take(chunk):
+        part, values, exact = chunk
         for i in np.flatnonzero(~exact).tolist():
-            end = ends[start + i]
-            values[i] = _float(path, data[end - lens[start + i]:end].decode())
+            end = ends[part.start + i]
+            values[i] = _float(path, data[end - lens[part.start + i]:end].decode())
         out[part] = values
+
+    _in_order(read, range(0, ends.size, CHUNK), take)
     return out
 
 

@@ -1,3 +1,4 @@
+import codecs
 import math
 import os
 import subprocess
@@ -286,6 +287,28 @@ def test_input_that_is_not_utf8_is_an_io_error(tmp_path, capsys, command, text, 
     err = capsys.readouterr().err
     assert err == f"tailscope: i/o error: {src}: not utf-8 text (byte {byte})\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "crlf"])
+@pytest.mark.parametrize("command", ["meplot", "analyze"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, daily_csv, command, newline):
+    # spreadsheet programs start "CSV UTF-8" files with one; CRLF lines take the text path
+    if command == "meplot":
+        x = ts.Pareto(2).sample(500, ts.RandomSeed(4))
+        text = "value\n" + "".join(f"{v:.17g}\n" for v in x)
+    else:
+        text = daily_csv.read_text()
+    text = text.replace("\n", newline).encode()
+    outs = []
+    for name, data in (("plain", text), ("bom", codecs.BOM_UTF8 + text)):
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        outs.append(tmp_path / name)
+        assert run(command, "--input", str(tmp_path / f"{name}.csv"), "--out", str(outs[-1])) == 0
+    # the manifests name their input files
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.txt")
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.txt")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # per command: the .csv files, the .svg files and the .txt files it writes

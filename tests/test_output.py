@@ -9,9 +9,13 @@ renderer draws the circles of each quarter-pixel cell once and drops
 repeated polyline vertices, so its files must match ``merge_marks`` applied
 to the old renderer's text.
 """
+import codecs
+import errno
 import itertools
 import math
+import os
 import re
+import threading
 import warnings
 from collections import Counter
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal
@@ -389,15 +393,103 @@ DOUBLES = st.one_of(
 )
 
 
+# a chunk of a few records puts a short list through the pool of workers,
+# more than two chunks per worker keeping some in wait
+CHUNKS = st.sampled_from([CHUNK, 1, 2, 3, 7])
+
+
 @settings(max_examples=300, deadline=None)
-@given(x=st.lists(DOUBLES, max_size=30), y=st.lists(DOUBLES, max_size=30))
-def test_float_columns_match_the_fstring_writers(tmp_path_factory, x, y):
+@given(x=st.lists(DOUBLES, max_size=30), y=st.lists(DOUBLES, max_size=30), chunk=CHUNKS)
+def test_float_columns_match_the_fstring_writers(tmp_path_factory, x, y, chunk):
     tmp = tmp_path_factory.mktemp("kernel")
     v = np.array(x, dtype=np.float64)
-    same_bytes(lambda p: write_csv(p, "value", [v]),
-               lambda p: old_write_values_csv(p, v), tmp)
     pts = ts.PointSet2D(np.array(list(zip(x, y)), dtype=np.float64).reshape(-1, 2))
-    same_bytes(pts.write_csv, lambda p: old_point_set_write_csv(pts, p), tmp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "CHUNK", chunk)
+        same_bytes(lambda p: write_csv(p, "value", [v]),
+                   lambda p: old_write_values_csv(p, v), tmp)
+        same_bytes(pts.write_csv, lambda p: old_point_set_write_csv(pts, p), tmp)
+
+
+# any int64, and magnitudes about the 8 and 16 digits that one and two words hold
+INT64S = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-10**8, 10**8),
+                   st.integers(-10**16, 10**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(INT64S, INT64S, DOUBLES), max_size=30), chunk=CHUNKS)
+def test_int_columns_match_the_fstring_writers(tmp_path_factory, rows, chunk):
+    tmp = tmp_path_factory.mktemp("ints")
+    a, b = (np.array([r[j] for r in rows], dtype=np.int64) for j in (0, 1))
+    v = np.array([r[2] for r in rows], dtype=np.float64)
+
+    def old(path):
+        with open(path, "w") as fh:
+            fh.write("a,b,v\n")
+            for i, j, x in zip(a.tolist(), b.tolist(), v.tolist()):
+                fh.write(f"{i},{j},{x:.17g}\n")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "CHUNK", chunk)
+        same_bytes(lambda p: write_csv(p, "a,b,v", [a, b, v]), old, tmp)
+
+
+class TestWorkers:
+    """CSV chunks are formatted, and read, on a pool of worker threads."""
+
+    def test_bytes_and_bits_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        n = 3 * CHUNK + 5
+        m, v = np.arange(n, dtype=np.int64) - CHUNK, mixed(n)
+        written, read = [], []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tabular, "_workers", lambda: workers)
+            path = tmp_path / f"{workers}.csv"
+            write_csv(path, "m,value", [m, v])
+            written.append(path.read_bytes())
+            write_csv(path, "value", [v])
+            read.append(read_csv(path, "value").view(np.uint64))
+        assert written[0] == written[1] == written[2]
+        np.testing.assert_array_equal(read[0], v.view(np.uint64))
+        np.testing.assert_array_equal(read[1], read[0])
+        np.testing.assert_array_equal(read[2], read[0])
+
+    def test_no_thread_outlives_a_call(self, tmp_path):
+        before = threading.active_count()
+        write_csv(tmp_path / "v.csv", "value", [mixed(3 * CHUNK)])
+        assert threading.active_count() == before
+        read_csv(tmp_path / "v.csv", "value")
+        assert threading.active_count() == before
+
+    def test_a_worker_error_reaches_the_caller_unchanged(self, tmp_path, monkeypatch):
+        boom, calls, kernel = RuntimeError("boom"), itertools.count(), tabular._float_fields
+
+        def failing(x):
+            if next(calls) == 2:
+                raise boom
+            return kernel(x)
+
+        monkeypatch.setattr(tabular, "_float_fields", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            write_csv(tmp_path / "v.csv", "value", [mixed(6 * CHUNK)])
+        assert exc.value is boom
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_write_joins_the_pool(self):
+        before = threading.active_count()
+        with pytest.raises(OSError) as exc:
+            write_csv("/dev/full", "value", [mixed(6 * CHUNK)])
+        assert exc.value.errno == errno.ENOSPC
+        assert threading.active_count() == before
+
+    def test_a_failed_read_joins_the_pool(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("value\n" + "1.5\n" * CHUNK + "x1\n" + "2.5\n" * (4 * CHUNK))
+        before = threading.active_count()
+        with pytest.raises(ParseError, match=r"bad value 'x1'$"):
+            read_csv(path, "value")
+        assert threading.active_count() == before
 
 
 class TestKeyvalWriterBytes:
@@ -771,6 +863,10 @@ class TestDecimalKernel:
             raise AssertionError(f"float() fallback on {tok!r}")
 
         monkeypatch.setattr(tabular, "_float", refuse)
+        np.testing.assert_array_equal(read_csv(path, "value").view(np.uint64),
+                                      x.view(np.uint64))
+        # as spreadsheet programs write it: a byte order mark first
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         np.testing.assert_array_equal(read_csv(path, "value").view(np.uint64),
                                       x.view(np.uint64))
 

@@ -135,6 +135,20 @@ def test_cli_import_and_csv_writer_load_no_numpy_ma(tmp_path):
     assert _run_python(code, tmp_path) == "[False, False]"
 
 
+def test_one_chunk_files_start_no_thread_pool(tmp_path):
+    # concurrent.futures takes about 4 ms to import, which every small command would pay
+    code = (
+        "import sys\nimport numpy as np\n" + _cli(["simulate", "--model", "pareto:2", "--n",
+                                                    "1000", "--seed", "1", "--out", "sim"])
+        + _cli(["meplot", "--input", "sim/sample.csv", "--out", "me"])
+        + "from tailscope.tabular import CHUNK, write_csv\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        "write_csv('t.csv', 'x', [np.ones(CHUNK + 1)])\n"
+        "print(loaded + ['concurrent.futures' in sys.modules])\n"
+    )
+    assert _run_python(code, tmp_path) == "[False, True]"
+
+
 # Beta and LogNormal evaluate through scipy.special; only StableSkewed's tail,
 # cdf and quantile load scipy.stats, and only hausdorff_window on two general
 # point sets loads scipy.spatial
