@@ -245,7 +245,9 @@ SPECIAL = np.array([
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 3.0, -7.0,
     1e16, 2.0**53 + 1, math.pi, 1 / 3, 123456789.123456789,
 ])
-LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+# lengths about the end of the first chunk and of the second one
+BOUNDARIES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+LENGTHS = [0, 1, *BOUNDARIES]
 
 
 def mixed(n, seed=0):
@@ -286,7 +288,7 @@ class TestCsvWriterBytes:
         pts = ts.PointSet2D(np.column_stack([mixed(n, 1), mixed(n, 2)]).reshape(-1, 2))
         same_bytes(pts.write_csv, lambda p: old_point_set_write_csv(pts, p), tmp_path)
 
-    @pytest.mark.parametrize("n", [1, CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, CHUNK + 1, 2 * CHUNK + 1])
     def test_int64_trace_columns(self, tmp_path, n):
         m = np.arange(1, n + 1, dtype=np.int64) * 3
         tr = ts.EstimatorTrace("hill", m, mixed(n))
@@ -572,7 +574,7 @@ class TestRenderPlotBytes:
         render_both(tmp_path, [Series(np.column_stack([m, m * m]), "line"),
                                Series(np.column_stack([m, 3 * m]), "scatter")])
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("n", BOUNDARIES)
     def test_chunk_boundaries(self, tmp_path, n):
         path = render_both(tmp_path, [Series(lattice(n), "scatter"),
                                       Series(cloud(n, 3), "line")], **self.LABELS)
