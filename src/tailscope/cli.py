@@ -27,7 +27,8 @@ the command and cost CPU time, and its dot products of more than 10 000
 values would split across as many threads as the host has cores, making
 the output bytes depend on the core count.  CSV files of more than one
 chunk are formatted, and --input samples read, on one worker thread per
-CPU (``tailscope.tabular``); those workers block when idle, and the bytes
+CPU (``tailscope.tabular``), and ``converge`` runs the replicate cells of a
+large grid on the same pool; those workers block when idle, and the bytes
 do not depend on their number either.  ``import tailscope`` loads no
 numpy, so the entry points (``python -m tailscope.cli``, the ``tailscope``
 script) reach this line first; a program that imports numpy before

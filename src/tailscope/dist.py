@@ -102,10 +102,36 @@ def _open_unit(i: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
+# integers drawn per block when only the k largest of them are kept
+_DRAW = 1 << 16
+
+
 def _uniform_open(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
     """Uniforms ``_open_unit(i)`` for n integers i drawn from rng, or with k
-    given for only the k largest of them, in no set order."""
-    return _open_unit(_largest(rng.integers(0, 1 << 53, size=n), k))
+    given for only the k largest of them, in no set order.
+
+    The integers are ``rng.integers(0, 2**53, n)``: each is the stream's next
+    64-bit word shifted right by 11, as Lemire's bounded draw never rejects
+    for a range of 2^53.  With k the words are drawn ``_DRAW`` at a time.
+    One buffer keeps the k largest so far at its end, and of each block only
+    the words above the least of them are partitioned in.  The shift is
+    nondecreasing, so the k largest words give the k largest integers.  A
+    draw holds O(k + ``_DRAW``) words, not n, and leaves the stream where
+    drawing all n at once would.
+    """
+    if k is None:
+        return _open_unit(rng.integers(0, 1 << 53, size=n))
+    words = rng.bit_generator.random_raw
+    block = min(_DRAW, n - k)
+    top = words(block + k)
+    top.partition(block)
+    for drawn in range(block + k, n, _DRAW):
+        new = words(min(block, n - drawn))
+        new = new.compress(new > top[block])
+        if new.size:
+            top[block - new.size:block] = new
+            top[block - new.size:].partition(new.size)
+    return _open_unit((top[block:] >> np.uint64(11)).view(np.int64))
 
 
 def _check_size(n: int, k: int | None = None) -> None:
@@ -247,9 +273,10 @@ class DistributionModel:
     def sample(self, n: int, seed: RandomSeed, k: int | None = None) -> np.ndarray:
         """n draws from the law, or with k given only the k largest of them.
 
-        With k, the same n integers are drawn, in the same stream, and only
-        their k largest are made uniforms and go through the quantile; they
-        come back in no set order, at O(n) for the draw and the partition and
+        With k, the same n integers are drawn, in the same stream, in blocks
+        that keep only the k largest so far (``_uniform_open``); only those
+        are made uniforms and go through the quantile.  They come back in no
+        set order, at O(n) time for the draw and O(k + block) memory, and
         O(k) in the conversion and the quantile.  Where the quantile is
         nondecreasing at the ulp scale, these are the k largest values of
         ``sample(n, seed)`` bit for bit.  Beta's is not: for Beta(2, 2) about

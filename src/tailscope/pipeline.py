@@ -96,7 +96,7 @@ def load_csv(
     converted in one call.  Any other format, a date that is not a canonical
     ISO date, or a value ``float`` refuses sends the rows through the
     row-by-row parsers, so the first bad row is the one reported, by the file
-    line it ends on.
+    line it ends on.  Every ``ParseError`` leads with the path.
     """
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
@@ -106,7 +106,7 @@ def load_csv(
         reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
         try:
             header = next(reader, None)
-            di, vi = _column_indices(header, date_col, value_col)
+            di, vi = _column_indices(path, header, date_col, value_col)
             # as in csv.DictReader: blank lines are skipped, and a row too
             # short for a column gives None
             rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
@@ -117,15 +117,15 @@ def load_csv(
         date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
     else:
         width, cells = plain
-        di, vi = _column_indices(cells[:width], date_col, value_col)
+        di, vi = _column_indices(path, cells[:width], date_col, value_col)
         date_raw, value_raw = cells[width + di::width], cells[width + vi::width]
         # row i of a plain file ends on file line i + 2
         lines = range(2, len(date_raw) + 2)
     dates = _iso_dates(date_raw) if date_format == "%Y-%m-%d" else None
     if dates is None:
-        dates, values = _parse_rows(zip(date_raw, value_raw, lines), date_format)
+        dates, values = _parse_rows(path, zip(date_raw, value_raw, lines), date_format)
     else:
-        values = _parse_values(value_raw, lines)
+        values = _parse_values(path, value_raw, lines)
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
     # a stable sort keeps equal dates in file order, so each repeat after
@@ -134,20 +134,20 @@ def load_csv(
     dates_arr = dates[order]
     repeats = order[1:][dates_arr[1:] == dates_arr[:-1]]
     if repeats.size:
-        raise ParseError(f"duplicate date {dates[repeats.min()]}")
+        raise ParseError(f"{path}: duplicate date {dates[repeats.min()]}")
     values_arr = np.asarray(values, dtype=float)[order]
     if not np.all(np.isfinite(values_arr)):
-        raise ParseError("non-finite value in series")
+        raise ParseError(f"{path}: non-finite value in series")
     return TimeSeries(dates_arr, values_arr)
 
 
-def _column_indices(header: list | None, date_col: str, value_col: str) -> tuple[int, int]:
+def _column_indices(path, header: list | None, date_col: str, value_col: str) -> tuple[int, int]:
     """Where the two columns sit; as in csv.DictReader, a repeated name reads
     its last column."""
     if header is None or date_col not in header:
-        raise ParseError(f"missing column {date_col!r}")
+        raise ParseError(f"{path}: missing column {date_col!r}")
     if value_col not in header:
-        raise ParseError(f"missing column {value_col!r}")
+        raise ParseError(f"{path}: missing column {value_col!r}")
     return tuple(len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
 
 
@@ -219,7 +219,7 @@ def _iso_dates(raw: list) -> np.ndarray | None:
     return months.astype("datetime64[D]") + (day - 1)
 
 
-def _parse_rows(rows, date_format: str) -> tuple[np.ndarray, list]:
+def _parse_rows(path, rows, date_format: str) -> tuple[np.ndarray, list]:
     """Dates by ``strptime`` and values from (date, value, line) rows, failing
     at the first bad row."""
     dates = []
@@ -228,27 +228,27 @@ def _parse_rows(rows, date_format: str) -> tuple[np.ndarray, list]:
         try:
             dates.append(datetime.strptime(d.strip(), date_format).date())
         except (ValueError, AttributeError) as exc:
-            raise ParseError(f"line {lineno}: bad date {d!r}") from exc
-        values.append(_parse_value(lineno, v))
+            raise ParseError(f"{path}: line {lineno}: bad date {d!r}") from exc
+        values.append(_parse_value(path, lineno, v))
     return np.asarray(dates, dtype="datetime64[D]"), values
 
 
-def _parse_values(raw: list, lines) -> np.ndarray:
+def _parse_values(path, raw: list, lines) -> np.ndarray:
     """The values as floats in one call; the first that ``float`` refuses is
     reported by its file line."""
     try:
         return np.fromiter(map(float, raw), float, len(raw))
     except (TypeError, ValueError):
         for lineno, text in zip(lines, raw):
-            _parse_value(lineno, text)
+            _parse_value(path, lineno, text)
         raise
 
 
-def _parse_value(lineno: int, text) -> float:
+def _parse_value(path, lineno: int, text) -> float:
     try:
         return float(text)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"line {lineno}: bad value {text!r}") from exc
+        raise ParseError(f"{path}: line {lineno}: bad value {text!r}") from exc
 
 
 def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:

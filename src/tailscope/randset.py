@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .empirics import (
 )
 from .errors import ConfigError, EmptyWindowError, ParameterError
 from .estimators import ls_fit
-from .tabular import write_csv
+from .tabular import _in_order, write_csv
 
 __all__ = [
     "Window",
@@ -333,24 +334,55 @@ def _top_k(k_fn: Callable[[int], int], n: int) -> int:
 
 def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: RandomSeed,
            k_fn: Callable[[int], int]):
-    """Yield (r, j, k, top k order statistics of an n_grid[j]-sample) for every
-    replication r, with k = k_fn(n_grid[j]) checked just before the cell's draw.
+    """Yield (r, j, k, draw) for every replication r and grid index j, in that
+    order, with k = k_fn(n_grid[j]) checked as the cell is yielded, before
+    its draw; draw() returns the top k order statistics of an n_grid[j]-sample.
 
     Each (r, j) cell draws from its own Philox stream, seed.stream + r *
     len(n_grid) + j, so the result does not depend on evaluation order.  A
-    cell draws all n uniforms of that stream, as ``model.sample(n, cell)``
-    would, but only the k largest go through the quantile
-    (``model.sample(n, cell, k)``).  Every normalizer reads only them: X_(1)
-    to X_(k), and strict exceedance counts over thresholds at or above X_(k).
-    Where the quantile is nondecreasing at the ulp scale (see
-    ``DistributionModel.sample``), these are the full sample's k largest, so
-    each distance, slope and intercept is bit for bit that of all n values.
+    cell draws all n integers of that stream, as ``model.sample(n, cell)``
+    would, in blocks that keep only the k largest (``dist._uniform_open``),
+    and only those go through the quantile (``model.sample(n, cell, k)``).
+    Every normalizer reads only them: X_(1) to X_(k), and strict exceedance
+    counts over thresholds at or above X_(k).  Where the quantile is
+    nondecreasing at the ulp scale (see ``DistributionModel.sample``), these
+    are the full sample's k largest, so each distance, slope and intercept is
+    bit for bit that of all n values.
     """
     for r in range(reps):
         for j, n in enumerate(n_grid):
             k = _top_k(k_fn, int(n))
             cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
-            yield r, j, k, order_statistics(model.sample(int(n), cell, k))
+            yield r, j, k, partial(_draw, model, int(n), cell, k)
+
+
+def _draw(model: DistributionModel, n: int, cell: RandomSeed, k: int) -> np.ndarray:
+    return order_statistics(model.sample(n, cell, k))
+
+
+# A grid whose cells draw fewer values than this in all runs them on the
+# calling thread: starting the pool takes about 4 ms, about what a second
+# worker saves on that many draws.
+_POOLED = 1 << 20
+
+
+def _replicate(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: RandomSeed,
+               k_fn: Callable[[int], int], measure: Callable) -> list:
+    """measure(k, top k order statistics) for every cell of ``_cells``, in
+    (r, j) order.
+
+    Cells run on ``tabular``'s pool, one worker per CPU, each cell's draw
+    and measure together; the results are taken in (r, j) order on the
+    calling thread, so they do not depend on the number of workers.  The
+    first cell in that order that fails, at its k check, its draw or its
+    measure, raises, as it would in a loop over the cells: every cell before
+    it runs to completion, and no cell after a failed check is drawn.
+    """
+    out = []
+    pooled = reps * sum(map(int, n_grid)) >= _POOLED
+    _in_order(lambda cell: measure(cell[2], cell[3]()),
+              _cells(model, n_grid, reps, seed, k_fn), out.append, pooled)
+    return out
 
 
 @dataclass(frozen=True)
@@ -431,15 +463,13 @@ def run_convergence(
         raise ConfigError(f"the {case} limit for shape {xi:g} misses the window {w}; "
                           "pass a --window that it crosses")
 
-    dist = np.empty((reps, len(n_grid)))
-    missed = 0
-    for r, j, k, sample in _cells(model, n_grid, reps, seed, k_fn):
-        cloud = spec.normalize(sample, k)
+    def measure(k, sample):
         try:
-            dist[r, j] = hausdorff_window(cloud, limit_pts, window)
+            return hausdorff_window(spec.normalize(sample, k), limit_pts, window), False
         except EmptyWindowError:  # the limit is inside the window, so the cloud missed it
-            dist[r, j] = window.diag
-            missed += 1
+            return window.diag, True
+
+    dist, missed = zip(*_replicate(model, n_grid, reps, seed, k_fn, measure))
     return ConvergenceReport(
         model.label(),
         case,
@@ -448,8 +478,8 @@ def run_convergence(
         window,
         resolution,
         seed,
-        dist,
-        missed,
+        np.reshape(dist, (reps, len(n_grid))),
+        sum(missed),
     )
 
 
@@ -484,16 +514,15 @@ def intercept_experiment(
     k = _top_k(k_fn, int(n))
     b_nk = quantile_b(model, n / k)
     b_n = quantile_b(model, float(n))
-    slopes = np.empty(reps)
-    intercepts = np.empty(reps)
-    dropped = np.empty(reps, dtype=int)
-    for r, _, _, sample in _cells(model, (n,), reps, seed, k_fn):
+
+    def measure(k, sample):
         cloud = normalize_heavy(sample, k, b_nk, b_n)
         ok = (cloud.x > 0) & (cloud.y > 0)
-        dropped[r] = int(np.count_nonzero(~ok))
         fit = ls_fit(np.column_stack([np.log(cloud.x[ok]), np.log(cloud.y[ok])]), "raw")
-        slopes[r] = fit.slope
-        intercepts[r] = fit.intercept
+        return fit.slope, fit.intercept, int(np.count_nonzero(~ok))
+
+    slopes, intercepts, dropped = zip(*_replicate(model, (n,), reps, seed, k_fn, measure))
     limit_law = PositiveStable(xi)
     reference = np.log(limit_law.sample(reps, seed.with_stream(seed.stream + reps)))
-    return InterceptResult(slopes, intercepts, reference, dropped)
+    return InterceptResult(np.array(slopes, dtype=float), np.array(intercepts, dtype=float),
+                           reference, np.array(dropped, dtype=int))

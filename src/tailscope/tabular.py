@@ -49,7 +49,8 @@ calling thread writes them in file order, with at most two chunks per
 worker in flight.  The numpy steps release the interpreter lock, so the
 workers run side by side, and each chunk's bytes are those of formatting
 it alone, so the file does not depend on the number of workers.  A file of
-one chunk is formatted on the calling thread, with no pool.
+one chunk, or any file on one CPU, is formatted on the calling thread, with
+no pool.  ``randset`` runs its replicate cells on the same pool.
 
 ``read_csv`` reads the file once as bytes, less one leading UTF-8 byte
 order mark.  A plain file, ASCII with no comma and no control or space byte
@@ -119,7 +120,7 @@ def write_csv(path, header: str, columns) -> None:
     n = cols[0].shape[0]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        _in_order(partial(_rows, cols), range(0, n, CHUNK), fh.write)
+        _in_order(partial(_rows, cols), range(0, n, CHUNK), fh.write, n > CHUNK)
 
 
 def _workers() -> int:
@@ -130,24 +131,38 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _in_order(work, parts, take) -> None:
+def _in_order(work, parts, take, pooled: bool) -> None:
     """``take(work(p))`` for each p of parts, in order.
 
-    With more than one part, work runs on a pool of ``_workers()`` threads,
-    with at most two parts per worker in flight, and take on the calling
-    thread.  The pool is joined before this returns or raises.
+    If pooled and ``_workers()`` is more than one, work runs on a pool of
+    that many threads, with at most two parts per worker in flight, and take
+    on the calling thread.  parts may be any iterable; the next part is
+    drawn from it only when it can be submitted, and an error that drawing
+    it raises is raised once every part before it has been taken.  So the
+    error raised, unchanged, is the first in order of take, work and the
+    iteration, as a plain loop over the parts would raise it.  The pool is
+    joined before this returns or raises.
     """
-    if len(parts) < 2:
+    workers = _workers() if pooled else 1
+    if workers == 1:
         for p in parts:
             take(work(p))
         return
     from concurrent.futures import ThreadPoolExecutor  # about 4 ms to import
 
-    workers = _workers()
     pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    failed = None
     try:
-        pending = deque()
-        for p in parts:
+        parts = iter(parts)
+        while True:
+            try:
+                p = next(parts)
+            except StopIteration:
+                break
+            except Exception as exc:  # raised once the parts before it are taken
+                failed = exc
+                break
             if len(pending) == 2 * workers:
                 take(pending.popleft().result())
             pending.append(pool.submit(work, p))
@@ -155,6 +170,8 @@ def _in_order(work, parts, take) -> None:
             take(pending.popleft().result())
     finally:
         pool.shutdown(cancel_futures=True)
+    if failed is not None:
+        raise failed
 
 
 def _rows(cols, start: int) -> np.ndarray:
@@ -464,7 +481,7 @@ def read_csv(path, header: str) -> np.ndarray:
             values[i] = _float(path, data[end - lens[part.start + i]:end].decode())
         out[part] = values
 
-    _in_order(read, range(0, ends.size, CHUNK), take)
+    _in_order(read, range(0, ends.size, CHUNK), take, ends.size > CHUNK)
     return out
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tailscope as ts
-from tailscope import randset
+from tailscope import randset, tabular
 from tailscope.cli import main, parse_model
 from tailscope.errors import ConfigError
 from tailscope.svgplot import Series, render_plot
@@ -359,6 +359,24 @@ class TestConverge:
         assert (out / "convergence.svg").exists()
         assert "converge: medians n=1000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("model, case", [
+        ("pareto:2", "positive"), ("beta:2,2", "negative"), ("exp:1", "zero"),
+    ])
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys, monkeypatch,
+                                                      model, case):
+        monkeypatch.setattr(randset, "_POOLED", 0)  # the pool, however small the grid
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tabular, "_workers", lambda: workers)
+            out = tmp_path / str(workers)
+            assert run("converge", "--model", model, "--case", case, "--n-grid",
+                       "1000,10000,100000", "--reps", "3", "--seed", "9",
+                       "--out", str(out)) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            runs.append((capsys.readouterr().out, files))
+        assert sorted(runs[0][1]) == ["convergence.svg", "distances.csv", "manifest.txt"]
+        assert runs[0] == runs[1] == runs[2]
+
     def test_case_model_mismatch_is_config_error(self, tmp_path, capsys):
         assert run("converge", "--model", "beta:2,2", "--case", "positive",
                    "--n-grid", "1000", "--reps", "1", "--out", str(tmp_path / "x")) == 2
@@ -461,12 +479,12 @@ class TestConverge:
         grid = ts.discretize(ts.limit_set("positive", 0.5), window, 512)
         model = parse_model("pareto:2")
         cells = randset._cells(model, (1000, 10000), 4, ts.RandomSeed(36), ts.default_k)
-        for (r, j, k, sample), (rep, n, d) in zip(cells, rows):
+        for (r, j, k, draw), (rep, n, d) in zip(cells, rows):
             assert (rep, n) == (r, (1000, 10000)[j])
             if (r, j) == (3, 0):
                 assert d == math.sqrt(20.0) == window.diag
             else:
-                cloud = randset._CASES["positive"].normalize(sample, k)
+                cloud = randset._CASES["positive"].normalize(draw(), k)
                 assert d == ts.hausdorff_window(cloud, grid, window)
         assert "; 1 of 8 cells missed the window" in capsys.readouterr().out
         assert "missed" not in (out / "manifest.txt").read_text()

@@ -573,6 +573,38 @@ def test_sample_converts_only_the_top_k_integers(monkeypatch):
     assert converted == [(5000, "i")]
 
 
+@st.composite
+def blocked_sizes(draw):
+    """(n, k) with 1 <= k <= n: n at or next to a multiple of the block, or
+    the first k values and such a multiple, or below one block; k up to past
+    one block."""
+    from tailscope.dist import _DRAW
+
+    k = draw(st.integers(1, _DRAW + 3))
+    near = st.builds(lambda m, d, after_k: m * _DRAW + d + after_k * k,
+                     st.integers(0, 3), st.integers(-1, 1), st.booleans())
+    n = draw(st.one_of(near, st.integers(1, _DRAW - 1)).filter(lambda n: n >= k))
+    return n, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=blocked_sizes(), stream=st.integers(0, 2**64 - 1))
+@example(size=(1, 1), stream=0)
+@example(size=(1 << 16, 1 << 16), stream=1)
+@example(size=(3 << 16, (1 << 16) + 1), stream=2)
+@example(size=(4 << 16, 7), stream=3)
+def test_blocked_top_k_are_the_k_largest_of_one_draw(size, stream):
+    from tailscope import dist
+
+    n, k = size
+    seed = ts.RandomSeed(41, stream)
+    blocked, whole = seed.generator(), seed.generator()
+    top = np.sort(dist._uniform_open(blocked, n, k))
+    full = np.sort(whole.integers(0, 1 << 53, size=n))[n - k:]
+    assert _same_bits(top, dist._open_unit(full))
+    assert blocked.bit_generator.random_raw() == whole.bit_generator.random_raw()
+
+
 # The laws whose formulas come from scipy.special equal the frozen scipy.stats
 # laws bit for bit.  The Beta shapes exclude (3, 0.5) and (0.5, 3): there
 # scipy.stats' ppf fails within 2.9e-8 of 1 and of 0 respectively (see below).

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import time
 import warnings
 from datetime import date, datetime, timedelta
@@ -92,19 +93,19 @@ def old_load_csv(path, date_col="date", value_col="value", date_format="%Y-%m-%d
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or date_col not in reader.fieldnames:
-            raise ParseError(f"missing column {date_col!r}")
+            raise ParseError(f"{path}: missing column {date_col!r}")
         if value_col not in reader.fieldnames:
-            raise ParseError(f"missing column {value_col!r}")
+            raise ParseError(f"{path}: missing column {value_col!r}")
         for row in reader:
             lineno = reader.line_num
             try:
                 d = datetime.strptime(row[date_col].strip(), date_format).date()
             except (ValueError, AttributeError) as exc:
-                raise ParseError(f"line {lineno}: bad date {row[date_col]!r}") from exc
+                raise ParseError(f"{path}: line {lineno}: bad date {row[date_col]!r}") from exc
             try:
                 v = float(row[value_col])
             except (TypeError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: bad value {row[value_col]!r}") from exc
+                raise ParseError(f"{path}: line {lineno}: bad value {row[value_col]!r}") from exc
             dates.append(d)
             values.append(v)
     if len(values) < 2:
@@ -112,14 +113,19 @@ def old_load_csv(path, date_col="date", value_col="value", date_format="%Y-%m-%d
     seen: set = set()
     for d in dates:
         if d in seen:
-            raise ParseError(f"duplicate date {d.isoformat()}")
+            raise ParseError(f"{path}: duplicate date {d.isoformat()}")
         seen.add(d)
     order = np.argsort(np.asarray(dates))
     dates_arr = np.asarray(dates, dtype="datetime64[D]")[order]
     values_arr = np.asarray(values, dtype=float)[order]
     if not np.all(np.isfinite(values_arr)):
-        raise ParseError("non-finite value in series")
+        raise ParseError(f"{path}: non-finite value in series")
     return ts.TimeSeries(dates_arr, values_arr)
+
+
+def names(path, message):
+    """The pattern of a ParseError that leads with path, then says message."""
+    return f"^{re.escape(str(path))}: {re.escape(message)}$"
 
 
 def outcome(load, path):
@@ -242,7 +248,7 @@ class TestLoadCsv:
         p = write_series_csv(
             tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02,oops", "2001-1-3,3", "2001-01-04,4"]
         )
-        with pytest.raises(ParseError, match="^line 3: bad value 'oops'$"):
+        with pytest.raises(ParseError, match=names(p, "line 3: bad value 'oops'")):
             ts.load_csv(p)
         assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
 
@@ -250,29 +256,29 @@ class TestLoadCsv:
         p = write_series_csv(
             tmp_path / "s.csv", ["2001-01-01,1", " 0000-01-02,2", "2001-01-03,x"]
         )
-        with pytest.raises(ParseError, match="^line 3: bad date ' 0000-01-02'$"):
+        with pytest.raises(ParseError, match=names(p, "line 3: bad date ' 0000-01-02'")):
             ts.load_csv(p)
 
     def test_bad_value_names_its_file_line_past_blank_lines(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("date,value\n2001-01-01,1.0\n\n\n2001-01-02,abc\n")
-        with pytest.raises(ParseError, match="^line 5: bad value 'abc'$"):
+        with pytest.raises(ParseError, match=names(p, "line 5: bad value 'abc'")):
             ts.load_csv(p)
 
     def test_bad_date_names_its_file_line_past_blank_lines(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("date,value\n\n01/01/2001,1.0\n\n02/13/2001,2.0\n")
-        with pytest.raises(ParseError, match="^line 5: bad date '02/13/2001'$"):
+        with pytest.raises(ParseError, match=names(p, "line 5: bad date '02/13/2001'")):
             ts.load_csv(p, date_format="%d/%m/%Y")
         p.write_text("date,value\n\n01/01/2001,1.0\n\n02/01/2001,x\n")
-        with pytest.raises(ParseError, match="^line 5: bad value 'x'$"):
+        with pytest.raises(ParseError, match=names(p, "line 5: bad value 'x'")):
             ts.load_csv(p, date_format="%d/%m/%Y")
 
     def test_timezone_suffix_is_a_bad_date_without_a_warning(self, tmp_path):
         p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02T00Z,2"])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ParseError, match="^line 3: bad date '2001-01-02T00Z'$"):
+            with pytest.raises(ParseError, match=names(p, "line 3: bad date '2001-01-02T00Z'")):
                 ts.load_csv(p)
         assert not caught, [str(w.message) for w in caught]
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import tailscope as ts
-from tailscope import randset
+from tailscope import randset, tabular
 from tailscope.errors import (
     ConfigError,
     EmptyExceedanceError,
@@ -31,6 +32,16 @@ def pset(arr):
 
 
 WIDE = ts.Window(-100.0, 100.0, -100.0, 100.0)
+
+
+@pytest.fixture
+def on_pool(monkeypatch):
+    """use(workers) runs every grid's cells on a pool of that many threads,
+    however few values the grid draws (one worker runs them in order)."""
+    def use(workers):
+        monkeypatch.setattr(randset, "_POOLED", 0)
+        monkeypatch.setattr(tabular, "_workers", lambda: workers)
+    return use
 
 
 class TestWindow:
@@ -554,6 +565,7 @@ class TestRunConvergence:
         assert full.missed == 0
 
     def test_quantile_sees_at_most_k_points_per_cell(self, monkeypatch):
+        monkeypatch.setattr(tabular, "_workers", lambda: 1)  # cells one by one, in order
         for model, case in ((ts.Pareto(2), "positive"), (ts.Beta(2, 2), "negative"),
                             (ts.Exponential(1), "zero")):
             sizes = []
@@ -566,6 +578,137 @@ class TestRunConvergence:
             monkeypatch.setattr(type(model), "quantile", spy)
             ts.run_convergence(model, case, (1000, 20_000), 3, ts.RandomSeed(4))
             assert sizes == [ts.default_k(1000), ts.default_k(20_000)] * 3
+
+
+    def test_quantile_sees_at_most_k_points_per_cell_on_two_workers(self, on_pool, monkeypatch):
+        on_pool(2)
+        for model, case in ((ts.Pareto(2), "positive"), (ts.Beta(2, 2), "negative"),
+                            (ts.Exponential(1), "zero")):
+            sizes, threads = [], set()
+            quantile = type(model).quantile
+
+            def spy(self, p, quantile=quantile):
+                sizes.append(np.size(p))
+                threads.add(threading.current_thread())
+                return quantile(self, p)
+
+            monkeypatch.setattr(type(model), "quantile", spy)
+            ts.run_convergence(model, case, (1000, 20_000), 3, ts.RandomSeed(4))
+            assert sorted(sizes) == sorted([ts.default_k(1000), ts.default_k(20_000)] * 3)
+            assert threading.main_thread() not in threads
+
+    def test_k_is_checked_against_n_before_its_draw_on_two_workers(self, on_pool, monkeypatch):
+        # the cells before a bad n run to completion on the pool; none after it is drawn
+        on_pool(2)
+        model = ts.Pareto(2)
+        drawn = []
+        sample = model.sample
+
+        def spy(n, seed, k=None):
+            drawn.append(n)
+            return sample(n, seed, k)
+
+        monkeypatch.setattr(model, "sample", spy)
+        for grid, k_rule, err, message, before in [
+            ((1000,), 0.1, IndexRangeError, "k=1 outside 2..1000", []),
+            ((5000, 2), None, IndexRangeError, "k=1 outside 2..2", [5000]),
+            ((1, 1000), 0.1, InsufficientDataError, "need at least two observations", []),
+            ((1000, 0), None, ParameterError, "n must be positive", [1000]),
+            ((1000, 3000, 5000, 2), None, IndexRangeError, "k=1 outside 2..2",
+             [1000, 3000, 5000]),
+        ]:
+            drawn.clear()
+            with pytest.raises(err) as caught:
+                ts.run_convergence(model, "positive", grid, 2, ts.RandomSeed(0), k_rule=k_rule)
+            assert str(caught.value) == message
+            assert sorted(drawn) == before  # the workers append in any order
+
+    def test_an_earlier_cell_error_comes_before_a_bad_k_on_two_workers(self, on_pool):
+        on_pool(2)
+        with pytest.raises(EmptyExceedanceError, match="tied maxima leave no strict exceedances"):
+            ts.run_convergence(ts.GPD(-5.0), "negative", (1000, 2), 1, ts.RandomSeed(0))
+
+    def test_the_first_failing_cell_in_order_is_the_error(self, on_pool, monkeypatch):
+        # cell 1 fails slowly and cell 2 at once: cell 1's error is the one raised
+        on_pool(2)
+        model = ts.Pareto(2)
+        slow, fast = RuntimeError("cell 1"), RuntimeError("cell 2")
+        sample = model.sample
+
+        def failing(n, seed, k=None):
+            if seed.stream == 1:
+                threading.Event().wait(0.05)
+                raise slow
+            if seed.stream == 2:
+                raise fast
+            return sample(n, seed, k)
+
+        monkeypatch.setattr(model, "sample", failing)
+        with pytest.raises(RuntimeError) as caught:
+            ts.run_convergence(model, "positive", (1000, 2000, 3000, 4000), 1, ts.RandomSeed(0))
+        assert caught.value is slow
+
+
+class TestWorkers:
+    """Replicate cells run on the tabular pool."""
+
+    @pytest.mark.parametrize("model, case, k_rule", [
+        (ts.Pareto(2), "positive", None), (ts.Beta(2, 2), "negative", None),
+        (ts.Exponential(1), "zero", None), (ts.GPD(-0.5), "negative", 0.5),
+    ])
+    def test_distances_do_not_depend_on_the_worker_count(self, on_pool, model, case, k_rule):
+        runs = []
+        for workers in (1, 2, 3):
+            on_pool(workers)
+            rep = ts.run_convergence(model, case, (1000, 5000, 30_000), 4, ts.RandomSeed(31, 5),
+                                     k_rule=k_rule)
+            runs.append((digest(rep.distances), rep.missed))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_intercept_experiment_does_not_depend_on_the_worker_count(self, on_pool):
+        fields = ("slopes", "intercepts", "reference", "dropped")
+        runs = []
+        for workers in (1, 2, 3):
+            on_pool(workers)
+            res = ts.intercept_experiment(ts.Pareto(0.5), 20_000, 12, ts.RandomSeed(7, 700))
+            runs.append(digest(*(getattr(res, f) for f in fields)))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_no_thread_outlives_a_run(self, on_pool, monkeypatch):
+        on_pool(2)
+        before = threading.active_count()
+        ts.run_convergence(ts.Pareto(2), "positive", (1000, 5000), 3, ts.RandomSeed(1))
+        assert threading.active_count() == before
+        with pytest.raises(IndexRangeError):
+            ts.run_convergence(ts.Pareto(2), "positive", (5000, 2), 3, ts.RandomSeed(1))
+        assert threading.active_count() == before
+        model, boom, calls = ts.Pareto(2), RuntimeError("boom"), []
+        sample = model.sample
+
+        def failing(n, seed, k=None):
+            calls.append(n)
+            if len(calls) == 3:
+                raise boom
+            return sample(n, seed, k)
+
+        monkeypatch.setattr(model, "sample", failing)
+        with pytest.raises(RuntimeError) as caught:
+            ts.run_convergence(model, "positive", (1000, 5000), 4, ts.RandomSeed(1))
+        assert caught.value is boom
+        assert threading.active_count() == before
+
+    def test_a_small_grid_runs_on_the_calling_thread(self, monkeypatch):
+        threads = set()
+        quantile = ts.Pareto.quantile
+
+        def spy(self, p):
+            threads.add(threading.current_thread())
+            return quantile(self, p)
+
+        monkeypatch.setattr(ts.Pareto, "quantile", spy)
+        monkeypatch.setattr(tabular, "_workers", lambda: 2)
+        ts.run_convergence(ts.Pareto(2), "positive", (1000, 10_000), 4, ts.RandomSeed(1))
+        assert threads == {threading.current_thread()}
 
 
 def old_cells(model, n_grid, reps, seed):
@@ -594,12 +737,20 @@ class TestTopKCells:
 
     @pytest.fixture
     def full_cells(self, monkeypatch):
+        """Plug old_cells in; use() returns the list of sample sizes that the
+        run took from it, one per cell drawn."""
+        taken = []
+
         def full(model, n_grid, reps, seed, k_fn):
             for r, j, sample in old_cells(model, n_grid, reps, seed):
-                yield r, j, k_fn(sample.n), sample
+                def draw(sample=sample):
+                    taken.append(sample.n)
+                    return sample
+                yield r, j, k_fn(sample.n), draw
 
         def use():
             monkeypatch.setattr(randset, "_cells", full)
+            return taken
         return use
 
     @pytest.mark.parametrize("model, case, k_rule", [
@@ -610,14 +761,16 @@ class TestTopKCells:
     def test_run_convergence(self, full_cells, model, case, k_rule):
         args = (model, case, (1000, 5000, 30_000), 4, ts.RandomSeed(31, 5))
         top = ts.run_convergence(*args, k_rule=k_rule).distances
-        full_cells()
+        taken = full_cells()
         assert digest(top) == digest(ts.run_convergence(*args, k_rule=k_rule).distances)
+        assert sorted(taken) == [1000] * 4 + [5000] * 4 + [30_000] * 4
 
     def test_intercept_experiment_of_criterion_07(self, full_cells):
         args = (ts.Pareto(0.5), 50_000, 50, ts.RandomSeed(7, 700))
         top = ts.intercept_experiment(*args)
-        full_cells()
+        taken = full_cells()
         full = ts.intercept_experiment(*args)
+        assert taken == [50_000] * 50
         fields = ("slopes", "intercepts", "reference", "dropped")
         assert digest(*(getattr(top, f) for f in fields)) == digest(
             *(getattr(full, f) for f in fields))
