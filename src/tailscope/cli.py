@@ -2,9 +2,10 @@
 
 Subcommands: simulate, meplot, estimate, converge, analyze.  ``build_parser``
 declares each option once, with its type and default (``--help`` shows it).
-A config file (--config) holds key=value lines and ``#`` comments, with ``-``
-or ``_`` alike in keys; the keys that name an option of the subcommand become
-its argparse defaults, so flags win, argparse converts the values as it
+A config file (--config), read as input files are (a leading byte order mark
+is dropped), holds key=value lines and ``#`` comments, with ``-`` or ``_``
+alike in keys; the keys that name an option of the subcommand become its
+argparse defaults, so flags win, argparse converts the values as it
 converts flags, and other keys are ignored.  The seed falls back to the
 TAILSCOPE_SEED environment variable, then 0.  ``meplot`` and ``estimate``
 read --input or draw from --model/--n/--seed/--stream, and refuse a run that
@@ -17,8 +18,8 @@ writes as (file name, writer) pairs, with its stdout line.  ``_emit`` alone
 creates --out, writes those files and prints the line, so a failed run
 leaves no directory.  A .csv or .svg file is written only when --format
 lists its kind (``simulate`` takes no --format and writes its CSV), and a
-.txt file always.  Configuration errors, a bad --format included, are
-reported before any input is read or sampled.
+.txt file always.  Configuration errors, among them a bad --format, --m below 1
+and a --trim no sample admits, are reported before any input is read or sampled.
 
 BLAS runs on one thread.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 before it imports numpy, unless the variable is
@@ -65,7 +66,7 @@ from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace  # 
 from .pipeline import analyze_series, load_csv  # noqa: E402
 from .randset import Window, run_convergence  # noqa: E402
 from .svgplot import Series, render_plot  # noqa: E402
-from .tabular import read_csv, write_csv, write_keyvals  # noqa: E402
+from .tabular import _read_bytes, _text_lines, read_csv, write_csv, write_keyvals  # noqa: E402
 
 ENV_SEED = "TAILSCOPE_SEED"
 
@@ -108,17 +109,18 @@ def parse_model(spec: str) -> DistributionModel:
 def read_config(path: str) -> dict:
     cfg = {}
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                cfg[key.strip().replace("-", "_")] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
+        for lineno, line in enumerate(_text_lines(path, _read_bytes(path)), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            cfg[key.strip().replace("-", "_")] = value.strip()
+    except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ParseError as exc:  # it leads with the path
+        raise ConfigError(f"cannot read config {exc}") from exc
     return cfg
 
 
@@ -150,15 +152,18 @@ def _parse_formats(raw: str) -> set:
 
 def _parse_trim(raw: str) -> tuple[int, int | None] | None:
     """imin:imax, either side optional: imin defaults to 2, imax (None) to n;
-    empty for the default trim.  Like every argparse type here, it raises
-    ConfigError, which main reports with exit code 2."""
+    empty for the default trim; one no sample admits is refused.  Like every
+    argparse type here, it raises ConfigError, which main reports with exit code 2."""
     if not raw:
         return None
     try:
         a, _, b = raw.partition(":")
-        return int(a) if a else 2, int(b) if b else None
+        i_min, i_max = int(a) if a else 2, int(b) if b else None
     except ValueError as exc:
         raise ConfigError(f"bad trim {raw!r}; expected imin:imax") from exc
+    if i_min < 2 or (i_max is not None and i_max < i_min):
+        raise ConfigError(f"bad trim {raw!r}; need 2 <= imin <= imax")
+    return i_min, i_max
 
 
 def _parse_window(raw: str) -> Window | None:
@@ -184,14 +189,20 @@ def _parse_grid(raw: str) -> list[int]:
     return grid
 
 
-def _parse_p_max(raw: str) -> int:
-    try:
-        p_max = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad p-max {raw!r}") from exc
-    if p_max < 0:
-        raise ConfigError(f"p_max must be nonnegative, got {p_max}")
-    return p_max
+def _int_at_least(name: str, least: int, rule: str):
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} {raw!r}") from exc
+        if value < least:
+            raise ConfigError(f"{name.replace('-', '_')} must be {rule}, got {value}")
+        return value
+    return parse
+
+
+def _m_ref(args: argparse.Namespace, n: int) -> int:
+    return max(2, n // 10) if args.m is None else args.m
 
 
 def manifest_pairs(command: str, params: dict) -> list[tuple]:
@@ -309,7 +320,7 @@ def cmd_estimate(args: argparse.Namespace):
         raise ConfigError("stride must be positive")
     values, meta = _load_sample(args)
     sample = order_statistics(values)
-    m_ref = max(2, sample.n // 10) if args.m is None else args.m
+    m_ref = _m_ref(args, sample.n)
 
     traces = {kind: trace(sample, kind, stride=args.stride)
               for kind in ("hill", "pickands", "moment")}
@@ -375,7 +386,7 @@ def cmd_analyze(args: argparse.Namespace):
     an = analyze_series(ts, p_max)
     model, fit, sample = an.model, an.me_fit, an.sample
     order, (i_min, i_max) = model.order, an.trim
-    m_ref = max(2, sample.n // 10) if args.m is None else args.m
+    m_ref = _m_ref(args, sample.n)
     scale = an.profile.scale
     days = sorted(scale)
     return [
@@ -437,7 +448,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--input": dict(help="input CSV: a value column (in place of --model, --n, --seed "
                         "and --stream), or for analyze date and value columns"),
         "--trim": dict(type=_parse_trim, help="imin:imax order-statistic range"),
-        "--m": dict(type=int, help="reference m for point estimates (default max(2, n // 10))"),
+        "--m": dict(type=_int_at_least("m", 1, "positive"),
+                    help="reference m for point estimates (default max(2, n // 10))"),
         "--stride": dict(type=int, default=1, help="trace stride (default %(default)s)"),
         "--case": dict(help="positive, negative or zero"),
         "--n-grid": dict(type=_parse_grid, help="comma list of sample sizes"),
@@ -448,7 +460,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--date-col": dict(default="date", help="date column (default %(default)s)"),
         "--value-col": dict(default="value", help="value column (default %(default)s)"),
         "--date-format": dict(default="%Y-%m-%d", help="date format (default %(default)s)"),
-        "--p-max": dict(type=_parse_p_max, default=10, help="max AR order (default %(default)s)"),
+        "--p-max": dict(type=_int_at_least("p-max", 0, "nonnegative"), default=10,
+                        help="max AR order (default %(default)s)"),
     }
     parser = argparse.ArgumentParser(
         prog="tailscope", description="Mean excess plot diagnostics for heavy-tailed data")

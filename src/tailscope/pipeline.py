@@ -9,9 +9,7 @@ the innovation tail survives every stage.
 """
 from __future__ import annotations
 
-import codecs
 import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -28,6 +26,7 @@ from .errors import (
     ParseError,
 )
 from .estimators import FitResult, _unit_scaled, ls_fit
+from .tabular import _float, _floats, _read_bytes, _text_lines
 
 __all__ = [
     "TimeSeries",
@@ -89,31 +88,26 @@ def load_csv(
 ) -> TimeSeries:
     """Read a dated series from CSV; strictly increasing unique dates.
 
-    The file is read as bytes once, less one leading UTF-8 byte order mark.
-    A plain file (see ``_plain_cells``) is split into its cells in one call;
-    any other is read by ``csv.reader``.
-    Dates in the default ISO format are read from their digits and the values
-    converted in one call.  Any other format, a date that is not a canonical
-    ISO date, or a value ``float`` refuses sends the rows through the
-    row-by-row parsers, so the first bad row is the one reported, by the file
-    line it ends on.  Every ``ParseError`` leads with the path.
+    The file is read by the input rules of ``tabular``.  A plain file (see
+    ``_plain_cells``) is split into its cells in one call; any other is
+    decoded as ``csv.reader`` reads it, so a missing column is reported before
+    a later byte that does not decode.  ISO dates, the default format, are
+    read from their digits and the values converted in one call.  Other
+    formats, dates that are not canonical, and values ``float`` refuses send
+    the rows through the row-by-row parsers, so the first bad row is the one
+    reported, by the file line it ends on.  Every ``ParseError`` leads with the path.
     """
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    data = _read_bytes(path)
     plain = _plain_cells(data)
     if plain is None:
         # as open(path, newline="") reads the file
-        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
-        try:
-            header = next(reader, None)
-            di, vi = _column_indices(path, header, date_col, value_col)
-            # as in csv.DictReader: blank lines are skipped, and a row too
-            # short for a column gives None
-            rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
-                     reader.line_num) for r in reader if r]
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not {exc.encoding} text "
-                             f"(byte {exc.object[exc.start]:#04x})") from exc
+        reader = csv.reader(_text_lines(path, data, newline=""))
+        header = next(reader, None)
+        di, vi = _column_indices(path, header, date_col, value_col)
+        # as in csv.DictReader: blank lines are skipped, and a row too short
+        # for a column gives None
+        rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
+                 reader.line_num) for r in reader if r]
         date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
     else:
         width, cells = plain
@@ -125,7 +119,7 @@ def load_csv(
     if dates is None:
         dates, values = _parse_rows(path, zip(date_raw, value_raw, lines), date_format)
     else:
-        values = _parse_values(path, value_raw, lines)
+        values = _floats(path, value_raw, lines)
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
     # a stable sort keeps equal dates in file order, so each repeat after
@@ -144,10 +138,9 @@ def load_csv(
 def _column_indices(path, header: list | None, date_col: str, value_col: str) -> tuple[int, int]:
     """Where the two columns sit; as in csv.DictReader, a repeated name reads
     its last column."""
-    if header is None or date_col not in header:
-        raise ParseError(f"{path}: missing column {date_col!r}")
-    if value_col not in header:
-        raise ParseError(f"{path}: missing column {value_col!r}")
+    for col in (date_col, value_col):
+        if header is None or col not in header:
+            raise ParseError(f"{path}: missing column {col!r}")
     return tuple(len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
 
 
@@ -229,26 +222,8 @@ def _parse_rows(path, rows, date_format: str) -> tuple[np.ndarray, list]:
             dates.append(datetime.strptime(d.strip(), date_format).date())
         except (ValueError, AttributeError) as exc:
             raise ParseError(f"{path}: line {lineno}: bad date {d!r}") from exc
-        values.append(_parse_value(path, lineno, v))
+        values.append(_float(path, v, f"line {lineno}: "))
     return np.asarray(dates, dtype="datetime64[D]"), values
-
-
-def _parse_values(path, raw: list, lines) -> np.ndarray:
-    """The values as floats in one call; the first that ``float`` refuses is
-    reported by its file line."""
-    try:
-        return np.fromiter(map(float, raw), float, len(raw))
-    except (TypeError, ValueError):
-        for lineno, text in zip(lines, raw):
-            _parse_value(path, lineno, text)
-        raise
-
-
-def _parse_value(path, lineno: int, text) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: line {lineno}: bad value {text!r}") from exc
 
 
 def deseasonalize(ts: TimeSeries) -> tuple[TimeSeries, SeasonalProfile]:

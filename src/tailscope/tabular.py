@@ -52,14 +52,19 @@ it alone, so the file does not depend on the number of workers.  A file of
 one chunk, or any file on one CPU, is formatted on the calling thread, with
 no pool.  ``randset`` runs its replicate cells on the same pool.
 
-``read_csv`` reads the file once as bytes, less one leading UTF-8 byte
-order mark.  A plain file, ASCII with no comma and no control or space byte
-but its newlines, is all first fields already.  Its lines, less the empty
-ones and the header, are read a chunk at a time, on the writer's pool, by
-a decimal kernel after W. D. Clinger ("How to read floating point numbers
-accurately", PLDI 1990).  It takes the 24 bytes that end each line as
-three 8-byte words, and reads a line that is an optional ``-`` and then
-digits with at most one point:
+The input rules live here, for ``read_csv``, ``pipeline.load_csv`` and the
+CLI's config files: a file is read once as bytes, less one leading UTF-8
+byte order mark; text is decoded as ``open`` decodes it, a block at a time,
+and a byte that does not decode is a ``ParseError`` that names the file;
+tokens become floats in one call, and the first that ``float`` refuses is named.
+
+In ``read_csv`` a plain file, ASCII with no comma and no control or space
+byte but its line ends (LF, or CRLF), is all first fields already.  Its
+lines, less the empty ones and the header, are read a chunk at a time, on
+the writer's pool, by a decimal kernel after W. D. Clinger ("How to read
+floating point numbers accurately", PLDI 1990).  It takes the 24 bytes
+that end each line, less its line end, as three 8-byte words, and reads a
+line that is an optional ``-`` and then digits with at most one point:
 
 - the point's gap is closed by a masked one-byte shift, and the digits
   become an integer D, eight at a time (D. Lemire's SWAR step); with q
@@ -79,9 +84,9 @@ Every other line goes through ``float``: longer than 24 bytes, more than
 22 digits after the point or 18 after the leading zeros, an exponent,
 ``inf``, ``nan``, ``_``, ``+``, an uncertified row (exact ties among them).
 These run on the calling thread, in file order, so the first line that
-``float`` refuses is the ``bad value``.  Any other file is read as text,
-as ``open`` decodes it, with each line stripped and cut at its first
-comma; a file that does not decode is a ``ParseError`` that names it.
+``float`` refuses is the ``bad value``.  Any other file, one with a lone
+carriage return included, is read as text, with each line stripped and cut
+at its first comma.
 """
 from __future__ import annotations
 
@@ -209,6 +214,14 @@ def _split(a):
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
+def _times_pow10(a, p):
+    """Dekker's product of a and 10^p, p <= 22: (hi, err), a 10^p == hi + err exactly."""
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(p), _POW10_LO.take(p)
+    hi = a * _POW10.take(p)
+    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+
+
 def _masks():
     """For n = 0..24, the last n and the first n bytes of a row, as (3, 25)
     tables of little-endian words: column n is the mask of n bytes."""
@@ -277,10 +290,7 @@ def _digits17(x: np.ndarray):
     fixed = (a >= 1e-4) & (a < 1e17)
     a[~fixed] = 1.0
     p = (16 - np.clip(np.floor(np.log10(a)), -4, 16)).astype(np.intp)
-    ah, al = _split(a)
-    bh, bl = _POW10_HI.take(p), _POW10_LO.take(p)
-    hi = a * _POW10.take(p)
-    err = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+    hi, err = _times_pow10(a, p)
     whole = np.floor(err)
     frac = err - whole
     d = hi.astype(np.int64) + whole.astype(np.int64)
@@ -363,10 +373,6 @@ def write_keyvals(path, pairs) -> None:
             fh.write(f"{key}={','.join(fields)}\n")
 
 
-# the comma, and the ASCII whitespace that str.strip removes but for "\n" and
-# "\r": text mode has turned every line end into "\n"
-_NOT_A_FIELD = ", \t\x0b\x0c\x1c\x1d\x1e\x1f"
-
 _ROW = np.dtype((np.void, _WIDTH))
 _BIG = np.uint64(0x7676767676767676)  # added to a byte of at most 9, sets no top bit
 _PAIRS = np.uint64(0x000000FF000000FF)
@@ -410,10 +416,7 @@ def _decimals(data: bytes, ends: np.ndarray, lens: np.ndarray):
     p = _POW10[q]
     x = dh / p
     # else D - x 10^q exactly, from Dekker's product x 10^q = hi + err and D = dh + dl
-    hi = x * p
-    xh, xl = _split(x)
-    err = xl * _POW10_LO[q] - (((hi - xh * _POW10_HI[q]) - xl * _POW10_HI[q])
-                               - xh * _POW10_LO[q])
+    hi, err = _times_pow10(x, q)
     dl = (d - dh.astype(np.int64)).astype(np.float64)
     fix = ((dh - hi) + (dl - err)) / p
     mant, e = np.frexp(x)
@@ -429,13 +432,19 @@ def _decimals(data: bytes, ends: np.ndarray, lens: np.ndarray):
 def _plain_lines(data: bytes, header: str):
     """The end and length of each line of data that is neither empty nor
     ``header``, or None unless data is plain: ASCII with no comma and no
-    control or space byte but newlines."""
+    control or space byte but its line ends, LF or CRLF, which a line's end
+    and length leave out."""
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
-    if np.count_nonzero(buf.view(np.int8) < 33) != ends.size or b"," in data:
+    crs = np.count_nonzero(buf.view(np.int8) < 33) - ends.size  # each must end a CRLF
+    # the lines that end in CRLF; clipped, a newline at offset 0 reads itself
+    crlf = np.flatnonzero(buf.take(ends - 1, mode="clip") == ord("\r")) if crs else []
+    if len(crlf) != crs or b"," in data:
         return None
     ends = np.append(ends, len(data))  # the last line, empty if data ends in a newline
     lens = np.diff(ends, prepend=-1) - 1
+    ends[crlf] -= 1
+    lens[crlf] -= 1
     keep = lens > 0
     head = header.encode()
     same = np.flatnonzero(lens == len(head)) if head else []
@@ -445,11 +454,37 @@ def _plain_lines(data: bytes, header: str):
     return ends[keep], lens[keep]
 
 
-def _float(path, tok: str) -> float:
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at path, less one leading UTF-8 byte order mark."""
+    with open(path, "rb") as fh:
+        return fh.read().removeprefix(codecs.BOM_UTF8)
+
+
+def _text_lines(path, data: bytes, newline=None):
+    """data's lines as ``open`` reads them, lazily; a byte it cannot decode is a ParseError."""
+    try:
+        yield from io.TextIOWrapper(io.BytesIO(data), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text "
+                         f"(byte {exc.object[exc.start]:#04x})") from exc
+
+
+def _float(path, tok, where: str = "") -> float:
+    """float(tok); a token it refuses is the ParseError "path: {where}bad value 'tok'"."""
     try:
         return float(tok)
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad value {tok!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {where}bad value {tok!r}") from exc
+
+
+def _floats(path, tokens: list, lines=None) -> np.ndarray:
+    """The tokens as floats in one call; the first float refuses is named, by lines[i] if given."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except (TypeError, ValueError):
+        for i, tok in enumerate(tokens):
+            _float(path, tok, "" if lines is None else f"line {lines[i]}: ")
+        raise
 
 
 def read_csv(path, header: str) -> np.ndarray:
@@ -457,16 +492,18 @@ def read_csv(path, header: str) -> np.ndarray:
 
     Lines are stripped and skipped when their first field is empty or is
     ``header``; later fields are ignored.  One leading UTF-8 byte order mark
-    is dropped.  A plain file (``_plain_lines``) is all first fields already:
-    its lines are read by the decimal kernel a chunk at a time, on the
-    writer's pool, and any line the kernel does not certify by ``float``.
+    is dropped.  A plain file (``_plain_lines``), LF or CRLF, is all first
+    fields already: its lines are read by the decimal kernel a chunk at a
+    time, on the writer's pool, and any line the kernel does not certify by
+    ``float``.  Any other file is read as text (``_text_lines``).
     """
-    with open(path, "rb") as fh:
-        # newlines before the file: each line then ends at byte 24 or later
-        data = b"\n" * _WIDTH + fh.read().removeprefix(codecs.BOM_UTF8)
+    # newlines before the file: each line then ends at byte 24 or later
+    data = b"\n" * _WIDTH + _read_bytes(path)
     lines = _plain_lines(data, header)
     if lines is None:
-        return _read_text(path, data[_WIDTH:], header)
+        # no list kept per row: the garbage collector would rescan them all
+        fields = [ln.strip().split(",", 1)[0] for ln in _text_lines(path, data[_WIDTH:])]
+        return _floats(path, [f for f in fields if f and f != header])
     ends, lens = lines
     out = np.empty(ends.size)
 
@@ -483,29 +520,3 @@ def read_csv(path, header: str) -> np.ndarray:
 
     _in_order(read, range(0, ends.size, CHUNK), take, ends.size > CHUNK)
     return out
-
-
-def _read_text(path, data: bytes, header: str) -> np.ndarray:
-    """read_csv on text as open() decodes it, with every line end as "\n".
-
-    Text with no comma and no whitespace but its newlines, in ASCII, is all
-    first fields already, so only then are the lines taken as they are.
-    """
-    try:
-        text = io.TextIOWrapper(io.BytesIO(data)).read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not {exc.encoding} text "
-                         f"(byte {exc.object[exc.start]:#04x})") from exc
-    plain = text.isascii() and not any(c in text for c in _NOT_A_FIELD)
-    lines = text.split("\n")
-    del text  # the lines hold its characters again
-    if not plain:
-        # no list kept per row: the garbage collector would rescan them all
-        lines = [ln.strip().split(",", 1)[0] for ln in lines]
-    fields = [f for f in lines if f and f != header]
-    try:
-        return np.fromiter(map(float, fields), float, len(fields))
-    except ValueError:
-        for tok in fields:
-            _float(path, tok)
-        raise

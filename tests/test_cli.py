@@ -153,8 +153,16 @@ class TestConfigFile:
         assert run("simulate", "--config", str(cfg), "--n", "10", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"tailscope: config error: cannot read config {cfg}: ")
-        assert "can't decode byte 0xe9" in err
+        assert err.endswith(": not utf-8 text (byte 0xe9)\n")
         assert not out.exists()
+
+    def test_a_leading_byte_order_mark_keeps_the_first_key(self, tmp_path):
+        # as a spreadsheet program or a Windows editor saves it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"seed=42\r\nmodel=pareto:2\r\nn=100\r\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        assert "seed=42" in (out / "manifest.txt").read_text().splitlines()
 
 
 class TestMeplot:
@@ -188,7 +196,7 @@ class TestMeplot:
 
     def test_bad_trim_is_data_error(self, tmp_path, capsys):
         assert run("meplot", "--model", "pareto:2", "--n", "100", "--seed", "1",
-                   "--trim", "90:5", "--out", str(tmp_path / "x")) == 3
+                   "--trim", "90:500", "--out", str(tmp_path / "x")) == 3
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
@@ -274,6 +282,28 @@ def test_config_error_is_reported_before_the_input(tmp_path, capsys, command, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("estimate", ["--m", "0"], "m must be positive, got 0"),
+    ("analyze", ["--m", "-3"], "m must be positive, got -3"),
+    ("estimate", ["--m", "x"], "bad m 'x'"),
+    ("meplot", ["--trim", "1:"], "bad trim '1:'; need 2 <= imin <= imax"),
+    ("meplot", ["--trim", "5:2"], "bad trim '5:2'; need 2 <= imin <= imax"),
+    ("meplot", ["--trim", ":1"], "bad trim ':1'; need 2 <= imin <= imax"),
+], ids=["estimate-m0", "analyze-m-negative", "estimate-m-not-int", "meplot-trim-imin1",
+        "meplot-trim-reversed", "meplot-trim-imax1"])
+def test_a_setting_no_sample_admits_is_a_config_error(tmp_path, capsys, command, flags,
+                                                      message):
+    # refused by the option's type, before the input is read or a sample drawn
+    out = tmp_path / "x"
+    assert run(command, "--input", str(tmp_path / "nope.csv"), *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"tailscope: config error: {message}\n"
+    assert not out.exists()
+    if command != "analyze":
+        assert run(command, "--model", "pareto:2", "--n", "100", *flags,
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, byte", [
     ("meplot", b"value\n1.5\n2.\xff5\n", "0xff"),
     ("estimate", b"value\n1.5\n2.\xff5\n", "0xff"),
@@ -289,10 +319,20 @@ def test_input_that_is_not_utf8_is_an_io_error(tmp_path, capsys, command, text, 
     assert not out.exists()
 
 
+def test_a_bad_header_is_reported_before_a_later_undecodable_byte(tmp_path, capsys):
+    # past the first 8 KB block of text, so not yet decoded when the header is read
+    src = tmp_path / "in.csv"
+    src.write_bytes(b"day,value\n" + b"2001-01-01,1.5\n" * 1000 + b"2003-09-28,caf\xe9\n")
+    out = tmp_path / "x"
+    assert run("analyze", "--input", str(src), "--out", str(out)) == 4
+    assert capsys.readouterr().err == f"tailscope: i/o error: {src}: missing column 'date'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "crlf"])
 @pytest.mark.parametrize("command", ["meplot", "analyze"])
 def test_a_leading_byte_order_mark_is_dropped(tmp_path, daily_csv, command, newline):
-    # spreadsheet programs start "CSV UTF-8" files with one; CRLF lines take the text path
+    # spreadsheet programs start "CSV UTF-8" files with one; CRLF samples stay plain
     if command == "meplot":
         x = ts.Pareto(2).sample(500, ts.RandomSeed(4))
         text = "value\n" + "".join(f"{v:.17g}\n" for v in x)

@@ -786,6 +786,30 @@ class TestCsvReader:
         got = read_csv(path, "value")
         assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
 
+    @pytest.mark.parametrize("text", [
+        "value\r1.5\r2.5\r",  # CR line ends
+        "value\r\n1.5\r\r\n2.5\r\n",  # a CR before a CRLF
+        "value\r\n1.5\r\n2.5\r",  # a final CR
+        "value\n1.5\n2.5\r",
+        "value\r\n1.5\n\r\n-2.5\r\n\n",  # mixed line ends, empty lines
+        "value\r\n1.5\r\nx\r\n",  # a bad value
+    ], ids=["cr", "cr-crlf", "final-cr-crlf", "final-cr-lf", "mixed", "bad"])
+    def test_carriage_returns_match_old_reader(self, tmp_path, text):
+        # only a CR right before a newline keeps a file plain
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode())
+        plain = tabular._plain_lines(b"\n" * tabular._WIDTH + text.encode(), "value") is not None
+        assert plain == (text.replace("\r\n", "\n").count("\r") == 0)
+        try:
+            old = old_read_values_csv(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as new:
+                read_csv(path, "value")
+            assert str(new.value) == str(exc)
+            return
+        got = read_csv(path, "value")
+        assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+
     def test_no_values_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "v.csv"
         path.write_text("value\n\n")
@@ -867,10 +891,13 @@ class TestDecimalKernel:
         monkeypatch.setattr(tabular, "_float", refuse)
         np.testing.assert_array_equal(read_csv(path, "value").view(np.uint64),
                                       x.view(np.uint64))
-        # as spreadsheet programs write it: a byte order mark first
-        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-        np.testing.assert_array_equal(read_csv(path, "value").view(np.uint64),
-                                      x.view(np.uint64))
+        # as spreadsheet programs write it: a byte order mark first, and CRLF line ends
+        lf = path.read_bytes()
+        for data in (codecs.BOM_UTF8 + lf, lf.replace(b"\n", b"\r\n"),
+                     codecs.BOM_UTF8 + lf.replace(b"\n", b"\r\n")):
+            path.write_bytes(data)
+            np.testing.assert_array_equal(read_csv(path, "value").view(np.uint64),
+                                          x.view(np.uint64))
 
     def test_first_bad_token_in_file_order(self, tmp_path):
         # the first chunk holds a token float() reads, then a bad one; a later chunk another

@@ -318,6 +318,15 @@ class TestLoadCsv:
             assert (outcome(lambda q: ts.load_csv(q, **cols), p)
                     == outcome(lambda q: old_load_csv(q, **cols), p)), cols
 
+    def test_bad_header_is_reported_before_a_later_undecodable_byte(self, tmp_path):
+        # the text is decoded as csv.reader asks for it, a block at a time
+        p = tmp_path / "s.csv"
+        p.write_bytes(b'"day",value\n' + b"2001-01-01,1.5\n" * 1000 + b"caf\xe9\n")
+        with pytest.raises(ParseError, match=names(p, "missing column 'date'")):
+            ts.load_csv(p)
+        with pytest.raises(ParseError, match=names(p, "not utf-8 text (byte 0xe9)")):
+            ts.load_csv(p, date_col="day")
+
     def test_cell_past_the_csv_field_limit_is_read_by_csv_reader(self, tmp_path):
         p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02," + "2" * 200_000])
         assert pipeline._plain_cells(p.read_bytes()) is None
