@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .estimators import FitResult, _unit_scaled, ls_fit
-from .tabular import _float, _floats, _read_bytes, _text_lines
+from .tabular import _WIDTH, _decimal_cells, _float, _floats, _read_bytes, _text_lines
 
 __all__ = [
     "TimeSeries",
@@ -89,16 +89,23 @@ def load_csv(
     """Read a dated series from CSV; strictly increasing unique dates.
 
     The file is read by the input rules of ``tabular``.  A plain file (see
-    ``_plain_cells``) is split into its cells in one call; any other is
-    decoded as ``csv.reader`` reads it, so a missing column is reported before
-    a later byte that does not decode.  ISO dates, the default format, are
-    read from their digits and the values converted in one call.  Other
-    formats, dates that are not canonical, and values ``float`` refuses send
-    the rows through the row-by-row parsers, so the first bad row is the one
-    reported, by the file line it ends on.  Every ``ParseError`` leads with the path.
+    ``_plain_cells``) is read from the byte offsets of its cells: when the
+    format is ISO, the default, and every date cell is ten bytes, ``_iso_days``
+    reads the dates from those bytes, and ``tabular``'s decimal kernel the
+    values, a chunk at a time, with ``float`` on each cell it does not
+    certify, in file order.  Any other plain file is split into its cells as
+    strings, and any file that is not plain is decoded as ``csv.reader``
+    reads it, so a missing column is reported before a later byte that does
+    not decode; there ISO dates are read from the digits of the stripped
+    strings and the values converted in one call.  Other formats, dates that
+    are not canonical, and values ``float`` refuses send the rows through the
+    row-by-row parsers, so the first bad row is the one reported, by the file
+    line it ends on.  Every ``ParseError`` leads with the path.
     """
     data = _read_bytes(path)
     plain = _plain_cells(data)
+    iso = date_format == "%Y-%m-%d"
+    dates = values = None
     if plain is None:
         # as open(path, newline="") reads the file
         reader = csv.reader(_text_lines(path, data, newline=""))
@@ -110,16 +117,29 @@ def load_csv(
                  reader.line_num) for r in reader if r]
         date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
     else:
-        width, cells = plain
-        di, vi = _column_indices(path, cells[:width], date_col, value_col)
-        date_raw, value_raw = cells[width + di::width], cells[width + vi::width]
+        width, starts, ends = plain
+        header = data[:ends[width - 1]].decode("ascii").split(",")
+        di, vi = _column_indices(path, header, date_col, value_col)
         # row i of a plain file ends on file line i + 2
-        lines = range(2, len(date_raw) + 2)
-    dates = _iso_dates(date_raw) if date_format == "%Y-%m-%d" else None
-    if dates is None:
-        dates, values = _parse_rows(path, zip(date_raw, value_raw, lines), date_format)
-    else:
-        values = _floats(path, value_raw, lines)
+        lines = range(2, starts.size // width + 1)
+        date_at, value_at = slice(width + di, None, width), slice(width + vi, None, width)
+        sizes = ends[date_at] - starts[date_at]
+        if iso and sizes.size and (sizes == 10).all():
+            dates = _iso_days(_byte_rows(data, starts[date_at], 10))
+            iso = False  # stripped, a ten-byte cell these rules refuse is refused too
+        if dates is not None:
+            # newlines before the file: each cell then ends at byte 24 or later
+            values = _decimal_cells(path, b"\n" * _WIDTH + data, ends[value_at] + _WIDTH,
+                                    ends[value_at] - starts[value_at], lines)
+        else:
+            cells = data[:ends[-1]].decode("ascii").replace("\n", ",").split(",")
+            date_raw, value_raw = cells[date_at], cells[value_at]
+    if values is None:
+        dates = _iso_dates(date_raw) if iso else None
+        if dates is None:
+            dates, values = _parse_rows(path, zip(date_raw, value_raw, lines), date_format)
+        else:
+            values = _floats(path, value_raw, lines)
     if len(values) < 2:
         raise InsufficientDataError("need at least two rows")
     # a stable sort keeps equal dates in file order, so each repeat after
@@ -144,32 +164,42 @@ def _column_indices(path, header: list | None, date_col: str, value_col: str) ->
     return tuple(len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
 
 
-def _plain_cells(data: bytes) -> tuple[int, list] | None:
-    """The number of columns of a plain CSV file, and its cells row by row,
-    header first; None for any other file.
+def _plain_cells(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """The number of columns of a plain CSV file, and the start and end byte
+    offsets of its cells row by row, header first; None for any other file.
 
     Plain means ASCII with no quote, carriage return or NUL byte, no blank
     line, no cell longer than ``csv.field_size_limit()``, and the header's
     number of commas on every line.  ``csv.reader`` reads each line of such a
-    file as its comma-separated fields, so one split gives the same cells.
+    file as its comma-separated fields, so cell k is ``data[starts[k]:ends[k]]``,
+    the bytes between one comma or newline and the next.
     """
     body = data[:-1] if data.endswith(b"\n") else data
     if not body.isascii() or b'"' in body or b"\r" in body or b"\0" in body:
         return None
     buf = np.frombuffer(body, np.uint8)
-    at = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    seps = np.append(buf[at], np.uint8(ord("\n")))  # the last line ends too
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    seps = np.append(buf[ends], np.uint8(ord("\n")))  # the last line ends too
     width = int(np.argmax(seps == ord("\n"))) + 1  # the header's commas, and its newline
     pattern = np.full(width, ord(","), np.uint8)
     pattern[-1] = ord("\n")
     if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
         return None
+    ends = np.append(ends, buf.size)
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
     # with the same commas on every line, a blank line is a one-cell row
     # whose cell is empty
-    sizes = np.diff(at, prepend=-1, append=buf.size) - 1
+    sizes = ends - starts
     if (width == 1 and not sizes.all()) or sizes.max() > csv.field_size_limit():
         return None
-    return width, body.decode("ascii").replace("\n", ",").split(",")
+    return width, starts, ends
+
+
+def _byte_rows(data: bytes, starts: np.ndarray, size: int) -> np.ndarray:
+    """The size bytes of data from each offset of starts, as (n, size) uint8 rows."""
+    view = np.ndarray((len(data) - size + 1,), np.dtype((np.void, size)), data, strides=(1,))
+    return view[starts].view(np.uint8).reshape(-1, size)
 
 
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit columns of YYYY-MM-DD
@@ -177,14 +207,8 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _iso_dates(raw: list) -> np.ndarray | None:
-    """``%Y-%m-%d`` strings as ``datetime64[D]``, read from their digits.
-
-    None unless every string, stripped, is a canonical ``YYYY-MM-DD``: ten
-    ASCII characters, dashes at positions 4 and 7, digits elsewhere, a month
-    01-12, a day within its month (Feb 29 in leap years only) and a year
-    0001-9999.  These are the stripped strings that ``strptime`` accepts
-    and that read back as themselves.
-    """
+    """``%Y-%m-%d`` strings as ``datetime64[D]``: None unless every string,
+    stripped, is ten ASCII characters that ``_iso_days`` reads."""
     n = len(raw)
     try:
         text = "\n".join([d.strip() for d in raw]) + "\n"
@@ -195,17 +219,30 @@ def _iso_dates(raw: list) -> np.ndarray | None:
     if len(text) != 11 * n or not text.isascii():
         return None
     rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(n, 11)
+    return _iso_days(rows[:, :10]) if (rows[:, 10] == ord("\n")).all() else None
+
+
+def _iso_days(rows: np.ndarray) -> np.ndarray | None:
+    """(n, 10) byte rows of ``%Y-%m-%d`` dates as ``datetime64[D]``, read from
+    their digits.
+
+    None unless every row is a canonical ``YYYY-MM-DD``: dashes at positions 4
+    and 7, digits elsewhere, a month 01-12, a day within its month (Feb 29 in
+    leap years only) and a year 0001-9999.  These are the ten-byte strings
+    that ``strptime`` accepts and that read back as themselves.
+    """
     digits = rows[:, _DIGITS] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
-    if not ((rows[:, 10] == ord("\n")).all() and (rows[:, [4, 7]] == ord("-")).all()
-            and (digits <= 9).all()):
+    if not ((rows[:, [4, 7]] == ord("-")).all() and (digits <= 9).all()):
         return None
     d = digits.astype(np.int64)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    century, yy = d[:, 0] * 10 + d[:, 1], d[:, 2] * 10 + d[:, 3]
+    year = century * 100 + yy
     month = d[:, 4] * 10 + d[:, 5]
     day = d[:, 6] * 10 + d[:, 7]
     if not ((year >= 1).all() and (month >= 1).all() and (month <= 12).all()):
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    # year % 4 == 0 and (year % 100 != 0 or year % 400 == 0), with no division
+    leap = ((yy & 3) == 0) & ((yy != 0) | ((century & 3) == 0))
     if not ((day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))).all():
         return None
     months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")

@@ -62,9 +62,12 @@ In ``read_csv`` a plain file, ASCII with no comma and no control or space
 byte but its line ends (LF, or CRLF), is all first fields already.  Its
 lines, less the empty ones and the header, are read a chunk at a time, on
 the writer's pool, by a decimal kernel after W. D. Clinger ("How to read
-floating point numbers accurately", PLDI 1990).  It takes the 24 bytes
-that end each line, less its line end, as three 8-byte words, and reads a
-line that is an optional ``-`` and then digits with at most one point:
+floating point numbers accurately", PLDI 1990); ``_decimal_cells`` runs
+that loop, for ``--input`` samples and for the value cells of the plain
+files that ``pipeline.load_csv`` reads by their byte offsets.  The kernel
+takes the 24 bytes that end each cell (a line less its line end, or the
+bytes before a comma) as three 8-byte words, and reads a cell that is an
+optional ``-`` and then digits with at most one point:
 
 - the point's gap is closed by a masked one-byte shift, and the digits
   become an integer D, eight at a time (D. Lemire's SWAR step); with q
@@ -76,15 +79,16 @@ line that is an optional ``-`` and then digits with at most one point:
   product gives Q 10^q as hi + err, D is fl(D) plus an int64 rest, and
   fl(D) - hi is exact by Sterbenz's lemma.  So the remainder over 10^q,
   r, is known to about 1e-15 ulp, and Q + r rounds to the double nearest
-  D / 10^q unless that is within the error of a half-ulp.  The line is
+  D / 10^q unless that is within the error of a half-ulp.  The cell is
   certified only when r is more than 1e-6 ulp from every half-ulp, and Q
   at least two ulps inside its binade, so that its neighbours have its ulp.
 
-Every other line goes through ``float``: longer than 24 bytes, more than
+Every other cell goes through ``float``: longer than 24 bytes, more than
 22 digits after the point or 18 after the leading zeros, an exponent,
-``inf``, ``nan``, ``_``, ``+``, an uncertified row (exact ties among them).
-These run on the calling thread, in file order, so the first line that
-``float`` refuses is the ``bad value``.  Any other file, one with a lone
+``inf``, ``nan``, ``_``, ``+``, a space, an uncertified row (exact ties
+among them).  These run on the calling thread, in file order, so the first
+cell that ``float`` refuses is the ``bad value``, named by its file line
+where ``load_csv`` gives the lines.  Any other file, one with a lone
 carriage return included, is read as text, with each line stripped and cut
 at its first comma.
 """
@@ -383,10 +387,10 @@ _PLACE = np.array([int.from_bytes(bytes(8 * j + 8 - i for i in range(8)), "littl
 
 
 def _decimals(data: bytes, ends: np.ndarray, lens: np.ndarray):
-    """Read the lines ``data[ends - lens:ends]`` as decimals: (values, exact).
+    """Read the cells ``data[ends - lens:ends]`` as decimals: (values, exact).
 
-    values[i] is ``float``'s double of line i where exact[i] is set, and means
-    nothing elsewhere.  Every line must end at byte 24 or later.
+    values[i] is ``float``'s double of cell i where exact[i] is set, and means
+    nothing elsewhere.  Every cell must end at byte 24 or later.
     """
     rows = np.ndarray((len(data) - _WIDTH + 1,), _ROW, data, strides=(1,))
     words = np.ascontiguousarray(rows[ends - _WIDTH].view("<u8").reshape(-1, 3).T)
@@ -504,7 +508,16 @@ def read_csv(path, header: str) -> np.ndarray:
         # no list kept per row: the garbage collector would rescan them all
         fields = [ln.strip().split(",", 1)[0] for ln in _text_lines(path, data[_WIDTH:])]
         return _floats(path, [f for f in fields if f and f != header])
-    ends, lens = lines
+    return _decimal_cells(path, data, *lines)
+
+
+def _decimal_cells(path, data: bytes, ends: np.ndarray, lens: np.ndarray,
+                   lines=None) -> np.ndarray:
+    """float() of each cell ``data[ends - lens:ends]``, every cell ending at
+    byte 24 or later: the decimal kernel reads them a chunk at a time, on the
+    writer's pool when there is more than one, and ``float`` each cell the
+    kernel does not certify, on the calling thread in file order, so the
+    first it refuses is named, by lines[i] if given."""
     out = np.empty(ends.size)
 
     def read(start):
@@ -514,8 +527,9 @@ def read_csv(path, header: str) -> np.ndarray:
     def take(chunk):
         part, values, exact = chunk
         for i in np.flatnonzero(~exact).tolist():
-            end = ends[part.start + i]
-            values[i] = _float(path, data[end - lens[part.start + i]:end].decode())
+            j = part.start + i
+            values[i] = _float(path, data[ends[j] - lens[j]:ends[j]].decode(),
+                               "" if lines is None else f"line {lines[j]}: ")
         out[part] = values
 
     _in_order(read, range(0, ends.size, CHUNK), take, ends.size > CHUNK)

@@ -8,7 +8,12 @@ the library modules.  `import tailscope.cli` loads them all, and sets
 OPENBLAS_NUM_THREADS=1 before numpy unless the variable is set, so a
 command runs BLAS on one thread (no worker spinning beside it, and dot
 products whose bytes do not depend on the host's core count), while a
-value the user exported is kept."""
+value the user exported is kept.
+
+A command's own process (`python -m tailscope.cli`, the `tailscope` script)
+freezes the heap its imports built, so no collection walks it again;
+importing `tailscope.cli` or calling `main` with an argv list leaves the
+collector as it was."""
 import importlib
 import inspect
 import json
@@ -280,3 +285,70 @@ def test_cli_process_runs_one_thread(tmp_path):
 def test_exported_blas_thread_count_is_kept(tmp_path):
     code = "import os\nimport tailscope.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
     assert _run_with_threads(code, tmp_path, "3") == "3"
+
+
+# ---------------------------------------------------------------------------
+# the heap policy: a command's own process freezes its import heap
+
+PYPROJECT = SRC.parent / "pyproject.toml"
+
+
+@pytest.mark.parametrize("disabled", [False, True], ids=["enabled", "disabled"])
+def test_import_and_main_with_argv_leave_the_collector_as_it_was(disabled, tmp_path):
+    code = (
+        "import gc\n" + "gc.disable()\n" * disabled + "import tailscope.cli\n"
+        "state = [(gc.isenabled(), gc.get_freeze_count())]\n"
+        + _cli(["--version"])
+        + _cli(["simulate", "--model", "pareto:2", "--n", "1000", "--out", "sim"])
+        + "state.append((gc.isenabled(), gc.get_freeze_count()))\nprint(state)\n"
+    )
+    assert _run_python(code, tmp_path) == str([(not disabled, 0)] * 2)
+
+
+def _entry_point(entry: str) -> list:
+    """The interpreter arguments that run the command line as its own process."""
+    if entry == "module":
+        return ["-m", "tailscope.cli"]
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["tailscope"]
+    module, _, func = target.partition(":")
+    # what the installed script does
+    return ["-c", f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n"]
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_command_process_runs_with_its_import_heap_frozen(entry, tmp_path):
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0,"
+        " file=sys.stderr))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(SRC)]))
+    proc = subprocess.run([sys.executable, *_entry_point(entry), "--version"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, f"tailscope {ts.__version__}\n")
+    assert proc.stderr == "collector True True\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--model", "nope:1", "--n", "10", "--out", "o"], 2,
+     "config error: unknown model 'nope:1'; expected kind:params with kind in pareto, gpd, "
+     "beta, exp, lognormal, stable, lambertw"),
+    (["analyze", "--input", "gap.csv", "--out", "o"], 3,
+     "data error: series has 1 missing day(s) in 2001-01-01..2001-01-03; AR fitting needs a "
+     "contiguous daily series"),
+    (["analyze", "--input", "dup.csv", "--out", "o"], 4,
+     "i/o error: dup.csv: duplicate date 2001-01-02"),
+    (["analyze", "--input", "missing.csv", "--out", "o"], 4,
+     "i/o error: [Errno 2] No such file or directory: 'missing.csv'"),
+], ids=["config", "data", "io-duplicate", "io-missing"])
+def test_failing_command_process_prints_its_message_and_exit_code(argv, code, message,
+                                                                   tmp_path):
+    (tmp_path / "gap.csv").write_text("date,value\n2001-01-01,1\n2001-01-03,2\n")
+    (tmp_path / "dup.csv").write_text("date,value\n2001-01-01,1\n2001-01-02,2\n2001-01-02,3\n")
+    proc = subprocess.run([sys.executable, "-m", "tailscope.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"tailscope: {message}\n")
+    assert not (tmp_path / "o").exists()

@@ -4,6 +4,7 @@ import re
 import time
 import warnings
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
 import tailscope as ts
-from tailscope import pipeline
+from tailscope import pipeline, tabular
 from tailscope.errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
     ParseError,
 )
+from tailscope.tabular import CHUNK
 
 
 def write_series_csv(path, rows, header="date,value"):
@@ -199,6 +201,43 @@ def csv_file(draw):
     return header, rows
 
 
+def _daily_text(n, cells=None):
+    """A plain daily file of n rows from 1900-01-01, each value a random
+    double's repr, but for the cells given by row."""
+    days = np.arange(np.datetime64("1900-01-01"), np.datetime64("1900-01-01") + n).astype(str)
+    values = [repr(v) for v in np.random.default_rng(n).standard_normal(n).tolist()]
+    for i, cell in (cells or {}).items():
+        values[i] = cell
+    return "date,value\n" + "".join(f"{d},{v}\n" for d, v in zip(days.tolist(), values))
+
+
+PLAIN_ODD_DATES = [d for d in ODD_DATES if d.isascii() and not set(d) & set(',"\r\n\0')]
+decimal_cells = st.from_regex(r"-?([0-9]{1,20}\.?[0-9]{0,24}|\.[0-9]{1,24})", fullmatch=True)
+odd_values = st.sampled_from(["+1.5", "1e3", " 2.5", "-0.0", "nan", "inf", "x", "", "1_0",
+                              "0." + "1" * 30, "-" + "9" * 25])
+
+
+@st.composite
+def plain_daily_file(draw):
+    """A plain file: a header from HEADERS with both columns, then up to 40
+    rows of ISO dates and decimals, with up to two odd values and one odd or
+    padded date, and a final newline or not."""
+    header = draw(st.sampled_from([h for h in HEADERS if {"date", "value"} <= set(h.split(","))]))
+    names = header.split(",")
+    n = draw(st.integers(0, 40))
+    first = draw(st.integers(1, date(9999, 12, 31).toordinal() - n))
+    cells = [{"date": date.fromordinal(first + i).isoformat(),
+              "value": draw(st.one_of(finite_values, decimal_cells))} for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        cells[draw(st.integers(0, n - 1))]["value"] = draw(odd_values)
+    if n and draw(st.booleans()):
+        row = cells[draw(st.integers(0, n - 1))]
+        row["date"] = draw(st.one_of(st.sampled_from(PLAIN_ODD_DATES),
+                                     pads.map(lambda pad: pad + row["date"])))
+    rows = [",".join(row.get(name, "z") for name in names) for row in cells]
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))
+
+
 def old_iso_dates(raw):
     """The datetime64 cast that read ISO dates before the digit reader."""
     try:
@@ -308,6 +347,26 @@ class TestLoadCsv:
         "date\n\n2001-01-01\n",  # one column: a blank line is an empty cell
         "\ndate\n2001-01-01\n",
         "value,date\n1,2001-01-01\n2,2001-01-02\n",
+        # plain files whose cells the byte path reads, or hands to the string path
+        "date,value\n2001-01-01,1.0000000000000000000000001\n2001-01-02,-0.000000000000000000001\n",
+        "date,value\n2001-01-01,+1.5\n2001-01-02,1e3\n2001-01-03, 2.5\n2001-01-04,-0.0\n",
+        "date,value\n2001-01-01,1\n2001-01-02,nan\n",
+        "date,value\n2001-01-01,inf\n2001-01-02,2\n",
+        "date,value\n2001-01-01,1\n 2001-01-02,2\n",  # a date padded with a space
+        "date,value\n2001-01-01,1\n2001-01-02 ,2\n",
+        "date,value\n2001-01-01,1\n2001-01-021,2\n",  # an 11-byte date
+        "date,value\n2001-01-01,1\n2001-01-02,x\n2001-01-32,3\n",
+        "date,value,date\n1999-01-01,1,2001-01-01\n1999-01-01,2,2001-01-02",  # repeated name
+        "d,v\n",  # a header shorter than a date, and no rows
+        "d,v",
+        *(pytest.param(_daily_text(n), id=f"{n}-rows") for n in
+          (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1)),
+        # the first bad value named in the second and in the third chunk, with
+        # values only float() reads before it
+        pytest.param(_daily_text(2 * CHUNK + 5, {3: "+1.5", CHUNK + 7: "x", 2 * CHUNK + 2: "y"}),
+                     id="bad-in-chunk-2"),
+        pytest.param(_daily_text(2 * CHUNK + 5, {CHUNK + 7: "1e3", 2 * CHUNK + 2: "y"}),
+                     id="bad-in-chunk-3"),
     ])
     def test_plain_layout_guards(self, text, tmp_path):
         # each file is either plain or read by csv.reader; both read it as
@@ -317,6 +376,16 @@ class TestLoadCsv:
         for cols in ({}, {"date_col": "d", "value_col": "v"}, {"value_col": "date"}):
             assert (outcome(lambda q: ts.load_csv(q, **cols), p)
                     == outcome(lambda q: old_load_csv(q, **cols), p)), cols
+
+    @settings(max_examples=200)
+    @given(text=plain_daily_file(), chunk=st.sampled_from([1, 2, 3, 7, CHUNK]))
+    def test_plain_files_match_per_row_parser_at_any_chunk_size(self, text, chunk,
+                                                                 tmp_path_factory):
+        p = tmp_path_factory.mktemp("plain") / "s.csv"
+        p.write_bytes(text.encode())
+        assert pipeline._plain_cells(p.read_bytes()) is not None
+        with mock.patch.object(tabular, "CHUNK", chunk):
+            assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
 
     def test_bad_header_is_reported_before_a_later_undecodable_byte(self, tmp_path):
         # the text is decoded as csv.reader asks for it, a block at a time
@@ -338,19 +407,24 @@ class TestLoadCsv:
         p = write_series_csv(tmp_path / "s.csv", rows)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("csv.reader called on a plain file")
+            raise AssertionError("csv.reader or a string path called on a plain file")
 
-        monkeypatch.setattr(pipeline.csv, "reader", refuse)
+        # nor are its cells made strings: the bytes give the dates and values
+        for module, name in ((pipeline.csv, "reader"), (pipeline, "_iso_dates"),
+                             (pipeline, "_floats")):
+            monkeypatch.setattr(module, name, refuse)
         series = ts.load_csv(p)
         assert series.n == 1000
         assert series.values.tolist() == [i * 0.25 for i in range(1000)]
         assert series.dates[-1] == start + 999
 
     def test_iso_dates_match_strptime_on_every_day_of_leap_and_common_years(self):
-        days = [date(y, 1, 1) + timedelta(i) for y in (1, 1900, 2000, 2023, 2024, 9999)
+        days = [date(y, 1, 1) + timedelta(i) for y in (1, 1600, 1800, 1900, 2000, 2023, 2024,
+                                                       2100, 2400, 9999)
                 for i in range(365)]
         assert pipeline._iso_dates([d.isoformat() for d in days]).tolist() == days
-        for cell in ["2001-02-29", "1900-02-29", "2000-02-30", "2001-04-31", "2001-12-32",
+        for cell in ["2001-02-29", "2002-02-29", "1900-02-29", "1800-02-29", "2100-02-29",
+                     "0100-02-29", "2000-02-30", "2001-04-31", "2001-12-32",
                      "2001-00-10", "2001-13-01", "2001-01-00", "2001-01-0a", "2001/01/01",
                      "2001-01-01 01", "2001-01-\u0661\u0661", "\u0662001-01-01"]:
             assert pipeline._iso_dates(["2001-01-01", cell]) is None, cell
