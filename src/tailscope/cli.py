@@ -39,10 +39,8 @@ The heap the imports build is frozen.  ``main()`` with no argv runs
 ``sys.argv[1:]`` as the process's own command, as both entry points call
 it, and calls ``gc.freeze()`` before it parses: the tens of thousands of
 objects that numpy and the library put on the heap live until exit, and no
-collection, the one at exit included, walks them again.  Run as ``python
--m tailscope.cli``, the module also turns the collector off before its
-imports and back on right after the freeze.  Together these take about
-15 ms off each command on a 2-core host.  Importing this module, or
+collection, the one at exit included, walks them again.  This takes
+about 10 ms off each command on a 2-core host.  Importing this module, or
 calling ``main`` with an argv list, as a program or a test does, leaves
 the collector as it was.
 """
@@ -53,9 +51,6 @@ import gc
 import os
 import sys
 from functools import partial
-
-if __name__ == "__main__":  # run as a command: no collection while the imports
-    gc.disable()            # build the heap, which main() then freezes
 
 # before numpy loads: each command runs on one thread, so BLAS gets one too
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -494,8 +489,6 @@ def main(argv=None) -> int:
     run sys.argv[1:] as the process's own command, its import heap frozen."""
     if argv is None:
         gc.freeze()
-        if __name__ == "__main__":
-            gc.enable()
     parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)

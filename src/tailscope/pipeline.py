@@ -26,7 +26,8 @@ from .errors import (
     ParseError,
 )
 from .estimators import FitResult, _unit_scaled, ls_fit
-from .tabular import _WIDTH, _decimal_cells, _float, _floats, _read_bytes, _text_lines
+from .tabular import (_WIDTH, _byte_rows, _decimal_cells, _float, _floats, _read_bytes,
+                      _text_lines)
 
 __all__ = [
     "TimeSeries",
@@ -88,13 +89,12 @@ def load_csv(
 ) -> TimeSeries:
     """Read a dated series from CSV; strictly increasing unique dates.
 
-    The file is read by the input rules of ``tabular``.  A plain file (see
-    ``_plain_cells``) is read from the byte offsets of its cells: when the
-    format is ISO, the default, and every date cell is ten bytes, ``_iso_days``
-    reads the dates from those bytes, and ``tabular``'s decimal kernel the
-    values, a chunk at a time, with ``float`` on each cell it does not
-    certify, in file order.  Any other plain file is split into its cells as
-    strings, and any file that is not plain is decoded as ``csv.reader``
+    The file is read by the input rules of ``tabular``.  When the format is
+    ISO, the default, a plain file (see ``_plain_cells``) whose date cells
+    are all ten bytes is read from the byte offsets of its cells:
+    ``_iso_days`` reads the dates from those bytes, and ``tabular``'s decimal
+    kernel the values, a chunk at a time, with ``float`` on each cell it does
+    not certify, in file order.  Any other file is decoded as ``csv.reader``
     reads it, so a missing column is reported before a later byte that does
     not decode; there ISO dates are read from the digits of the stripped
     strings and the values converted in one call.  Other formats, dates that
@@ -103,10 +103,24 @@ def load_csv(
     line it ends on.  Every ``ParseError`` leads with the path.
     """
     data = _read_bytes(path)
-    plain = _plain_cells(data)
     iso = date_format == "%Y-%m-%d"
-    dates = values = None
-    if plain is None:
+    plain = _plain_cells(data) if iso else None
+    values = None
+    if plain is not None:
+        width, starts, ends = plain
+        header = data[:ends[width - 1]].decode("ascii").split(",")
+        di, vi = _column_indices(path, header, date_col, value_col)
+        date_at, value_at = slice(width + di, None, width), slice(width + vi, None, width)
+        sizes = ends[date_at] - starts[date_at]
+        if sizes.size and (sizes == 10).all():
+            dates = _iso_days(_byte_rows(data, starts[date_at], 10))
+            if dates is not None:
+                # row i of a plain file ends on file line i + 2; with newlines
+                # before the file, each cell ends at byte 24 or later
+                values = _decimal_cells(path, b"\n" * _WIDTH + data, ends[value_at] + _WIDTH,
+                                        ends[value_at] - starts[value_at],
+                                        range(2, sizes.size + 2))
+    if values is None:
         # as open(path, newline="") reads the file
         reader = csv.reader(_text_lines(path, data, newline=""))
         header = next(reader, None)
@@ -116,25 +130,6 @@ def load_csv(
         rows = [(r[di] if di < len(r) else None, r[vi] if vi < len(r) else None,
                  reader.line_num) for r in reader if r]
         date_raw, value_raw, lines = ([row[j] for row in rows] for j in range(3))
-    else:
-        width, starts, ends = plain
-        header = data[:ends[width - 1]].decode("ascii").split(",")
-        di, vi = _column_indices(path, header, date_col, value_col)
-        # row i of a plain file ends on file line i + 2
-        lines = range(2, starts.size // width + 1)
-        date_at, value_at = slice(width + di, None, width), slice(width + vi, None, width)
-        sizes = ends[date_at] - starts[date_at]
-        if iso and sizes.size and (sizes == 10).all():
-            dates = _iso_days(_byte_rows(data, starts[date_at], 10))
-            iso = False  # stripped, a ten-byte cell these rules refuse is refused too
-        if dates is not None:
-            # newlines before the file: each cell then ends at byte 24 or later
-            values = _decimal_cells(path, b"\n" * _WIDTH + data, ends[value_at] + _WIDTH,
-                                    ends[value_at] - starts[value_at], lines)
-        else:
-            cells = data[:ends[-1]].decode("ascii").replace("\n", ",").split(",")
-            date_raw, value_raw = cells[date_at], cells[value_at]
-    if values is None:
         dates = _iso_dates(date_raw) if iso else None
         if dates is None:
             dates, values = _parse_rows(path, zip(date_raw, value_raw, lines), date_format)
@@ -196,12 +191,6 @@ def _plain_cells(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     return width, starts, ends
 
 
-def _byte_rows(data: bytes, starts: np.ndarray, size: int) -> np.ndarray:
-    """The size bytes of data from each offset of starts, as (n, size) uint8 rows."""
-    view = np.ndarray((len(data) - size + 1,), np.dtype((np.void, size)), data, strides=(1,))
-    return view[starts].view(np.uint8).reshape(-1, size)
-
-
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit columns of YYYY-MM-DD
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
@@ -235,14 +224,12 @@ def _iso_days(rows: np.ndarray) -> np.ndarray | None:
     if not ((rows[:, [4, 7]] == ord("-")).all() and (digits <= 9).all()):
         return None
     d = digits.astype(np.int64)
-    century, yy = d[:, 0] * 10 + d[:, 1], d[:, 2] * 10 + d[:, 3]
-    year = century * 100 + yy
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
     month = d[:, 4] * 10 + d[:, 5]
     day = d[:, 6] * 10 + d[:, 7]
     if not ((year >= 1).all() and (month >= 1).all() and (month <= 12).all()):
         return None
-    # year % 4 == 0 and (year % 100 != 0 or year % 400 == 0), with no division
-    leap = ((yy & 3) == 0) & ((yy != 0) | ((century & 3) == 0))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     if not ((day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))).all():
         return None
     months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")

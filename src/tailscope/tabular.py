@@ -377,7 +377,6 @@ def write_keyvals(path, pairs) -> None:
             fh.write(f"{key}={','.join(fields)}\n")
 
 
-_ROW = np.dtype((np.void, _WIDTH))
 _BIG = np.uint64(0x7676767676767676)  # added to a byte of at most 9, sets no top bit
 _PAIRS = np.uint64(0x000000FF000000FF)
 # word j times its multiplier has, in its top byte, 8j + i + 1 for the one
@@ -386,15 +385,21 @@ _PLACE = np.array([int.from_bytes(bytes(8 * j + 8 - i for i in range(8)), "littl
                    for j in range(3)], np.uint64)[:, None]
 
 
+def _byte_rows(data: bytes, starts: np.ndarray, size: int) -> np.ndarray:
+    """The size bytes of data from each offset of starts, as (n, size) uint8 rows."""
+    view = np.ndarray((len(data) - size + 1,), np.dtype((np.void, size)), data, strides=(1,))
+    return view[starts].view(np.uint8).reshape(-1, size)
+
+
 def _decimals(data: bytes, ends: np.ndarray, lens: np.ndarray):
     """Read the cells ``data[ends - lens:ends]`` as decimals: (values, exact).
 
     values[i] is ``float``'s double of cell i where exact[i] is set, and means
     nothing elsewhere.  Every cell must end at byte 24 or later.
     """
-    rows = np.ndarray((len(data) - _WIDTH + 1,), _ROW, data, strides=(1,))
-    words = np.ascontiguousarray(rows[ends - _WIDTH].view("<u8").reshape(-1, 3).T)
-    neg = np.frombuffer(data, np.uint8)[ends - lens] == ord("-")
+    words = np.ascontiguousarray(_byte_rows(data, ends - _WIDTH, _WIDTH).view("<u8").T)
+    # an empty cell has no sign, and may end the data
+    neg = (lens > 0) & (np.frombuffer(data, np.uint8).take(ends - lens, mode="clip") == ord("-"))
     n = np.minimum(lens - neg, _WIDTH)  # the bytes after the sign
     # each digit byte as its value, the point as 0x1e, the bytes before as 0
     z = (words ^ _ZEROS) & _LAST.take(n, axis=1)
@@ -453,8 +458,8 @@ def _plain_lines(data: bytes, header: str):
     head = header.encode()
     same = np.flatnonzero(lens == len(head)) if head else []
     if len(same):
-        lines = np.ndarray((len(data) - len(head) + 1,), f"S{len(head)}", data, strides=(1,))
-        keep[same[lines[ends[same] - len(head)] == head]] = False
+        rows = _byte_rows(data, ends[same] - len(head), len(head)).view(f"S{len(head)}")
+        keep[same[rows[:, 0] == head]] = False
     return ends[keep], lens[keep]
 
 

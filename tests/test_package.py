@@ -342,11 +342,14 @@ def test_command_process_runs_with_its_import_heap_frozen(entry, tmp_path):
      "i/o error: dup.csv: duplicate date 2001-01-02"),
     (["analyze", "--input", "missing.csv", "--out", "o"], 4,
      "i/o error: [Errno 2] No such file or directory: 'missing.csv'"),
-], ids=["config", "data", "io-duplicate", "io-missing"])
+    (["analyze", "--input", "empty.csv", "--out", "o"], 4,
+     "i/o error: empty.csv: line 3: bad value ''"),
+], ids=["config", "data", "io-duplicate", "io-missing", "io-empty-last-value"])
 def test_failing_command_process_prints_its_message_and_exit_code(argv, code, message,
                                                                    tmp_path):
     (tmp_path / "gap.csv").write_text("date,value\n2001-01-01,1\n2001-01-03,2\n")
     (tmp_path / "dup.csv").write_text("date,value\n2001-01-01,1\n2001-01-02,2\n2001-01-02,3\n")
+    (tmp_path / "empty.csv").write_text("date,value\n2001-01-01,1\n2001-01-02,")
     proc = subprocess.run([sys.executable, "-m", "tailscope.cli", *argv], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
                           text=True, timeout=120)

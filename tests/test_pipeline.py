@@ -347,7 +347,7 @@ class TestLoadCsv:
         "date\n\n2001-01-01\n",  # one column: a blank line is an empty cell
         "\ndate\n2001-01-01\n",
         "value,date\n1,2001-01-01\n2,2001-01-02\n",
-        # plain files whose cells the byte path reads, or hands to the string path
+        # plain files whose cells the byte path reads, or hands to csv.reader
         "date,value\n2001-01-01,1.0000000000000000000000001\n2001-01-02,-0.000000000000000000001\n",
         "date,value\n2001-01-01,+1.5\n2001-01-02,1e3\n2001-01-03, 2.5\n2001-01-04,-0.0\n",
         "date,value\n2001-01-01,1\n2001-01-02,nan\n",
@@ -357,6 +357,9 @@ class TestLoadCsv:
         "date,value\n2001-01-01,1\n2001-01-021,2\n",  # an 11-byte date
         "date,value\n2001-01-01,1\n2001-01-02,x\n2001-01-32,3\n",
         "date,value,date\n1999-01-01,1,2001-01-01\n1999-01-01,2,2001-01-02",  # repeated name
+        # an empty value cell, last in a file with no final newline, or first
+        "date,value\n2001-01-01,1\n2001-01-02,",
+        "value,date\n1,2001-01-01\n,2001-01-02\n",
         "d,v\n",  # a header shorter than a date, and no rows
         "d,v",
         *(pytest.param(_daily_text(n), id=f"{n}-rows") for n in
