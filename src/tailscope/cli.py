@@ -40,7 +40,7 @@ The heap the imports build is frozen.  ``main()`` with no argv runs
 it, and calls ``gc.freeze()`` before it parses: the tens of thousands of
 objects that numpy and the library put on the heap live until exit, and no
 collection, the one at exit included, walks them again.  This takes
-about 10 ms off each command on a 2-core host.  Importing this module, or
+about 13 ms off each command on a 2-core host.  Importing this module, or
 calling ``main`` with an argv list, as a program or a test does, leaves
 the collector as it was.
 """
