@@ -19,64 +19,85 @@ creates --out, writes those files and prints the line, so a failed run
 leaves no directory.  A .csv or .svg file is written only when --format
 lists its kind (``simulate`` takes no --format and writes its CSV), and a
 .txt file always.  Configuration errors, among them a bad --format, --m below 1
-and a --trim no sample admits, are reported before any input is read or sampled.
+and a --trim no sample admits, are reported before any input is read or sampled,
+and those of --stride, --model and --input before any library module runs.
+
+Each command runs only the library modules it calls.  Importing this module
+runs ``tailscope.errors`` alone, and binds ``dist``, ``empirics``,
+``estimators``, ``pipeline``, ``randset``, ``svgplot`` and ``tabular`` as
+lazy modules (``importlib.util.LazyLoader``): each is in ``sys.modules`` and
+on the package, so a program can list them all, but runs, and imports numpy,
+only on the first lookup of one of its attributes.  ``--version``,
+``--help`` and option errors run none of them.  Each ``_COMMANDS`` row names
+the modules its command calls; ``main`` runs them, and what they import, on
+the calling thread right after parsing, before the handler starts any
+worker, since a lazy module takes no lock when it runs.  ``simulate`` runs
+``dist`` and ``tabular``; ``meplot`` and ``estimate`` add ``empirics``,
+``estimators`` and ``svgplot``; ``converge`` adds ``randset`` to those;
+``analyze`` runs all but ``randset``.  The functions here that call numpy
+import it themselves.
 
 BLAS runs on one thread.  Importing this module sets
-OPENBLAS_NUM_THREADS=1 before it imports numpy, unless the variable is
-already set, so OpenBLAS starts no worker threads: they would spin beside
-the command and cost CPU time, and its dot products of more than 10 000
-values would split across as many threads as the host has cores, making
-the output bytes depend on the core count.  CSV files of more than one
-chunk are formatted, and --input samples read, on one worker thread per
-CPU (``tailscope.tabular``), and ``converge`` runs the replicate cells of a
-large grid on the same pool; those workers block when idle, and the bytes
-do not depend on their number either.  ``import tailscope`` loads no
-numpy, so the entry points (``python -m tailscope.cli``, the ``tailscope``
-script) reach this line first; a program that imports numpy before
-``tailscope.cli`` keeps numpy's own thread count.
+OPENBLAS_NUM_THREADS=1, unless the variable is already set, and numpy
+loads later, with the first library module that runs, so OpenBLAS starts
+no worker threads: they would spin beside the command and cost CPU time,
+and its dot products of more than 10 000 values would split across as many
+threads as the host has cores, making the output bytes depend on the core
+count.  CSV files of more than one chunk are formatted, and --input
+samples read, on one worker thread per CPU (``tailscope.tabular``), and
+``converge`` runs the replicate cells of a large grid on the same pool;
+those workers block when idle, and the bytes do not depend on their number
+either.  ``import tailscope`` loads no numpy, so the entry points
+(``python -m tailscope.cli``, the ``tailscope`` script) set the variable
+first; a program that imports numpy before ``tailscope.cli`` keeps numpy's
+own thread count.
 
 The heap the imports build is frozen.  ``main()`` with no argv runs
 ``sys.argv[1:]`` as the process's own command, as both entry points call
-it, and calls ``gc.freeze()`` before it parses: the tens of thousands of
-objects that numpy and the library put on the heap live until exit, and no
-collection, the one at exit included, walks them again.  This takes
-about 13 ms off each command on a 2-core host.  Importing this module, or
-calling ``main`` with an argv list, as a program or a test does, leaves
-the collector as it was.
+it.  It calls ``gc.freeze()`` before it parses, which is all that
+``--version`` and ``--help`` build, and again once the command's modules
+have run: the tens of thousands of objects that numpy and the library put
+on the heap live until exit, and no collection, the one at exit included,
+walks them again.  Importing this module, or calling ``main`` with an argv
+list, as a program or a test does, leaves the collector as it was.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import os
 import sys
 from functools import partial
+from typing import TYPE_CHECKING
+
+from . import __version__
+from .errors import ConfigError, ParseError, TailscopeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # before numpy loads: each command runs on one thread, so BLAS gets one too
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
 
-from . import __version__  # noqa: E402
-from .dist import (  # noqa: E402
-    GPD,
-    Beta,
-    DistributionModel,
-    Exponential,
-    LambertWTail,
-    LogNormal,
-    Pareto,
-    RandomSeed,
-    StableSkewed,
-)
-from .empirics import (  # noqa: E402
-    PointSet2D, default_trim, me_plot, order_statistics, plotted_trim)
-from .errors import ConfigError, ParseError, TailscopeError  # noqa: E402
-from .estimators import hill, ls_fit, moment, pickands, qq_points_pos, trace  # noqa: E402
-from .pipeline import analyze_series, load_csv  # noqa: E402
-from .randset import Window, run_convergence  # noqa: E402
-from .svgplot import Series, render_plot  # noqa: E402
-from .tabular import _read_bytes, _text_lines, read_csv, write_csv, write_keyvals  # noqa: E402
+def _lazy(name: str):
+    """tailscope.<name>, placed in sys.modules and bound on the package, but
+    run only on the first lookup of one of its attributes."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+dist, empirics, estimators, pipeline, randset, svgplot, tabular = map(
+    _lazy, ("dist", "empirics", "estimators", "pipeline", "randset", "svgplot", "tabular"))
 
 ENV_SEED = "TAILSCOPE_SEED"
 
@@ -85,20 +106,21 @@ ENV_SEED = "TAILSCOPE_SEED"
 # option plumbing
 
 
-# kind -> (model class, allowed parameter counts)
+# kind -> (model class in tailscope.dist, allowed parameter counts)
 _MODELS = {
-    "pareto": (Pareto, (1,)),
-    "gpd": (GPD, (1, 2)),
-    "beta": (Beta, (2,)),
-    "exp": (Exponential, (0, 1)),
-    "lognormal": (LogNormal, (0, 2)),
-    "stable": (StableSkewed, (1,)),
-    "lambertw": (LambertWTail, (0,)),
+    "pareto": ("Pareto", (1,)),
+    "gpd": ("GPD", (1, 2)),
+    "beta": ("Beta", (2,)),
+    "exp": ("Exponential", (0, 1)),
+    "lognormal": ("LogNormal", (0, 2)),
+    "stable": ("StableSkewed", (1,)),
+    "lambertw": ("LambertWTail", (0,)),
 }
 
 
-def parse_model(spec: str) -> DistributionModel:
-    """Parse a model spec like pareto:2, gpd:0.5,1 or lambertw."""
+def _model_args(spec: str) -> tuple[str, list[float]]:
+    """The class name and parameters a model spec names; checking them loads
+    no library module."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     try:
@@ -110,8 +132,14 @@ def parse_model(spec: str) -> DistributionModel:
         raise ConfigError(
             f"unknown model {spec!r}; expected kind:params with kind in {', '.join(_MODELS)}"
         )
+    return model, params
+
+
+def parse_model(spec: str) -> dist.DistributionModel:
+    """Parse a model spec like pareto:2, gpd:0.5,1 or lambertw."""
+    model, params = _model_args(spec)
     try:
-        return model(*params)
+        return getattr(dist, model)(*params)
     except TailscopeError as exc:
         raise ConfigError(f"bad model {spec!r}: {exc}") from exc
 
@@ -119,7 +147,8 @@ def parse_model(spec: str) -> DistributionModel:
 def read_config(path: str) -> dict:
     cfg = {}
     try:
-        for lineno, line in enumerate(_text_lines(path, _read_bytes(path)), start=1):
+        lines = tabular._text_lines(path, tabular._read_bytes(path))
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -142,11 +171,11 @@ def _require(args: argparse.Namespace, name: str):
     return value
 
 
-def _seed(args: argparse.Namespace) -> RandomSeed:
+def _seed(args: argparse.Namespace) -> dist.RandomSeed:
     """--seed, else $TAILSCOPE_SEED, else 0, in stream --stream, else 0."""
     env = os.environ.get(ENV_SEED, "0")
     try:
-        return RandomSeed(int(env) if args.seed is None else args.seed, args.stream or 0)
+        return dist.RandomSeed(int(env) if args.seed is None else args.seed, args.stream or 0)
     except TailscopeError as exc:
         raise ConfigError(str(exc)) from exc
     except ValueError as exc:
@@ -176,13 +205,13 @@ def _parse_trim(raw: str) -> tuple[int, int | None] | None:
     return i_min, i_max
 
 
-def _parse_window(raw: str) -> Window | None:
+def _parse_window(raw: str) -> randset.Window | None:
     """x0,x1,y0,y1; empty for the case's default window."""
     if not raw:
         return None
     try:
         x0, x1, y0, y1 = (float(tok) for tok in raw.split(","))
-        return Window(x0, x1, y0, y1)
+        return randset.Window(x0, x1, y0, y1)
     except (ValueError, TailscopeError) as exc:
         raise ConfigError(f"bad window {raw!r}; expected x0,x1,y0,y1") from exc
 
@@ -221,11 +250,11 @@ def manifest_pairs(command: str, params: dict) -> list[tuple]:
 
 
 def _keyvals(pairs) -> partial:
-    return partial(write_keyvals, pairs=pairs)
+    return partial(tabular.write_keyvals, pairs=pairs)
 
 
 def _csv(header: str, *columns) -> partial:
-    return partial(write_csv, header=header, columns=columns)
+    return partial(tabular.write_csv, header=header, columns=columns)
 
 
 def _draw(args: argparse.Namespace, n_min: int) -> tuple[np.ndarray, dict]:
@@ -239,32 +268,50 @@ def _draw(args: argparse.Namespace, n_min: int) -> tuple[np.ndarray, dict]:
     return model.sample(n, seed), meta
 
 
-def _load_sample(args: argparse.Namespace) -> tuple[np.ndarray, dict]:
-    """Read --input, or sample from --model/--n/--seed; not both."""
-    if args.input is None:
-        return _draw(args, 2)
+def _check_sampling(args: argparse.Namespace) -> None:
+    """The first checks of a command that reads or draws a sample, which need
+    no library module: --stride at least 1, then either --input and no option
+    that chooses a sample to draw, or a --model of a known kind and count."""
+    if getattr(args, "stride", 1) < 1:
+        raise ConfigError("stride must be positive")
+    if "model" not in vars(args):
+        return
+    if getattr(args, "input", None) is None:
+        _model_args(_require(args, "model"))
+        return
     given = [f"--{name}" for name in ("model", "n", "seed", "stream")
              if getattr(args, name) is not None]
     if given:
         raise ConfigError(f"--input cannot be combined with {', '.join(given)}, "
                           "which choose a sample to draw")
-    values = read_csv(args.input, "value")
+
+
+def _load_sample(args: argparse.Namespace) -> tuple[np.ndarray, dict]:
+    """Read --input, or sample from --model/--n/--seed (``_check_sampling``
+    refuses both)."""
+    if args.input is None:
+        return _draw(args, 2)
+    values = tabular.read_csv(args.input, "value")
     if not values.size:
         raise ParseError(f"{args.input}: no values")
     return values, {"input": args.input, "n": values.size}
 
 
-def _plot_fit(path: str, pts: PointSet2D, fit, **labels) -> None:
+def _plot_fit(path: str, pts: empirics.PointSet2D, fit, **labels) -> None:
     """Scatter of pts with the fitted line drawn across their x range."""
+    import numpy as np
+
     xs = np.array([pts.x.min(), pts.x.max()])
     line = np.column_stack([xs, fit.intercept + fit.slope * xs])
-    render_plot(path, [Series(pts.points, "scatter"), Series(line, "line")], **labels)
+    svgplot.render_plot(path, [svgplot.Series(pts.points, "scatter"),
+                               svgplot.Series(line, "line")], **labels)
 
 
 def _point_estimates(sample, m_ref: int) -> list[tuple]:
     """Hill, Pickands and moment at m_ref (Pickands capped at n/4), or why not."""
     pairs = []
-    for kind, fn in (("hill", hill), ("pickands", pickands), ("moment", moment)):
+    for kind, fn in (("hill", estimators.hill), ("pickands", estimators.pickands),
+                     ("moment", estimators.moment)):
         m = min(m_ref, sample.n // 4) if kind == "pickands" else m_ref
         try:
             pairs.append((kind, fn(sample, m)))
@@ -299,10 +346,10 @@ def cmd_simulate(args: argparse.Namespace):
 
 def cmd_meplot(args: argparse.Namespace):
     values, meta = _load_sample(args)
-    sample = order_statistics(values)
-    i_min, i_max = plotted_trim(sample, *(args.trim or default_trim(sample.n)))
-    pts = me_plot(sample, i_min, i_max)
-    fit = ls_fit(pts, "me")
+    sample = empirics.order_statistics(values)
+    i_min, i_max = empirics.plotted_trim(sample, *(args.trim or empirics.default_trim(sample.n)))
+    pts = empirics.me_plot(sample, i_min, i_max)
+    fit = estimators.ls_fit(pts, "me")
     meta.update({"trim": f"{i_min}:{i_max}", "format": sorted(args.format)})
     return [
         ("me_plot.csv", pts.write_csv),
@@ -326,23 +373,23 @@ def cmd_meplot(args: argparse.Namespace):
 
 
 def cmd_estimate(args: argparse.Namespace):
-    if args.stride < 1:
-        raise ConfigError("stride must be positive")
+    import numpy as np
+
     values, meta = _load_sample(args)
-    sample = order_statistics(values)
+    sample = empirics.order_statistics(values)
     m_ref = _m_ref(args, sample.n)
 
-    traces = {kind: trace(sample, kind, stride=args.stride)
+    traces = {kind: estimators.trace(sample, kind, stride=args.stride)
               for kind in ("hill", "pickands", "moment")}
-    qq = qq_points_pos(sample, m_ref)
-    qq_fit = ls_fit(qq, "qq-pos")
+    qq = estimators.qq_points_pos(sample, m_ref)
+    qq_fit = estimators.ls_fit(qq, "qq-pos")
     meta.update({"m": m_ref, "stride": args.stride, "format": sorted(args.format)})
     return [
         *((f"{kind}_trace.csv", _csv("m,value", tr.m, tr.value)) for kind, tr in traces.items()),
         ("qq_pos.csv", qq.write_csv),
-        ("traces.svg", lambda path: render_plot(
+        ("traces.svg", lambda path: svgplot.render_plot(
             path,
-            [Series(np.column_stack([tr.m, tr.value]), "line") for tr in traces.values()],
+            [svgplot.Series(np.column_stack([tr.m, tr.value]), "line") for tr in traces.values()],
             title="estimator traces (hill, pickands, moment)",
             xlabel="m",
             ylabel="estimate",
@@ -361,18 +408,21 @@ def cmd_estimate(args: argparse.Namespace):
 
 
 def cmd_converge(args: argparse.Namespace):
+    import numpy as np
+
     model = parse_model(_require(args, "model"))
     case, n_grid, reps = (_require(args, name) for name in ("case", "n_grid", "reps"))
-    report = run_convergence(model, case, n_grid, reps, _seed(args), k_rule=args.k,
-                             window=args.window, resolution=args.resolution)
+    report = randset.run_convergence(model, case, n_grid, reps, _seed(args), k_rule=args.k,
+                                     window=args.window, resolution=args.resolution)
     med = report.medians()
 
     def plot(path):
         log_n = np.log10(np.asarray(report.n_grid, float))
         cloud = np.column_stack([np.repeat(log_n, reps), report.distances.T.ravel()])
-        render_plot(
+        svgplot.render_plot(
             path,
-            [Series(cloud, "scatter"), Series(np.column_stack([log_n, med]), "line")],
+            [svgplot.Series(cloud, "scatter"),
+             svgplot.Series(np.column_stack([log_n, med]), "line")],
             title=f"windowed distance to {case} limit",
             xlabel="log10 n",
             ylabel="hausdorff distance",
@@ -390,10 +440,12 @@ def cmd_converge(args: argparse.Namespace):
 
 
 def cmd_analyze(args: argparse.Namespace):
+    import numpy as np
+
     path, p_max = _require(args, "input"), args.p_max
-    ts = load_csv(path, date_col=args.date_col, value_col=args.value_col,
-                  date_format=args.date_format)
-    an = analyze_series(ts, p_max)
+    ts = pipeline.load_csv(path, date_col=args.date_col, value_col=args.value_col,
+                           date_format=args.date_format)
+    an = pipeline.analyze_series(ts, p_max)
     model, fit, sample = an.model, an.me_fit, an.sample
     order, (i_min, i_max) = model.order, an.trim
     m_ref = _m_ref(args, sample.n)
@@ -428,19 +480,23 @@ def cmd_analyze(args: argparse.Namespace):
 # entry point
 
 
-# subcommand -> (handler, help, its options besides --config and --out)
+# subcommand -> (handler, help, its options besides --config and --out,
+#                the library modules it calls)
 _COMMANDS = {
     "simulate": (cmd_simulate, "draw a sample from a model (always CSV)",
-                 "--model --n --seed --stream"),
+                 "--model --n --seed --stream", (dist, tabular)),
     "meplot": (cmd_meplot, "mean excess plot and its LS reading",
-               "--format --model --n --input --trim --seed --stream"),
+               "--format --model --n --input --trim --seed --stream",
+               (dist, empirics, estimators, svgplot, tabular)),
     "estimate": (cmd_estimate, "hill/pickands/moment traces and qq fit",
-                 "--format --model --n --input --m --stride --seed --stream"),
+                 "--format --model --n --input --m --stride --seed --stream",
+                 (dist, empirics, estimators, svgplot, tabular)),
     "converge": (cmd_converge, "replicated distance-to-limit experiment",
                  "--format --model --case --n-grid --reps --k --window --resolution "
-                 "--seed --stream"),
+                 "--seed --stream", (dist, randset, svgplot, tabular)),
     "analyze": (cmd_analyze, "deseasonalize, fit AR, read residual tails",
-                "--format --input --date-col --value-col --date-format --p-max --m"),
+                "--format --input --date-col --value-col --date-format --p-max --m",
+                (estimators, pipeline, svgplot, tabular)),
 }
 
 
@@ -477,7 +533,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="tailscope", description="Mean excess plot diagnostics for heavy-tailed data")
     parser.add_argument("--version", action="version", version=f"tailscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, about, flags) in _COMMANDS.items():
+    for name, (_, about, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
         for flag in ("--config", "--out", *flags.split()):
             p.add_argument(flag, **options[flag])
@@ -486,7 +542,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     """Run the command line on argv and return its exit code; with no argv,
-    run sys.argv[1:] as the process's own command, its import heap frozen."""
+    run sys.argv[1:] as the process's own command, its import heap frozen
+    before parsing and again once the command's modules have run."""
     if argv is None:
         gc.freeze()
     parser, commands = build_parser()
@@ -498,7 +555,13 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(
                 **{key: cfg[key] for key in cfg.keys() & vars(args).keys() - {"command"}})
             args = parser.parse_args(argv)
-        return _emit(args, *_COMMANDS[args.command][0](args))
+        run, _, _, modules = _COMMANDS[args.command]
+        _check_sampling(args)
+        for module in modules:
+            vars(module)  # runs a lazy module here, not on a pool worker
+        if argv is None:
+            gc.freeze()
+        return _emit(args, *run(args))
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:

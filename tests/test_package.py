@@ -4,16 +4,18 @@ no scipy module, no command but those on the stable law loads
 `scipy.stats`, and none loads `scipy.spatial`.
 
 `import tailscope` loads no numpy: the first public name asked for imports
-the library modules.  `import tailscope.cli` loads them all, and sets
-OPENBLAS_NUM_THREADS=1 before numpy unless the variable is set, so a
-command runs BLAS on one thread (no worker spinning beside it, and dot
-products whose bytes do not depend on the host's core count), while a
-value the user exported is kept.
+the library modules.  `import tailscope.cli` binds them all as lazy modules
+that have not run, loads no numpy, and sets OPENBLAS_NUM_THREADS=1 unless
+the variable is set, so a command runs BLAS on one thread (no worker
+spinning beside it, and dot products whose bytes do not depend on the
+host's core count), while a value the user exported is kept.  A command
+runs the modules its `_COMMANDS` row names, and what they import, before
+its handler; `--version`, `--help` and option errors run none of them.
 
 A command's own process (`python -m tailscope.cli`, the `tailscope` script)
-freezes the heap its imports built, so no collection walks it again;
-importing `tailscope.cli` or calling `main` with an argv list leaves the
-collector as it was."""
+freezes the heap its imports built, numpy's included, so no collection
+walks it again; importing `tailscope.cli` or calling `main` with an argv
+list leaves the collector as it was."""
 import importlib
 import inspect
 import json
@@ -255,12 +257,18 @@ def test_unknown_name_raises_attribute_error(tmp_path):
 
 
 def test_cli_import_loads_every_library_module(tmp_path):
+    # the traced benchmark runner wraps functions on the modules listed here;
+    # all but cli and errors are lazy, and none of those has run
     code = (
-        "import sys\nimport tailscope.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('tailscope.')))\n"
+        "import sys, types\nimport tailscope.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tailscope.')),"
+        " sorted(n for n, m in sys.modules.items()"
+        " if n.startswith('tailscope.') and type(m) is types.ModuleType),"
+        " 'numpy' in sys.modules)\n"
     )
-    assert _run_python(code, tmp_path) == str(sorted(
-        f"tailscope.{name}" for name in (*MODULES, "cli", "svgplot", "tabular")))
+    assert _run_python(code, tmp_path) == " ".join([str(sorted(
+        f"tailscope.{name}" for name in (*MODULES, "cli", "svgplot", "tabular"))),
+        "['tailscope.cli', 'tailscope.errors']", "False"])
 
 
 def _run_with_threads(code: str, cwd, threads) -> str:
@@ -276,7 +284,9 @@ def _run_with_threads(code: str, cwd, threads) -> str:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_cli_process_runs_one_thread(tmp_path):
-    code = ("import tailscope.cli\n"
+    # tailscope.cli loads no numpy, so run a library module that does
+    code = ("import sys\nimport tailscope.cli\ntailscope.cli.tabular.CHUNK\n"
+            "assert 'numpy' in sys.modules\n"
             "print([ln.split()[1] for ln in open('/proc/self/status')"
             " if ln.startswith('Threads:')][0])\n")
     assert _run_with_threads(code, tmp_path, None) == "1"
@@ -316,19 +326,114 @@ def _entry_point(entry: str) -> list:
     return ["-c", f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n"]
 
 
+# what a command's own process has done by its exit, printed by a hook
+# that runs before the command line is imported
+_EXIT_HOOK = (
+    "import atexit, gc, json, sys, types\n"
+    "def ran():\n"
+    "    return sorted(n.partition('.')[2] for n, m in sys.modules.items()\n"
+    "                  if n.startswith('tailscope.') and type(m) is types.ModuleType)\n"
+    "def report():\n"
+    "    numpy = sys.modules.get('numpy')\n"
+    "    print('exit', json.dumps({\n"
+    "        'collector': [gc.isenabled(), gc.get_freeze_count() > 0],\n"
+    "        'numpy': numpy is not None,\n"
+    "        'numpy_tracked': numpy is not None\n"
+    "        and any(o is vars(numpy) for o in gc.get_objects()),\n"
+    "        'ran': ran()}), file=sys.stderr)\n"
+    "atexit.register(report)\n"
+)
+
+
+def _hooked_process(args: list, cwd):
+    """Run the interpreter on args with the exit hook; the process and the
+    hook's record."""
+    hook = cwd / "hook"
+    hook.mkdir(exist_ok=True)
+    (hook / "sitecustomize.py").write_text(_EXIT_HOOK)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(SRC)]))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert lines and lines[-1].startswith("exit "), proc.stderr
+    return proc, json.loads(lines[-1][5:])
+
+
 @pytest.mark.parametrize("entry", ["module", "script"])
 def test_command_process_runs_with_its_import_heap_frozen(entry, tmp_path):
-    hook = tmp_path / "hook"
-    hook.mkdir()
-    (hook / "sitecustomize.py").write_text(
-        "import atexit, gc, sys\n"
-        "atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0,"
-        " file=sys.stderr))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(SRC)]))
-    proc = subprocess.run([sys.executable, *_entry_point(entry), "--version"], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc, record = _hooked_process([*_entry_point(entry), "--version"], tmp_path)
     assert (proc.returncode, proc.stdout) == (0, f"tailscope {ts.__version__}\n")
-    assert proc.stderr == "collector True True\n"
+    assert record["collector"] == [True, True]
+    # a data command freezes again once its modules have run, numpy's heap included
+    proc, record = _hooked_process(
+        [*_entry_point(entry), "simulate", "--model", "pareto:2", "--n", "10", "--out", "o"],
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert record["collector"] == [True, True]
+    assert record["numpy"] and not record["numpy_tracked"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["simulate", "--help"], 0),
+    (["simulate", "--model", "nope:1", "--n", "10", "--out", "o"], 2),
+    (["meplot", "--input", "x.csv", "--n", "10", "--out", "o"], 2),
+    (["estimate", "--stride", "0", "--model", "pareto:2", "--out", "o"], 2),
+    (["converge", "--out", "o"], 2),
+    (["simulate", "--n", "ten"], 2),
+    (["nope"], 2),
+], ids=["version", "help", "simulate-help", "bad-model", "input-and-n", "stride",
+        "no-model", "bad-int", "no-command"])
+def test_version_help_and_option_errors_run_no_library_module(argv, code, tmp_path):
+    proc, record = _hooked_process(["-m", "tailscope.cli", *argv], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    # the command line itself runs as __main__
+    assert (record["numpy"], record["ran"]) == (False, ["errors"])
+    assert not (tmp_path / "o").exists()
+
+
+# the library modules each command runs besides cli and errors: those its
+# _COMMANDS row names and what they import, all before its handler starts
+COMMAND_RUNS = {
+    "simulate": ["dist", "tabular"],
+    "meplot": ["dist", "empirics", "estimators", "svgplot", "tabular"],
+    "estimate": ["dist", "empirics", "estimators", "svgplot", "tabular"],
+    "converge": ["dist", "empirics", "estimators", "randset", "svgplot", "tabular"],
+    "analyze": ["dist", "empirics", "estimators", "pipeline", "svgplot", "tabular"],
+}
+
+# runs the command line on sys.argv[1:] with the handler wrapped to print
+# which modules had run when it started
+_PROBED_MAIN = (
+    "import sys\nimport tailscope.cli as cli\nfrom sitecustomize import ran\n"
+    "run, *rest = cli._COMMANDS[sys.argv[1]]\n"
+    "def probe(args):\n"
+    "    print('handler', *ran(), file=sys.stderr)\n"
+    "    return run(args)\n"
+    "cli._COMMANDS[sys.argv[1]] = (probe, *rest)\n"
+    "sys.exit(cli.main())\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "pareto:2", "--n", "1000", "--out", "o"],
+    ["meplot", "--input", "sample.csv", "--out", "o"],
+    ["meplot", "--model", "pareto:2", "--n", "1000", "--format", "csv", "--out", "o"],
+    ["estimate", "--input", "sample.csv", "--out", "o"],
+    ["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
+     "--reps", "2", "--out", "o"],
+    ["analyze", "--input", "daily.csv", "--p-max", "3", "--out", "o"],
+], ids=["simulate", "meplot-input", "meplot-model", "estimate", "converge", "analyze"])
+def test_command_runs_the_modules_of_its_row_before_its_handler(argv, tmp_path):
+    sample = np.random.default_rng(2).pareto(2.0, 1000) + 1.0
+    (tmp_path / "sample.csv").write_text("value\n" + "".join(f"{v:.17g}\n" for v in sample))
+    _daily_csv(tmp_path / "daily.csv")
+    proc, record = _hooked_process(["-c", _PROBED_MAIN, *argv], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    expected = ["cli", "errors", *COMMAND_RUNS[argv[0]]]
+    assert proc.stderr.splitlines()[0].split() == ["handler", *sorted(expected)]
+    assert record["ran"] == sorted(expected)
 
 
 @pytest.mark.parametrize("argv, code, message", [
