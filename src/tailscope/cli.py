@@ -20,7 +20,8 @@ leaves no directory.  A .csv or .svg file is written only when --format
 lists its kind (``simulate`` takes no --format and writes its CSV), and a
 .txt file always.  Configuration errors, among them a bad --format, --m below 1
 and a --trim no sample admits, are reported before any input is read or sampled,
-and those of --stride, --model and --input before any library module runs.
+and those of --stride, --model and --input before any library module runs
+(but ``tabular``, when it has read a --config file).
 
 Each command runs only the library modules it calls.  Importing this module
 runs ``tailscope.errors`` alone, and binds ``dist``, ``empirics``,
@@ -28,12 +29,10 @@ runs ``tailscope.errors`` alone, and binds ``dist``, ``empirics``,
 lazy modules (``importlib.util.LazyLoader``): each is in ``sys.modules`` and
 on the package, so a program can list them all, but runs, and imports numpy,
 only on the first lookup of one of its attributes.  ``--version``,
-``--help`` and option errors run none of them.  Each ``_COMMANDS`` row names
-the modules its command calls; ``main`` runs them, and what they import, on
-the calling thread right after parsing, before the handler starts any
-worker, since a lazy module takes no lock when it runs.  ``simulate`` runs
-``dist`` and ``tabular``; ``meplot`` and ``estimate`` add ``empirics``,
-``estimators`` and ``svgplot``; ``converge`` adds ``randset`` to those;
+``--help`` and option errors run none of them, unless a --config file was
+read, through ``tabular``.  ``simulate`` runs ``dist`` and ``tabular``;
+``meplot`` and ``estimate`` add ``empirics`` and ``estimators``, and
+``svgplot`` when --format lists svg; ``converge`` adds ``randset`` to those;
 ``analyze`` runs all but ``randset``.  The functions here that call numpy
 import it themselves.
 
@@ -55,11 +54,12 @@ own thread count.
 The heap the imports build is frozen.  ``main()`` with no argv runs
 ``sys.argv[1:]`` as the process's own command, as both entry points call
 it.  It calls ``gc.freeze()`` before it parses, which is all that
-``--version`` and ``--help`` build, and again once the command's modules
-have run: the tens of thousands of objects that numpy and the library put
-on the heap live until exit, and no collection, the one at exit included,
-walks them again.  Importing this module, or calling ``main`` with an argv
-list, as a program or a test does, leaves the collector as it was.
+``--version`` and ``--help`` build, and again once the command has computed
+what it writes, by when the modules it ran have loaded: the tens of
+thousands of objects that numpy and the library put on the heap live until
+exit, and no collection, the one at exit included, walks them again.
+Importing this module, or calling ``main`` with an argv list, as a program
+or a test does, leaves the collector as it was.
 """
 from __future__ import annotations
 
@@ -205,8 +205,9 @@ def _parse_trim(raw: str) -> tuple[int, int | None] | None:
     return i_min, i_max
 
 
-def _parse_window(raw: str) -> randset.Window | None:
-    """x0,x1,y0,y1; empty for the case's default window."""
+def _parse_window(raw: str | None) -> randset.Window | None:
+    """x0,x1,y0,y1; none or empty for the case's default window.  ``converge``
+    parses its --window itself, so that parsing options runs no randset."""
     if not raw:
         return None
     try:
@@ -410,10 +411,11 @@ def cmd_estimate(args: argparse.Namespace):
 def cmd_converge(args: argparse.Namespace):
     import numpy as np
 
+    window = _parse_window(args.window)
     model = parse_model(_require(args, "model"))
     case, n_grid, reps = (_require(args, name) for name in ("case", "n_grid", "reps"))
     report = randset.run_convergence(model, case, n_grid, reps, _seed(args), k_rule=args.k,
-                                     window=args.window, resolution=args.resolution)
+                                     window=window, resolution=args.resolution)
     med = report.medians()
 
     def plot(path):
@@ -480,23 +482,19 @@ def cmd_analyze(args: argparse.Namespace):
 # entry point
 
 
-# subcommand -> (handler, help, its options besides --config and --out,
-#                the library modules it calls)
+# subcommand -> (handler, help, its options besides --config and --out)
 _COMMANDS = {
     "simulate": (cmd_simulate, "draw a sample from a model (always CSV)",
-                 "--model --n --seed --stream", (dist, tabular)),
+                 "--model --n --seed --stream"),
     "meplot": (cmd_meplot, "mean excess plot and its LS reading",
-               "--format --model --n --input --trim --seed --stream",
-               (dist, empirics, estimators, svgplot, tabular)),
+               "--format --model --n --input --trim --seed --stream"),
     "estimate": (cmd_estimate, "hill/pickands/moment traces and qq fit",
-                 "--format --model --n --input --m --stride --seed --stream",
-                 (dist, empirics, estimators, svgplot, tabular)),
+                 "--format --model --n --input --m --stride --seed --stream"),
     "converge": (cmd_converge, "replicated distance-to-limit experiment",
                  "--format --model --case --n-grid --reps --k --window --resolution "
-                 "--seed --stream", (dist, randset, svgplot, tabular)),
+                 "--seed --stream"),
     "analyze": (cmd_analyze, "deseasonalize, fit AR, read residual tails",
-                "--format --input --date-col --value-col --date-format --p-max --m",
-                (estimators, pipeline, svgplot, tabular)),
+                "--format --input --date-col --value-col --date-format --p-max --m"),
 }
 
 
@@ -521,7 +519,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--n-grid": dict(type=_parse_grid, help="comma list of sample sizes"),
         "--reps": dict(type=int, help="replicates per sample size"),
         "--k": dict(type=float, default=0.7, help="k-rule exponent (default %(default)s)"),
-        "--window": dict(type=_parse_window, help="x0,x1,y0,y1 observation window"),
+        "--window": dict(help="x0,x1,y0,y1 observation window"),
         "--resolution": dict(type=int, default=512, help="limit grid steps (default %(default)s)"),
         "--date-col": dict(default="date", help="date column (default %(default)s)"),
         "--value-col": dict(default="value", help="value column (default %(default)s)"),
@@ -533,7 +531,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="tailscope", description="Mean excess plot diagnostics for heavy-tailed data")
     parser.add_argument("--version", action="version", version=f"tailscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, about, flags, _) in _COMMANDS.items():
+    for name, (_, about, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
         for flag in ("--config", "--out", *flags.split()):
             p.add_argument(flag, **options[flag])
@@ -542,8 +540,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     """Run the command line on argv and return its exit code; with no argv,
-    run sys.argv[1:] as the process's own command, its import heap frozen
-    before parsing and again once the command's modules have run."""
+    run sys.argv[1:] as the process's own command, its heap frozen before
+    parsing and again once the command has computed what it writes."""
     if argv is None:
         gc.freeze()
     parser, commands = build_parser()
@@ -555,13 +553,11 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(
                 **{key: cfg[key] for key in cfg.keys() & vars(args).keys() - {"command"}})
             args = parser.parse_args(argv)
-        run, _, _, modules = _COMMANDS[args.command]
         _check_sampling(args)
-        for module in modules:
-            vars(module)  # runs a lazy module here, not on a pool worker
+        files, line = _COMMANDS[args.command][0](args)
         if argv is None:
             gc.freeze()
-        return _emit(args, *run(args))
+        return _emit(args, files, line)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:

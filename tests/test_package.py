@@ -9,8 +9,8 @@ that have not run, loads no numpy, and sets OPENBLAS_NUM_THREADS=1 unless
 the variable is set, so a command runs BLAS on one thread (no worker
 spinning beside it, and dot products whose bytes do not depend on the
 host's core count), while a value the user exported is kept.  A command
-runs the modules its `_COMMANDS` row names, and what they import, before
-its handler; `--version`, `--help` and option errors run none of them.
+runs only the library modules it calls; `--version`, `--help` and option
+errors run none of them.
 
 A command's own process (`python -m tailscope.cli`, the `tailscope` script)
 freezes the heap its imports built, numpy's included, so no collection
@@ -330,9 +330,6 @@ def _entry_point(entry: str) -> list:
 # that runs before the command line is imported
 _EXIT_HOOK = (
     "import atexit, gc, json, sys, types\n"
-    "def ran():\n"
-    "    return sorted(n.partition('.')[2] for n, m in sys.modules.items()\n"
-    "                  if n.startswith('tailscope.') and type(m) is types.ModuleType)\n"
     "def report():\n"
     "    numpy = sys.modules.get('numpy')\n"
     "    print('exit', json.dumps({\n"
@@ -340,7 +337,9 @@ _EXIT_HOOK = (
     "        'numpy': numpy is not None,\n"
     "        'numpy_tracked': numpy is not None\n"
     "        and any(o is vars(numpy) for o in gc.get_objects()),\n"
-    "        'ran': ran()}), file=sys.stderr)\n"
+    "        'ran': sorted(n.partition('.')[2] for n, m in sys.modules.items()\n"
+    "                      if n.startswith('tailscope.') and type(m) is types.ModuleType),\n"
+    "    }), file=sys.stderr)\n"
     "atexit.register(report)\n"
 )
 
@@ -363,12 +362,16 @@ def _hooked_process(args: list, cwd):
 def test_command_process_runs_with_its_import_heap_frozen(entry, tmp_path):
     proc, record = _hooked_process([*_entry_point(entry), "--version"], tmp_path)
     assert (proc.returncode, proc.stdout) == (0, f"tailscope {ts.__version__}\n")
+    # the hook's line is all the process writes to stderr
+    assert proc.stderr.splitlines()[:-1] == []
     assert record["collector"] == [True, True]
-    # a data command freezes again once its modules have run, numpy's heap included
+    # a data command freezes again once it has computed its output, by when
+    # numpy has loaded, so numpy's heap is frozen too
     proc, record = _hooked_process(
         [*_entry_point(entry), "simulate", "--model", "pareto:2", "--n", "10", "--out", "o"],
         tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[:-1] == []
     assert record["collector"] == [True, True]
     assert record["numpy"] and not record["numpy_tracked"]
 
@@ -381,10 +384,11 @@ def test_command_process_runs_with_its_import_heap_frozen(entry, tmp_path):
     (["meplot", "--input", "x.csv", "--n", "10", "--out", "o"], 2),
     (["estimate", "--stride", "0", "--model", "pareto:2", "--out", "o"], 2),
     (["converge", "--out", "o"], 2),
+    (["converge", "--window", "0,1,0,1", "--model", "nope:1", "--out", "o"], 2),
     (["simulate", "--n", "ten"], 2),
     (["nope"], 2),
 ], ids=["version", "help", "simulate-help", "bad-model", "input-and-n", "stride",
-        "no-model", "bad-int", "no-command"])
+        "no-model", "window-and-bad-model", "bad-int", "no-command"])
 def test_version_help_and_option_errors_run_no_library_module(argv, code, tmp_path):
     proc, record = _hooked_process(["-m", "tailscope.cli", *argv], tmp_path)
     assert proc.returncode == code, proc.stderr
@@ -393,47 +397,28 @@ def test_version_help_and_option_errors_run_no_library_module(argv, code, tmp_pa
     assert not (tmp_path / "o").exists()
 
 
-# the library modules each command runs besides cli and errors: those its
-# _COMMANDS row names and what they import, all before its handler starts
-COMMAND_RUNS = {
-    "simulate": ["dist", "tabular"],
-    "meplot": ["dist", "empirics", "estimators", "svgplot", "tabular"],
-    "estimate": ["dist", "empirics", "estimators", "svgplot", "tabular"],
-    "converge": ["dist", "empirics", "estimators", "randset", "svgplot", "tabular"],
-    "analyze": ["dist", "empirics", "estimators", "pipeline", "svgplot", "tabular"],
-}
-
-# runs the command line on sys.argv[1:] with the handler wrapped to print
-# which modules had run when it started
-_PROBED_MAIN = (
-    "import sys\nimport tailscope.cli as cli\nfrom sitecustomize import ran\n"
-    "run, *rest = cli._COMMANDS[sys.argv[1]]\n"
-    "def probe(args):\n"
-    "    print('handler', *ran(), file=sys.stderr)\n"
-    "    return run(args)\n"
-    "cli._COMMANDS[sys.argv[1]] = (probe, *rest)\n"
-    "sys.exit(cli.main())\n"
-)
+_PLOTS = ["dist", "empirics", "estimators", "svgplot", "tabular"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--model", "pareto:2", "--n", "1000", "--out", "o"],
-    ["meplot", "--input", "sample.csv", "--out", "o"],
-    ["meplot", "--model", "pareto:2", "--n", "1000", "--format", "csv", "--out", "o"],
-    ["estimate", "--input", "sample.csv", "--out", "o"],
-    ["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
-     "--reps", "2", "--out", "o"],
-    ["analyze", "--input", "daily.csv", "--p-max", "3", "--out", "o"],
-], ids=["simulate", "meplot-input", "meplot-model", "estimate", "converge", "analyze"])
-def test_command_runs_the_modules_of_its_row_before_its_handler(argv, tmp_path):
+# each command runs errors, the library modules it calls and what they import
+@pytest.mark.parametrize("argv, ran", [
+    (["simulate", "--model", "pareto:2", "--n", "1000", "--out", "o"], ["dist", "tabular"]),
+    (["meplot", "--input", "sample.csv", "--out", "o"], _PLOTS),
+    # no plot to draw
+    (["meplot", "--model", "pareto:2", "--n", "1000", "--format", "csv", "--out", "o"],
+     ["dist", "empirics", "estimators", "tabular"]),
+    (["estimate", "--input", "sample.csv", "--out", "o"], _PLOTS),
+    (["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
+      "--reps", "2", "--window", "1,3,0,4", "--out", "o"], [*_PLOTS, "randset"]),
+    (["analyze", "--input", "daily.csv", "--p-max", "3", "--out", "o"], [*_PLOTS, "pipeline"]),
+], ids=["simulate", "meplot-input", "meplot-csv", "estimate", "converge", "analyze"])
+def test_command_runs_only_the_modules_it_calls(argv, ran, tmp_path):
     sample = np.random.default_rng(2).pareto(2.0, 1000) + 1.0
     (tmp_path / "sample.csv").write_text("value\n" + "".join(f"{v:.17g}\n" for v in sample))
     _daily_csv(tmp_path / "daily.csv")
-    proc, record = _hooked_process(["-c", _PROBED_MAIN, *argv], tmp_path)
+    proc, record = _hooked_process(["-m", "tailscope.cli", *argv], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    expected = ["cli", "errors", *COMMAND_RUNS[argv[0]]]
-    assert proc.stderr.splitlines()[0].split() == ["handler", *sorted(expected)]
-    assert record["ran"] == sorted(expected)
+    assert record["ran"] == sorted(["errors", *ran])
 
 
 @pytest.mark.parametrize("argv, code, message", [
