@@ -123,26 +123,40 @@ def _exceed_counts(values_desc: np.ndarray, u) -> np.ndarray:
     return values_desc.size - np.searchsorted(values_desc[::-1], np.atleast_1d(u), side="right")
 
 
-def _mean_excess(values_desc: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    """Strict exceedance counts c and mean excesses at the thresholds u.
+def _order_counts(values_desc: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``_exceed_counts`` at the thresholds X_(lo) to X_(hi), in one pass.
+
+    The observations strictly above X_(i) are those before the first of its
+    ties, so its count is that tie's index: a running maximum over the
+    indices where a run of equal values starts.  Only X_(lo)'s run may start
+    before lo, and one binary search finds it.
+    """
+    u = values_desc[lo - 1:hi]
+    starts = np.arange(lo - 1, hi)
+    starts[1:][u[1:] == u[:-1]] = 0
+    starts[0] = _exceed_counts(values_desc, u[0])[0]
+    return np.maximum.accumulate(starts, out=starts)
+
+
+def _mean_excess(values_desc: np.ndarray, u, c: np.ndarray) -> np.ndarray:
+    """Mean excesses at the thresholds u, given their strict exceedance counts c.
 
     ME(u) = sum_{i <= c} (X_(i) - p)/c - (u - p) with the pivot p = min(u),
     cumulated over the max(c) largest observations only: data far from 0
     lose no digits, and a top-k plot costs O(k).  ME is +inf where c = 0.
     """
-    c = _exceed_counts(values_desc, u)
     if not c.any():
         raise EmptyExceedanceError(f"no observation exceeds u={float(np.min(u))!r}")
     pivot = np.min(u)
     csum = values_desc[: c.max()] - pivot
     np.cumsum(csum, out=csum)
     with np.errstate(divide="ignore"):
-        return c, csum[c - 1] / c - (u - pivot)
+        return csum[c - 1] / c - (u - pivot)
 
 
 def empirical_me(sample: OrderedSample, u: float) -> float:
     """Empirical mean excess at u: mean of X - u over observations X > u."""
-    return float(_mean_excess(sample.values, u)[1][0])
+    return float(_mean_excess(sample.values, u, _exceed_counts(sample.values, u))[0])
 
 
 def plotted_trim(sample: OrderedSample, i_min: int = 2, i_max: int | None = None):
@@ -168,13 +182,15 @@ def me_plot(sample: OrderedSample, i_min: int = 2, i_max: int | None = None) -> 
     """
     lo, hi = plotted_trim(sample, i_min, i_max)
     u = sample.values[lo - 1 : hi]
-    return PointSet2D(np.column_stack([u, _mean_excess(sample.values, u)[1]]))
+    me = _mean_excess(sample.values, u, _order_counts(sample.values, lo, hi))
+    return PointSet2D(np.column_stack([u, me]))
 
 
 def _top_k_me(sample: OrderedSample, k: int):
     _check_top_k(k, sample.n)
     u = sample.values[1:k]
-    c, me = _mean_excess(sample.values, u)
+    c = _order_counts(sample.values, 2, k)
+    me = _mean_excess(sample.values, u, c)
     if c[0] == 0:
         raise EmptyExceedanceError("tied maxima leave no strict exceedances")
     return np.arange(2, k + 1), u, me

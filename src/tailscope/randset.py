@@ -405,7 +405,13 @@ class ConvergenceReport:
     missed: int = 0
 
     def medians(self) -> np.ndarray:
-        return np.median(self.distances, axis=0)
+        """Each grid point's median distance, bit for bit ``np.median``, whose
+        NaN check would import ``numpy.ma``: the middle replicate, or the mean
+        of the two middle ones, and NaN where any replicate is NaN."""
+        ranked = np.sort(self.distances, axis=0)
+        mid = ranked.shape[0] // 2
+        med = ranked[mid] if ranked.shape[0] % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+        return np.where(np.isnan(ranked[-1]), np.nan, med)
 
     def write_csv(self, path) -> None:
         reps, cols = self.distances.shape

@@ -2,7 +2,12 @@
 
 Hand-rolled so that identical inputs yield byte-identical files: no
 timestamps, no dict-order dependence, fixed decimal formatting.  Marks are
-formatted a chunk at a time from coordinate arrays.
+written as byte rows by ``tabular.write_rows``, the CSV writers' row
+assembler: a polyline's vertices as ``x,y`` fields joined by spaces, a
+circle as its literal pieces around three fields.  Each coordinate is
+scaled to the screen once and rounded to its ``%.2f`` key (``cents``) once;
+the polyline thinning compares those keys, and the fields print them.
+Each distinct ``fill-opacity`` is formatted once.
 
 A polyline drops each vertex that prints at the same ``%.2f`` position as
 the one before it; the zero-length segment it drew showed nothing.  The
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import write_records
+from .tabular import cents, write_rows
 
 __all__ = ["Series", "render_plot"]
 
@@ -38,6 +43,9 @@ class Series:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+    """Round-numbered ticks over [lo, hi], about target of them; they end
+    where a step no longer moves the tick, so a span below the ulp of its
+    values has one."""
     span = hi - lo
     if span <= 0 or not math.isfinite(span):
         return [lo]
@@ -52,6 +60,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:
+            break
         t += step
     return ticks
 
@@ -60,37 +70,48 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _finite(points: np.ndarray) -> np.ndarray:
-    """The rows whose coordinates are all finite; no copy when every row is."""
-    ok = np.isfinite(points)
+def _finite(points: np.ndarray):
+    """The rows whose coordinates are all finite, no copy when every row is,
+    and their (x_lo, y_lo, x_hi, y_hi), or None when there is no such row.
+
+    A NaN or an infinity is the least or the greatest of its column, so the
+    rows are all finite when those four are.
+    """
+    if not points.shape[0]:
+        return points, None
+    bounds = [float(f(points[:, j])) for f in (np.min, np.max) for j in (0, 1)]
+    if all(map(math.isfinite, bounds)):
+        return points, bounds
     # a reduction along the short axis of an (n, 2) array is ten times
     # slower than one over the whole array, so take it only when needed
-    return points if ok.all() else points[ok.all(axis=1)]
+    return _finite(points[np.isfinite(points).all(axis=1)])
 
 
-def _new_positions(xy: list) -> np.ndarray:
+def _new_positions(xy: list, keys: list) -> np.ndarray:
     """True where a vertex prints at another ``%.2f`` position than the one before.
 
-    The printed value is ``rint(v * 100)`` unless the product lies within
-    its rounding error of a half-integer: ``%.2f`` rounds the exact double,
-    and may round the other way.  Such vertices, and non-finite ones, are
-    settled by comparing their text.  The error stays below the 1e-6 margin
-    for any coordinate under 1e7 px.
+    keys holds ``cents`` of each coordinate: the printed value times 100, or
+    -1 where the kernel leaves the text to ``%.2f``.  A vertex beside such a
+    one is settled by comparing their text.
     """
     n = xy[0].shape[0]
     new = np.zeros(n, bool)
     new[:1] = True
     unsure = np.zeros(n, bool)
-    for c in xy:
-        t = c * 100.0
-        key = np.rint(t)
-        new[1:] |= key[1:] != key[:-1]
-        t -= key
-        unsure |= ~(np.abs(t, out=t) <= 0.5 - 1e-6)
-        del t, key  # two n-length temporaries at a time, not four
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+        unsure |= k < 0
     for i in np.flatnonzero(unsure[1:] | unsure[:-1]) + 1:
         new[i] = any(_fmt(c[i]) != _fmt(c[i - 1]) for c in xy)
     return new
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """The index of each key that differs from the one before it."""
+    new = np.empty(keys.size, bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _cells(xy: list) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +121,10 @@ def _cells(xy: list) -> tuple[np.ndarray, np.ndarray]:
     a coordinate on an edge is a tie for ``rint`` and ``%.2f`` alike, and
     both round half to even onto the same side.  So a circle's cell is that
     of its printed position.
+
+    A run of circles in one cell, as along a sorted cloud, is one entry;
+    the runs are sorted by cell, and each cell's first circle is the least
+    start of its runs, so the sort need not be stable.
     """
     cx, cy = (np.rint(c * 4.0) for c in xy)
     # one exact float key per cell: a mark on the canvas lies within a few
@@ -107,9 +132,18 @@ def _cells(xy: list) -> tuple[np.ndarray, np.ndarray]:
     cx *= 2.0**32
     cx += cy
     del cy
-    _, first, count = np.unique(cx, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], count[order]
+    starts = _runs(cx)
+    if not starts.size:
+        return starts, starts
+    order = np.argsort(cx[starts])
+    keys = cx[starts[order]]
+    edges = _runs(keys)
+    if np.isnan(keys[-1]):  # NaN keys, of a degenerate axis, sort last and are one cell
+        edges = edges[:np.searchsorted(edges, np.argmax(np.isnan(keys))) + 1]
+    first = np.minimum.reduceat(starts[order], edges)
+    count = np.add.reduceat(np.diff(starts, append=cx.size)[order], edges)
+    shown = np.argsort(first)
+    return first[shown], count[shown]
 
 
 def render_plot(
@@ -126,10 +160,10 @@ def render_plot(
     pw, ph = width - ml - mr, height - mt - mb
 
     finite = [_finite(s.points) for s in series]
-    shown = [p for p in finite if p.shape[0]]
+    shown = [b for _, b in finite if b]
     if shown:
-        x_lo, y_lo = (min(float(p[:, j].min()) for p in shown) for j in (0, 1))
-        x_hi, y_hi = (max(float(p[:, j].max()) for p in shown) for j in (0, 1))
+        x_lo, y_lo = (min(b[j] for b in shown) for j in (0, 1))
+        x_hi, y_hi = (max(b[j] for b in shown) for j in (2, 3))
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if x_lo == x_hi:
@@ -199,21 +233,28 @@ def render_plot(
             f'font-size="11" fill="#222222" class="annotation">{note}</text>'
         )
     tail.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
-        for i, (s, pts) in enumerate(zip(series, finite)):
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(out) + "\n").encode())
+        for i, (s, (pts, _)) in enumerate(zip(series, finite)):
             color = _PALETTE[i % len(_PALETTE)]
-            fh.write(f'<g class="series series-{s.kind}" id="series-{i}">\n')
+            fh.write(f'<g class="series series-{s.kind}" id="series-{i}">\n'.encode())
             xy = [sx(pts[:, 0]), sy(pts[:, 1])]
             if s.kind == "line" and pts.shape[0] >= 2:
-                new = _new_positions(xy)
-                fh.write('<polyline points="')
-                write_records(fh, "%.2f,%.2f", [c[new] for c in xy], sep=" ")
-                fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+                keys = [cents(c) for c in xy]
+                new = np.flatnonzero(_new_positions(xy, keys))
+                (x, kx), (y, ky) = ((c.take(new), k.take(new)) for c, k in zip(xy, keys))
+                fh.write(b'<polyline points="')
+                write_rows(fh, [("%.2f", x, kx), b",", ("%.2f", y, ky)], sep=b" ")
+                fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'.encode())
             else:
-                circle = ('<circle cx="%.2f" cy="%.2f" r="1.6" '
-                          f'fill="{color}" fill-opacity="%.4g"/>\n')
                 first, k = _cells(xy)
-                write_records(fh, circle, [c[first] for c in xy] + [1.0 - 0.45**k])
-            fh.write("</g>\n")
-        fh.write("\n".join(tail) + "\n")
+                x, y = (c[first] for c in xy)
+                # each distinct opacity formatted once; a plain np.unique loads numpy.ma
+                stacks, stack = np.unique(k, return_inverse=True)
+                opacity = [b"%.4g" % o for o in (1.0 - 0.45**stacks).tolist()]
+                write_rows(fh, [
+                    b'<circle cx="', ("%.2f", x, cents(x)), b'" cy="', ("%.2f", y, cents(y)),
+                    f'" r="1.6" fill="{color}" fill-opacity="'.encode(),
+                    ("%s", stack, opacity), b'"/>\n'])
+            fh.write(b"</g>\n")
+        fh.write(("\n".join(tail) + "\n").encode())

@@ -1,18 +1,24 @@
-"""The one number format, for CSV files and key=value files.
+"""The one number format, for CSV files, key=value files and SVG marks.
 
 Floats are written as ``%.17g``, which reads back to the same double, and
-integers as ``%d``.  A CSV file is a header line, then one row per record.
-A key=value file holds one ``key=value`` line per pair.
+integers as ``%d``; SVG coordinates, screen pixels, as ``%.2f``.  A CSV
+file is a header line, then one row per record.  A key=value file holds one
+``key=value`` line per pair.
 
-A CSV file is written CHUNK records at a time, and each chunk becomes one
-``(m, W)`` matrix of bytes, one row per record, with no Python object per
-field.  Each column is a block of fixed-width fields: 24 bytes (three
-little-endian words) for ``%.17g``, whose longest output is 24 bytes, and
-eight digits per word for ``%d``, as many words as the chunk's largest |v|
-needs, after a sign word if any v < 0.  A ``,`` byte follows each block
-and a ``\n`` the last.  A field's unused bytes are NUL, and they may sit
-anywhere in it: no byte of a number, a separator or a newline is ever 0,
-so dropping every NUL of the matrix (``rows[rows != 0]``) leaves the lines.
+Rows of records are written CHUNK records at a time (``write_rows``), and
+each chunk becomes one ``(m, W)`` matrix of bytes, one row per record, with
+no Python object per field.  A row is a list of segments: literal bytes,
+the same in every row (a CSV file's ``,`` and ``\n``, an SVG circle's
+``<circle cx="`` and the rest), and fields, each a block of fixed-width
+columns: 24 bytes (three little-endian words) for ``%.17g``, whose longest
+output is 24 bytes; eight digits per word for ``%d``, as many words as the
+chunk's largest |v| needs, after a sign word if any v < 0; one word for
+``%.2f`` below 1e5; and for a field of a few distinct texts, each laid out
+once and gathered by index, as many words as the longest needs.  Rows may
+be joined by a separator, as a polyline's vertices are by spaces.  A
+field's unused bytes are NUL, and they may sit anywhere in it: no byte of a
+number, a literal or a separator is ever 0, so dropping every NUL of the
+matrix (``rows[rows != 0]``) leaves the lines.
 
 A float column is formatted in numpy, to the bytes of ``"%.17g" % v``.
 For 1e-4 <= |v| < 1e17, ``%.17g`` writes fixed notation: the 17 significant
@@ -33,6 +39,16 @@ point) stripped.  The digits are exact because:
 
 Every other value goes through Python's own ``%.17g``, one by one: the
 exponent form, 0, subnormals, inf, NaN and the D outside those bounds.
+
+A ``%.2f`` field takes its keys D = rint(100 v) from ``cents``, which the
+SVG writer also compares to thin a polyline.  For 0 <= v < 1e7 the product
+100 v is off the exact one by less than 1e-7, so where it lies more than
+1e-6 from a half-integer rint rounds the exact decimal as ``%.2f`` does,
+and D's digits, the point before the last two, are the text.  A D below
+1e7 fills one word: eight digits, the first 0, whose five integer digits
+move one byte down, each leading zero a NUL but the units, so the point
+takes the byte they free.  Every other value, a half-cent neighbour, -0.0,
+a negative, 1e5 or more, or not finite, goes through Python's ``%.2f``.
 
 The digits become bytes eight at a time in a word, by multiply-shift
 divisions on its lanes (the reverse of the reader's SWAR step below).  The
@@ -104,32 +120,45 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["CHUNK", "write_records", "write_csv", "write_keyvals", "read_csv"]
+__all__ = ["CHUNK", "cents", "write_rows", "write_csv", "write_keyvals", "read_csv"]
 
 # records formatted, or lines read, per call; each worker thread's malloc
 # arena keeps about 280 bytes a record after its first chunk
 CHUNK = 1 << 14
 
 
-def write_records(fh, template: str, columns, sep: str = "") -> None:
-    """Write ``template % row`` for each row of equal-length columns, joined by sep."""
-    cols = [np.asarray(c) for c in columns]
-    width, n = len(cols), cols[0].shape[0]
-    for start in range(0, n, CHUNK):
-        m = min(CHUNK, n - start)
-        fields = [None] * (m * width)
-        for j, c in enumerate(cols):
-            fields[j::width] = c[start:start + m].tolist()
-        fh.write((sep if start else "") + sep.join([template] * m) % tuple(fields))
-
-
 def write_csv(path, header: str, columns) -> None:
     """Write columns under a header line: integer columns as %d, all others as %.17g."""
-    cols = [np.asarray(c) for c in columns]
-    n = cols[0].shape[0]
+    segments = []
+    for c in map(np.asarray, columns):
+        segments += [("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g", c), b","]
+    segments[-1] = b"\n"
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        _in_order(partial(_rows, cols), range(0, n, CHUNK), fh.write, n > CHUNK)
+        write_rows(fh, segments)
+
+
+def write_rows(fh, segments, sep: bytes = b"") -> None:
+    """Write one row per record to the binary file fh, the rows joined by sep.
+
+    A row is its segments in order.  A bytes segment is itself; any other
+    is a field of equal-length columns:
+
+    - ``("%d", v)`` and ``("%.17g", v)``;
+    - ``("%.2f", v, cents(v))``, the keys computed once by the caller;
+    - ``("%s", i, texts)``: texts[i], each text laid out once.
+    """
+    fields = [s if isinstance(s, bytes) else _field(*s) for s in segments]
+    n = next(len(f[1][0]) for f in fields if not isinstance(f, bytes))
+    _in_order(partial(_rows, [*fields, sep], n), range(0, n, CHUNK), fh.write, n > CHUNK)
+
+
+def _field(fmt: str, *columns):
+    """A field's kernel, from its columns' slices to (k, m) words, and its columns."""
+    if fmt == "%s":
+        index, texts = columns
+        return partial(np.take, _text_fields(texts), axis=1), (index,)
+    return {"%d": _int_fields, "%.17g": _float_fields, "%.2f": _cent_fields}[fmt], columns
 
 
 def _workers() -> int:
@@ -183,18 +212,24 @@ def _in_order(work, parts, take, pooled: bool) -> None:
         raise failed
 
 
-def _rows(cols, start: int) -> np.ndarray:
-    """Records start to start + CHUNK of cols as CSV lines, in bytes."""
-    fields = [_int_fields(part) if np.issubdtype(part.dtype, np.integer) else
-              _float_fields(part) for part in (c[start:start + CHUNK] for c in cols)]
-    rows = np.empty((fields[0].shape[1], sum(8 * f.shape[0] + 1 for f in fields)), np.uint8)
+def _rows(fields, n: int, start: int) -> np.ndarray:
+    """Records start to start + CHUNK as rows of bytes, each followed by the
+    last field, the separator, but the last of all n."""
+    stop = min(start + CHUNK, n)
+    parts = [f if isinstance(f, bytes) else f[0](*(c[start:stop] for c in f[1]))
+             for f in fields]
+    rows = np.empty((stop - start, sum(len(p) if isinstance(p, bytes) else 8 * p.shape[0]
+                                       for p in parts)), np.uint8)
     at = 0
-    for f in fields:
-        rows[:, at:at + 8 * f.shape[0]].view("<u8")[...] = f.T
-        at += 8 * f.shape[0] + 1
-        rows[:, at - 1] = ord(",")
-    rows[:, -1] = ord("\n")
-    return rows[rows != 0]
+    for p in parts:
+        if isinstance(p, bytes):
+            rows[:, at:at + len(p)] = np.frombuffer(p, np.uint8)
+            at += len(p)
+        else:
+            rows[:, at:at + 8 * p.shape[0]].view("<u8")[...] = p.T
+            at += 8 * p.shape[0]
+    out = rows[rows != 0]
+    return out[:out.size - len(fields[-1])] if stop == n else out
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -335,8 +370,7 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
 
     slow = np.flatnonzero(~fixed)
     if slow.size:
-        text = b"".join(b"%-24.17g" % v for v in x[slow].tolist()).replace(b" ", b"\0")
-        words[:, slow] = np.frombuffer(text, "<u8").reshape(-1, 3).T
+        words[:, slow] = _text_fields([b"%.17g" % v for v in x[slow].tolist()], _WIDTH)
     return words
 
 
@@ -365,6 +399,73 @@ def _int_fields(x: np.ndarray) -> np.ndarray:
     if neg.any():
         words = np.vstack([neg.view(np.uint8) * np.uint64(ord("-") << 56), words])
     return words
+
+
+def cents(v: np.ndarray) -> np.ndarray:
+    """``rint(v * 100)`` where ``"%.2f" % v`` is those digits with the point
+    before the last two, and -1.0 elsewhere.
+
+    That holds for 0 <= v < 1e7, -0.0 aside, whose product v * 100 lies more
+    than 1e-6 from a half-integer: the product's rounding error is below
+    1e-7 there, so rint rounds the exact decimal of v times 100, as ``%.2f``
+    does, ties included.  Every other v, non-finite ones too, is -1.0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # huge and non-finite v
+        t = np.multiply(v, 100.0, dtype=np.float64)
+        key = np.rint(t)
+        t -= key
+    unsure = np.abs(t, out=t) > 0.5 - 1e-6
+    # as unsigned integers the bits of +0.0 <= key < 1e9 are below those of
+    # 1e9, and those of -0.0, a negative key, inf or NaN (where t is NaN) not
+    unsure |= key.view(np.uint64) >= _CENT_TOP
+    key[unsure] = -1.0
+    return key
+
+
+_CENT_TOP = np.float64(1e9).view(np.uint64)
+
+
+def _cent_fields(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``b"%.2f" % v`` for each v of x, given keys = cents(x), padded with NUL
+    bytes, as (k, x.size) little-endian words: one word for a key below 1e7,
+    as many as the longest other text needs."""
+    slow = np.flatnonzero((keys < 0) | (keys >= 1e7))
+    d = keys.astype(np.int64).view(np.uint64)
+    d[slow] = 0
+    # the eight digits of d, the first 0; the five before the cents move one
+    # byte down, each leading zero a NUL but the units, and the point
+    # takes the byte they free
+    digits = _ascii8(d)
+    head = digits >> 8
+    head &= _HEAD5
+    seen = head | (head << 8)  # a byte is not 0 when it or one before it is not 0
+    seen |= seen << 16
+    seen |= seen << 32
+    seen |= np.uint64(1 << 32)
+    head += _ZEROS & _HEAD5
+    head &= _nonzero_bytes(seen)
+    digits &= ~_HEAD6
+    digits += _POINT_CENTS
+    digits |= head
+    if slow.size:
+        text = _text_fields([b"%.2f" % v for v in x[slow].tolist()])
+        digits = np.vstack([digits, np.zeros((len(text) - 1, x.size), np.uint64)])
+        digits[:, slow] = text
+    return digits.reshape(-1, x.size)
+
+
+_HEAD5 = np.uint64((1 << 40) - 1)  # bytes 0-4
+_HEAD6 = np.uint64((1 << 48) - 1)  # bytes 0-5
+_POINT_CENTS = np.uint64(int.from_bytes(b"\0" * 5 + b".00", "little"))
+
+
+def _text_fields(texts: list, width: int = 8) -> np.ndarray:
+    """Each of the byte strings as one field padded with NUL bytes, as (k,
+    len(texts)) little-endian words: as many as the longest needs, and at
+    least width bytes."""
+    size = -(-max([width, *map(len, texts)]) // 8) * 8
+    text = b"".join(t.ljust(size, b"\0") for t in texts)
+    return np.frombuffer(text, "<u8").reshape(-1, size // 8).T
 
 
 def write_keyvals(path, pairs) -> None:

@@ -717,6 +717,21 @@ class TestSvgPlot:
         assert len(series_groups(path)[0].findall(f"{SVG}circle")) == 2
 
 
+def test_meplot_of_values_closer_than_their_ulp_exits(tmp_path):
+    # the x span is below the ulp of 1e16, so a tick step does not move the
+    # tick; run in its own process so that a hang fails on the timeout
+    values = [10**16 + 2 * i for i in range(5)]
+    (tmp_path / "big.csv").write_text("value\n" + "".join(f"{v}\n" for v in values))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailscope.cli", "meplot", "--input", "big.csv", "--out", "o"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ticks = ET.parse(tmp_path / "o" / "me_plot.svg").getroot().find(f"{SVG}g[@class='ticks']")
+    assert [t.text for t in ticks.iter(f"{SVG}text")][0] == "1e+16"
+
+
 # the flags each command below runs with, besides the option under test
 BASE_FLAGS = {
     "simulate": {"model": "pareto:2", "n": "200", "seed": "1"},

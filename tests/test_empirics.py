@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tailscope as ts
+from tailscope.empirics import _exceed_counts, _mean_excess, _order_counts, _top_k_me
 from tailscope.errors import (
     DegenerateRangeError,
     DomainError,
@@ -188,6 +189,50 @@ class TestMePlot:
         b = ts.me_plot(ts.order_statistics(data + 5.0))
         np.testing.assert_allclose(b.x, a.x + 5.0, rtol=1e-13)
         np.testing.assert_allclose(b.y, a.y, atol=1e-10)
+
+
+# few distinct values, so long runs of ties, and runs mixing -0.0 and 0.0
+TIE_HEAVY = hnp.arrays(np.float64, st.integers(2, 60),
+                       elements=st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.0]))
+
+
+class TestOnePassCounts:
+    """The thresholds are order statistics, so their strict exceedance
+    counts come from the runs of ties; a binary search gives the same."""
+
+    @given(data=TIE_HEAVY, ends=st.tuples(st.integers(1, 60), st.integers(1, 60)))
+    def test_counts_match_the_binary_search(self, data, ends):
+        v = ts.order_statistics(data).values
+        lo, hi = sorted(min(e, v.size) for e in ends)
+        np.testing.assert_array_equal(_order_counts(v, lo, hi),
+                                      _exceed_counts(v, v[lo - 1:hi]))
+
+    @given(data=TIE_HEAVY, ends=st.tuples(st.integers(2, 60), st.integers(2, 60)))
+    def test_me_plot(self, data, ends):
+        s = ts.order_statistics(data)
+        i_min, i_max = sorted(min(e, s.n) for e in ends)
+        try:
+            lo, hi = ts.plotted_trim(s, i_min, i_max)
+        except EmptyExceedanceError:
+            with pytest.raises(EmptyExceedanceError):
+                ts.me_plot(s, i_min, i_max)
+            return
+        u = s.values[lo - 1:hi]
+        want = _mean_excess(s.values, u, _exceed_counts(s.values, u))
+        np.testing.assert_array_equal(ts.me_plot(s, i_min, i_max).y, want)
+
+    @given(data=TIE_HEAVY, k=st.integers(2, 60))
+    def test_top_k(self, data, k):
+        s = ts.order_statistics(data)
+        k = min(k, s.n)
+        u = s.values[1:k]
+        c = _exceed_counts(s.values, u)
+        if c[0] == 0:
+            with pytest.raises(EmptyExceedanceError):
+                _top_k_me(s, k)
+            return
+        idx, got_u, me = _top_k_me(s, k)
+        np.testing.assert_array_equal(me, _mean_excess(s.values, u, c))
 
 
 INTS = st.integers(-(2**20), 2**20)

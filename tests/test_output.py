@@ -11,10 +11,13 @@ to the old renderer's text.
 """
 import codecs
 import errno
+import io
 import itertools
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from collections import Counter
@@ -30,8 +33,8 @@ import tailscope as ts
 from tailscope import tabular
 from tailscope.cli import main
 from tailscope.errors import ParseError
-from tailscope.svgplot import _PALETTE, Series, _fmt, _nice_ticks, render_plot
-from tailscope.tabular import CHUNK, read_csv, write_csv, write_keyvals
+from tailscope.svgplot import _PALETTE, Series, _cells, _fmt, _nice_ticks, render_plot
+from tailscope.tabular import CHUNK, cents, read_csv, write_csv, write_keyvals, write_rows
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -724,6 +727,123 @@ class TestMarkMerge:
                 firsts.setdefault(cell(p), p)
             assert [p for p, _ in marks] == [firsts[c] for c in cells]
             assert [o for _, o in marks] == [f"{1 - 0.45**k:.4g}" for k in cells.values()]
+
+
+class TestLongSeries:
+    """Marks of more than ten chunks, so the rows cross many chunk ends."""
+
+    def test_trace_shaped_polyline(self, tmp_path):
+        sample = ts.order_statistics(np.random.default_rng(8).pareto(2.0, 200_001) + 1.0)
+        tr = ts.trace(sample, "hill")
+        assert tr.m.size > 10 * CHUNK
+        path = render_both(tmp_path, [Series(np.column_stack([tr.m, tr.value]), "line")])
+        (line,) = series_marks(path.read_text())
+        # a smooth trace keeps fewer vertices than it has
+        assert len(line) > 5 * CHUNK
+
+    def test_scatter(self, tmp_path):
+        pts = np.random.default_rng(9).uniform(0.0, 1.0, (200_000, 2))
+        path = render_both(tmp_path, [Series(pts, "scatter")])
+        (scatter,) = series_marks(path.read_text())
+        assert len(scatter) > 10 * CHUNK
+        # cells of one, two and more circles: the opacities are gathered
+        assert {"0.55", "0.7975", "0.9089"} < {o for _, o in scatter}
+
+
+def old_cells(xy):
+    """The cells by one stable sort of every circle's key."""
+    cx, cy = (np.rint(c * 4.0) for c in xy)
+    _, first, count = np.unique(cx * 2.0**32 + cy, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], count[order]
+
+
+# few values per axis, so long runs and repeated cells; NaN and inf as a
+# degenerate axis makes them
+AXIS = st.sampled_from([100.0, 100.1, 100.2, 300.0, math.nan, math.inf, -math.inf])
+
+
+@given(xy=st.integers(0, 40).flatmap(
+    lambda n: st.tuples(*[hnp.arrays(np.float64, n, elements=AXIS)] * 2)))
+def test_cells_match_one_stable_sort(xy):
+    with np.errstate(invalid="ignore"):  # inf * 2^32 + -inf
+        want, got = old_cells(list(xy)), _cells(list(xy))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def cent_text(values) -> bytes:
+    """The ``%.2f`` kernel's text of values, joined by spaces."""
+    x = np.array(values, dtype=float)
+    fh = io.BytesIO()
+    write_rows(fh, [("%.2f", x, cents(x))], sep=b" ")
+    return fh.getvalue()
+
+
+def _ulps_from_half_cent(whole, cents_, steps):
+    target = whole + (cents_ + 0.5) / 100
+    return target + steps * float(np.spacing(target))
+
+
+CENT_VALUES = st.one_of(
+    st.floats(0.0, 1e7, exclude_max=True),
+    st.floats(0.0, 700.0),
+    # the exact x.xx5 doubles: x.125, x.375, x.625 and x.875
+    st.builds(lambda whole, eighths: whole + eighths / 8,
+              st.integers(0, 10**7 - 1), st.sampled_from([1, 3, 5, 7])),
+    # a few ulps either side of a half-cent, anywhere in the kernel's range
+    st.builds(_ulps_from_half_cent, st.integers(0, 10**7 - 1), st.integers(0, 99),
+              st.integers(-6, 6)),
+    # and the screen x of data a few ulps either side of one
+    st.builds(lambda whole, cents_, steps: _sx(_half_way(_sx, whole, cents_, steps)),
+              st.integers(62, 623), st.integers(0, 99), st.integers(-6, 6)),
+    # the values left to Python's %.2f
+    st.sampled_from([-0.0, -0.004, -0.006, -2.5, 1e7, 1e7 - 0.004, 9999999.995, 1e22,
+                     1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf]),
+)
+
+
+class TestCentKernel:
+    @settings(max_examples=500)
+    @given(values=st.lists(CENT_VALUES, min_size=1, max_size=40))
+    def test_bytes_match_percent_2f(self, values):
+        assert cent_text(values) == " ".join("%.2f" % v for v in values).encode()
+
+    def test_half_cents_and_their_neighbours(self):
+        # every cent of three pixels, each half-cent and six ulps either side
+        values = [_ulps_from_half_cent(whole, c, steps) for whole in (0, 301, 9_999_999)
+                  for c in range(100) for steps in range(-6, 7)]
+        assert cent_text(values) == " ".join("%.2f" % v for v in values).encode()
+
+    def test_keys_are_the_printed_cents_or_minus_one(self):
+        # 0.005 * 100 rounds to 0.5, and 0.125 is a tie: both are left to %.2f
+        x = np.array([0.0, 0.004, 0.005, 0.125, 0.375, 12.3449999, 9999999.99, -0.0, -0.001,
+                      1e7, math.nan, math.inf])
+        assert cents(x).tolist() == [0, 0, -1, -1, -1, 1234, 999999999, -1, -1, -1, -1, -1]
+
+    def test_long_texts_widen_the_field(self):
+        values = [1.5, 1e300, 2.25, -1e22, 3.0]
+        assert cent_text(values) == " ".join("%.2f" % v for v in values).encode()
+
+
+def _in_process(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, killed after 60 s, so a hang fails."""
+    src = os.path.join(os.path.dirname(ts.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+class TestNiceTicks:
+    def test_a_span_below_the_ulp_gives_one_tick(self):
+        proc = _in_process("from tailscope.svgplot import _nice_ticks\n"
+                           "print(_nice_ticks(1e16, 1e16 + 4))\n")
+        assert (proc.returncode, proc.stdout) == (0, "[1e+16]\n"), proc.stderr
+
+    def test_ticks_that_advance_are_kept(self):
+        assert _nice_ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+        # steps of one ulp still move the tick
+        assert _nice_ticks(1e16, 1e16 + 12) == [1e16 + 2 * i for i in range(7)]
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,15 @@ def test_cli_import_and_csv_writer_load_no_numpy_ma(tmp_path):
     assert _run_python(code, tmp_path) == "[False, False]"
 
 
+def test_converge_loads_no_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, about 5 ms of a converge command
+    argv = ["converge", "--model", "pareto:2", "--case", "positive", "--n-grid", "1000,2000",
+            "--reps", "3", "--window", "1,3,0,4", "--out", "o"]
+    code = _cli(argv) + "import sys\nprint('numpy.ma' in sys.modules)\n"
+    assert _run_python(code, tmp_path) == "False"
+    assert (tmp_path / "o" / "convergence.svg").is_file()
+
+
 def test_one_chunk_files_start_no_thread_pool(tmp_path):
     # concurrent.futures takes about 4 ms to import, which every small command would pay
     code = (

@@ -459,6 +459,22 @@ class TestRunConvergence:
         med = rep.medians()
         assert med[1] < med[0]
 
+    @pytest.mark.parametrize("reps", [1, 2, 5, 6])
+    def test_medians_are_numpy_medians_bit_for_bit(self, reps):
+        rep = ts.run_convergence(ts.Pareto(2), "positive", (1000, 2000, 4000), reps=1,
+                                 seed=ts.RandomSeed(0))
+        rng = np.random.default_rng(reps)
+        # few distinct values, so ties; a missed cell reads the window's diagonal
+        d = rng.choice([0.25, 0.5, 1 / 3, 0.7, 1.1], (reps, 3))
+        d[-1, 1] = rep.window.diag
+        for dist in (d, rng.uniform(0, 3, (reps, 3))):
+            got = replace(rep, distances=dist).medians()
+            assert got.tobytes() == np.median(dist, axis=0).tobytes()
+        dist = d.copy()
+        dist[0, 2] = np.nan
+        np.testing.assert_array_equal(replace(rep, distances=dist).medians(),
+                                      np.median(dist, axis=0))
+
     def test_case_model_mismatch(self):
         with pytest.raises(ConfigError):
             ts.run_convergence(ts.Beta(2, 2), "positive", (1000,), 1, ts.RandomSeed(0))
