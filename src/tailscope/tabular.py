@@ -402,24 +402,31 @@ def _int_fields(x: np.ndarray) -> np.ndarray:
 
 
 def cents(v: np.ndarray) -> np.ndarray:
-    """``rint(v * 100)`` where ``"%.2f" % v`` is those digits with the point
-    before the last two, and -1.0 elsewhere.
+    """``rint(v * 100)`` as int32 where ``"%.2f" % v`` is those digits with
+    the point before the last two, and -1 elsewhere.
 
     That holds for 0 <= v < 1e7, -0.0 aside, whose product v * 100 lies more
     than 1e-6 from a half-integer: the product's rounding error is below
     1e-7 there, so rint rounds the exact decimal of v times 100, as ``%.2f``
-    does, ties included.  Every other v, non-finite ones too, is -1.0.
+    does, ties included.  Every other v, non-finite ones too, is -1.  The
+    products are taken CHUNK values at a time, so their temporaries stay in
+    cache and the keys of n values take 4n bytes.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # huge and non-finite v
-        t = np.multiply(v, 100.0, dtype=np.float64)
-        key = np.rint(t)
-        t -= key
-    unsure = np.abs(t, out=t) > 0.5 - 1e-6
-    # as unsigned integers the bits of +0.0 <= key < 1e9 are below those of
-    # 1e9, and those of -0.0, a negative key, inf or NaN (where t is NaN) not
-    unsure |= key.view(np.uint64) >= _CENT_TOP
-    key[unsure] = -1.0
-    return key
+    keys = np.empty(v.shape, np.int32)
+    for start in range(0, v.size, CHUNK):
+        part = slice(start, start + CHUNK)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge and non-finite v
+            t = np.multiply(v[part], 100.0, dtype=np.float64)
+            key = np.rint(t)
+            t -= key
+        unsure = np.abs(t, out=t) > 0.5 - 1e-6
+        # as unsigned integers the bits of +0.0 <= key < 1e9 are below those
+        # of 1e9, and those of -0.0, a negative key, inf or NaN (where t is
+        # NaN) not
+        unsure |= key.view(np.uint64) >= _CENT_TOP
+        key[unsure] = -1.0
+        keys[part] = key
+    return keys
 
 
 _CENT_TOP = np.float64(1e9).view(np.uint64)
@@ -429,7 +436,7 @@ def _cent_fields(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``b"%.2f" % v`` for each v of x, given keys = cents(x), padded with NUL
     bytes, as (k, x.size) little-endian words: one word for a key below 1e7,
     as many as the longest other text needs."""
-    slow = np.flatnonzero((keys < 0) | (keys >= 1e7))
+    slow = np.flatnonzero((keys < 0) | (keys >= 10**7))
     d = keys.astype(np.int64).view(np.uint64)
     d[slow] = 0
     # the eight digits of d, the first 0; the five before the cents move one
