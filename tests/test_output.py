@@ -826,7 +826,7 @@ class TestCentKernel:
         assert cent_text(values) == " ".join("%.2f" % v for v in values).encode()
 
 
-def _in_process(code: str) -> subprocess.CompletedProcess:
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter, killed after 60 s, so a hang fails."""
     src = os.path.join(os.path.dirname(ts.__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -836,7 +836,7 @@ def _in_process(code: str) -> subprocess.CompletedProcess:
 
 class TestNiceTicks:
     def test_a_span_below_the_ulp_gives_one_tick(self):
-        proc = _in_process("from tailscope.svgplot import _nice_ticks\n"
+        proc = _fresh_interpreter("from tailscope.svgplot import _nice_ticks\n"
                            "print(_nice_ticks(1e16, 1e16 + 4))\n")
         assert (proc.returncode, proc.stdout) == (0, "[1e+16]\n"), proc.stderr
 
