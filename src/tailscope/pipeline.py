@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .estimators import FitResult, _unit_scaled, ls_fit
-from .tabular import (_WIDTH, _byte_rows, _decimal_cells, _float, _floats, _read_bytes,
+from .tabular import (_byte_rows, _decimal_cells, _float, _floats, _plain_cells, _read_bytes,
                       _text_lines)
 
 __all__ = [
@@ -90,17 +90,18 @@ def load_csv(
     """Read a dated series from CSV; strictly increasing unique dates.
 
     The file is read by the input rules of ``tabular``.  When the format is
-    ISO, the default, a plain file (see ``_plain_cells``) whose date cells
-    are all ten bytes is read from the byte offsets of its cells:
-    ``_iso_days`` reads the dates from those bytes, and ``tabular``'s decimal
-    kernel the values, a chunk at a time, with ``float`` on each cell it does
-    not certify, in file order.  Any other file is decoded as ``csv.reader``
-    reads it, so a missing column is reported before a later byte that does
-    not decode; there ISO dates are read from the digits of the stripped
-    strings and the values converted in one call.  Other formats, dates that
-    are not canonical, and values ``float`` refuses send the rows through the
-    row-by-row parsers, so the first bad row is the one reported, by the file
-    line it ends on.  Every ``ParseError`` leads with the path.
+    ISO, the default, a plain file (``tabular``'s rule) with no blank line,
+    no cell past ``csv.field_size_limit()`` and date cells all ten bytes
+    long is read from the byte offsets of its cells: ``_iso_days`` reads
+    the dates from those bytes, and ``tabular``'s decimal kernel the values,
+    a chunk at a time, with ``float`` on each cell it does not certify, in
+    file order.  Any other file is decoded as ``csv.reader`` reads it, so a
+    missing column is reported before a later byte that does not decode;
+    there ISO dates are read from the digits of the stripped strings and the
+    values converted in one call.  Other formats, dates that are not
+    canonical, and values ``float`` refuses send the rows through the
+    row-by-row parsers, so the first bad row is the one reported, by the
+    file line it ends on.  Every ``ParseError`` leads with the path.
     """
     data = _read_bytes(path)
     iso = date_format == "%Y-%m-%d"
@@ -108,18 +109,19 @@ def load_csv(
     values = None
     if plain is not None:
         width, starts, ends = plain
+        sizes = ends - starts
+    # csv.reader skips a blank line, a one-cell row whose cell is empty, and
+    # refuses a cell past its field size limit
+    if plain and (width > 1 or sizes.all()) and sizes.max() <= csv.field_size_limit():
         header = data[:ends[width - 1]].decode("ascii").split(",")
         di, vi = _column_indices(path, header, date_col, value_col)
         date_at, value_at = slice(width + di, None, width), slice(width + vi, None, width)
-        sizes = ends[date_at] - starts[date_at]
-        if sizes.size and (sizes == 10).all():
+        if sizes[date_at].size and (sizes[date_at] == 10).all():
             dates = _iso_days(_byte_rows(data, starts[date_at], 10))
             if dates is not None:
-                # row i of a plain file ends on file line i + 2; with newlines
-                # before the file, each cell ends at byte 24 or later
-                values = _decimal_cells(path, b"\n" * _WIDTH + data, ends[value_at] + _WIDTH,
-                                        ends[value_at] - starts[value_at],
-                                        range(2, sizes.size + 2))
+                # row i of a plain file ends on file line i + 2
+                values = _decimal_cells(path, data, starts[value_at], ends[value_at],
+                                        range(2, dates.size + 2))
     if values is None:
         # as open(path, newline="") reads the file
         reader = csv.reader(_text_lines(path, data, newline=""))
@@ -157,38 +159,6 @@ def _column_indices(path, header: list | None, date_col: str, value_col: str) ->
         if header is None or col not in header:
             raise ParseError(f"{path}: missing column {col!r}")
     return tuple(len(header) - 1 - header[::-1].index(c) for c in (date_col, value_col))
-
-
-def _plain_cells(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """The number of columns of a plain CSV file, and the start and end byte
-    offsets of its cells row by row, header first; None for any other file.
-
-    Plain means ASCII with no quote, carriage return or NUL byte, no blank
-    line, no cell longer than ``csv.field_size_limit()``, and the header's
-    number of commas on every line.  ``csv.reader`` reads each line of such a
-    file as its comma-separated fields, so cell k is ``data[starts[k]:ends[k]]``,
-    the bytes between one comma or newline and the next.
-    """
-    body = data[:-1] if data.endswith(b"\n") else data
-    if not body.isascii() or b'"' in body or b"\r" in body or b"\0" in body:
-        return None
-    buf = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    seps = np.append(buf[ends], np.uint8(ord("\n")))  # the last line ends too
-    width = int(np.argmax(seps == ord("\n"))) + 1  # the header's commas, and its newline
-    pattern = np.full(width, ord(","), np.uint8)
-    pattern[-1] = ord("\n")
-    if seps.size % width or not (seps.reshape(-1, width) == pattern).all():
-        return None
-    ends = np.append(ends, buf.size)
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    # with the same commas on every line, a blank line is a one-cell row
-    # whose cell is empty
-    sizes = ends - starts
-    if (width == 1 and not sizes.all()) or sizes.max() > csv.field_size_limit():
-        return None
-    return width, starts, ends
 
 
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit columns of YYYY-MM-DD

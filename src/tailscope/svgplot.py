@@ -32,6 +32,7 @@ from .tabular import cents, write_rows
 __all__ = ["Series", "render_plot"]
 
 _PALETTE = ("#1f6f8b", "#d1495b", "#66a182", "#8d6a9f", "#edae49")
+_TICKS = 6  # about this many per axis
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,14 @@ class Series:
     kind: str = "scatter"  # or "line"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round-numbered ticks over [lo, hi], about target of them; they end
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round-numbered ticks over [lo, hi], about _TICKS of them; they end
     where a step no longer moves the tick, so a span below the ulp of its
     values has one."""
     span = hi - lo
-    if span <= 0 or not math.isfinite(span):
+    if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -64,6 +65,22 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
             break
         t += step
     return ticks
+
+
+def _axis(lo: float, hi: float) -> tuple[float, float, float, float]:
+    """(a, b, pad, s): the plotted range [a, b] of data over [lo, hi], in
+    units of s, with a < b and b - a finite.  A constant widens to +-0.5 (to
+    its neighbouring doubles where 0.5 is absorbed), then each side by pad,
+    4 % of the span; s is 1, or 1/4 where that overflows."""
+    for s in (1.0, 0.25):
+        lo_s, hi_s = lo * s, hi * s
+        if lo_s == hi_s:
+            lo_s, hi_s = lo_s - 0.5, hi_s + 0.5
+        if lo_s == hi_s:
+            lo_s, hi_s = math.nextafter(lo_s, -math.inf), math.nextafter(hi_s, math.inf)
+        pad = 0.04 * (hi_s - lo_s)
+        if math.isfinite((hi_s + pad) - (lo_s - pad)):
+            return lo_s - pad, hi_s + pad, pad, s
 
 
 def _fmt(v: float) -> str:
@@ -138,8 +155,6 @@ def _cells(xy: list) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(cx[starts])
     keys = cx[starts[order]]
     edges = _runs(keys)
-    if np.isnan(keys[-1]):  # NaN keys, of a degenerate axis, sort last and are one cell
-        edges = edges[:np.searchsorted(edges, np.argmax(np.isnan(keys))) + 1]
     first = np.minimum.reduceat(starts[order], edges)
     count = np.add.reduceat(np.diff(starts, append=cx.size)[order], edges)
     shown = np.argsort(first)
@@ -160,25 +175,17 @@ def render_plot(
     pw, ph = width - ml - mr, height - mt - mb
 
     finite = [_finite(s.points) for s in series]
-    shown = [b for _, b in finite if b]
-    if shown:
-        x_lo, y_lo = (min(b[j] for b in shown) for j in (0, 1))
-        x_hi, y_hi = (max(b[j] for b in shown) for j in (2, 3))
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    padx, pady = 0.04 * (x_hi - x_lo), 0.04 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - padx, x_hi + padx
-    y_lo, y_hi = y_lo - pady, y_hi + pady
+    shown = [b for _, b in finite if b] or [(0.0, 0.0, 1.0, 1.0)]
+    x_lo, x_hi, padx, x_s = _axis(min(b[0] for b in shown), max(b[2] for b in shown))
+    y_lo, y_hi, pady, y_s = _axis(min(b[1] for b in shown), max(b[3] for b in shown))
 
-    def sx(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * pw
+    # data x is x * s in the axis' units, ticks already are (s = 1); scaled
+    # here, x * s is a temporary that the rest of the expression reuses
+    def sx(x, s=x_s):
+        return ml + (x * s - x_lo) / (x_hi - x_lo) * pw
 
-    def sy(y):
-        return mt + ph - (y - y_lo) / (y_hi - y_lo) * ph
+    def sy(y, s=y_s):
+        return mt + ph - (y * s - y_lo) / (y_hi - y_lo) * ph
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -190,22 +197,22 @@ def render_plot(
 
     out.append('<g class="ticks" font-family="monospace" font-size="11" fill="#333333">')
     for t in _nice_ticks(x_lo + padx, x_hi - padx):
-        px = sx(t)
+        px = sx(t, 1.0)
         out.append(
             f'<line x1="{_fmt(px)}" y1="{mt + ph}" x2="{_fmt(px)}" y2="{mt + ph + 4}" '
             'stroke="#444444" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(px)}" y="{mt + ph + 17}" text-anchor="middle">{t:.4g}</text>'
+            f'<text x="{_fmt(px)}" y="{mt + ph + 17}" text-anchor="middle">{t / x_s:.4g}</text>'
         )
     for t in _nice_ticks(y_lo + pady, y_hi - pady):
-        py = sy(t)
+        py = sy(t, 1.0)
         out.append(
             f'<line x1="{ml - 4}" y1="{_fmt(py)}" x2="{ml}" y2="{_fmt(py)}" '
             'stroke="#444444" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{ml - 7}" y="{_fmt(py + 4)}" text-anchor="end">{t:.4g}</text>'
+            f'<text x="{ml - 7}" y="{_fmt(py + 4)}" text-anchor="end">{t / y_s:.4g}</text>'
         )
     out.append("</g>")
 

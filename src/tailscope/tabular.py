@@ -74,16 +74,19 @@ byte order mark; text is decoded as ``open`` decodes it, a block at a time,
 and a byte that does not decode is a ``ParseError`` that names the file;
 tokens become floats in one call, and the first that ``float`` refuses is named.
 
-In ``read_csv`` a plain file, ASCII with no comma and no control or space
-byte but its line ends (LF, or CRLF), is all first fields already.  Its
-lines, less the empty ones and the header, are read a chunk at a time, on
-the writer's pool, by a decimal kernel after W. D. Clinger ("How to read
+A CSV file is plain when it is ASCII with no quote or NUL byte, has the
+header's number of commas on every line, and has a carriage return only
+directly before a newline, as part of the line end.  ``_plain_cells`` finds
+the start and end of each of its cells in one numpy pass.  ``read_csv`` also
+needs one column and no space or control byte but the line ends;
+``pipeline.load_csv`` picks its columns out of the cells.
+
+The value cells of a plain file are read a chunk at a time, on the
+writer's pool, by a decimal kernel after W. D. Clinger ("How to read
 floating point numbers accurately", PLDI 1990); ``_decimal_cells`` runs
-that loop, for ``--input`` samples and for the value cells of the plain
-files that ``pipeline.load_csv`` reads by their byte offsets.  The kernel
-takes the 24 bytes that end each cell (a line less its line end, or the
-bytes before a comma) as three 8-byte words, and reads a cell that is an
-optional ``-`` and then digits with at most one point:
+that loop.  The kernel takes the 24 bytes that end each cell as three
+8-byte words, and reads a cell that is an optional ``-`` and then digits
+with at most one point:
 
 - the point's gap is closed by a masked one-byte shift, and the digits
   become an integer D, eight at a time (D. Lemire's SWAR step); with q
@@ -104,9 +107,8 @@ Every other cell goes through ``float``: longer than 24 bytes, more than
 ``inf``, ``nan``, ``_``, ``+``, a space, an uncertified row (exact ties
 among them).  These run on the calling thread, in file order, so the first
 cell that ``float`` refuses is the ``bad value``, named by its file line
-where ``load_csv`` gives the lines.  Any other file, one with a lone
-carriage return included, is read as text, with each line stripped and cut
-at its first comma.
+where ``load_csv`` gives the lines.  ``read_csv`` reads any other file as
+text, with each line stripped and cut at its first comma.
 """
 from __future__ import annotations
 
@@ -546,29 +548,36 @@ def _decimals(data: bytes, ends: np.ndarray, lens: np.ndarray):
     return x, exact
 
 
-def _plain_lines(data: bytes, header: str):
-    """The end and length of each line of data that is neither empty nor
-    ``header``, or None unless data is plain: ASCII with no comma and no
-    control or space byte but its line ends, LF or CRLF, which a line's end
-    and length leave out."""
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    crs = np.count_nonzero(buf.view(np.int8) < 33) - ends.size  # each must end a CRLF
-    # the lines that end in CRLF; clipped, a newline at offset 0 reads itself
-    crlf = np.flatnonzero(buf.take(ends - 1, mode="clip") == ord("\r")) if crs else []
-    if len(crlf) != crs or b"," in data:
+def _plain_cells(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(width, starts, ends) of a plain CSV file: its number of columns, and
+    cell k, row by row from the header, is ``data[starts[k]:ends[k]]``; None
+    for any other file."""
+    if not data.isascii() or b'"' in data or b"\0" in data:
         return None
-    ends = np.append(ends, len(data))  # the last line, empty if data ends in a newline
-    lens = np.diff(ends, prepend=-1) - 1
-    ends[crlf] -= 1
-    lens[crlf] -= 1
-    keep = lens > 0
-    head = header.encode()
-    same = np.flatnonzero(lens == len(head)) if head else []
-    if len(same):
-        rows = _byte_rows(data, ends[same] - len(head), len(head)).view(f"S{len(head)}")
-        keep[same[rows[:, 0] == head]] = False
-    return ends[keep], lens[keep]
+    buf = np.frombuffer(data, np.uint8)
+    size = buf.size - data.endswith(b"\n")  # a final newline ends the last line
+    body = buf[:size]
+    if b"," in data:
+        ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+        last = np.append(body[ends] == ord("\n"), True)  # the last line ends too
+        width = int(np.argmax(last)) + 1  # the header's commas, and its line end
+        if last.size % width or not (last.reshape(-1, width)
+                                     == (np.arange(width) == width - 1)).all():
+            return None
+    else:
+        ends, width = np.flatnonzero(body == ord("\n")), 1
+    ends = np.append(ends, size)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    if b"\r" in data:
+        # every CR ends the last cell of a row, before its newline, and is
+        # left out of it; clipped, a cell that ends at offset 0 reads itself
+        cr = buf.take(ends[width - 1::width] - 1, mode="clip") == ord("\r")
+        if data.endswith(b"\r") or np.count_nonzero(cr) != np.count_nonzero(buf == ord("\r")):
+            return None
+        ends[width - 1::width] -= cr
+    return width, starts, ends
 
 
 def _read_bytes(path) -> bytes:
@@ -609,39 +618,48 @@ def read_csv(path, header: str) -> np.ndarray:
 
     Lines are stripped and skipped when their first field is empty or is
     ``header``; later fields are ignored.  One leading UTF-8 byte order mark
-    is dropped.  A plain file (``_plain_lines``), LF or CRLF, is all first
-    fields already: its lines are read by the decimal kernel a chunk at a
-    time, on the writer's pool, and any line the kernel does not certify by
-    ``float``.  Any other file is read as text (``_text_lines``).
+    is dropped.  A plain file of one column, with no space or control byte
+    but its line ends, is all first fields already: its cells are read by
+    ``_decimal_cells``.  Any other file is read as text (``_text_lines``).
     """
-    # newlines before the file: each line then ends at byte 24 or later
-    data = b"\n" * _WIDTH + _read_bytes(path)
-    lines = _plain_lines(data, header)
-    if lines is None:
+    data = _read_bytes(path)
+    width, starts, ends = _plain_cells(data) or (0, 0, 0)
+    # the bytes of no cell, the line ends, are all the control and space bytes
+    if (width != 1 or np.count_nonzero(np.frombuffer(data, np.uint8) < 33)
+            != len(data) - (ends.sum() - starts.sum())):
         # no list kept per row: the garbage collector would rescan them all
-        fields = [ln.strip().split(",", 1)[0] for ln in _text_lines(path, data[_WIDTH:])]
+        fields = [ln.strip().split(",", 1)[0] for ln in _text_lines(path, data)]
         return _floats(path, [f for f in fields if f and f != header])
-    return _decimal_cells(path, data, *lines)
+    keep = ends > starts
+    head = header.encode()
+    same = np.flatnonzero(ends - starts == len(head)) if head else []
+    if len(same):
+        rows = _byte_rows(data, starts[same], len(head)).view(f"S{len(head)}")
+        keep[same[rows[:, 0] == head]] = False
+    starts, ends = starts[keep], ends[keep]
+    return _decimal_cells(path, data, starts, ends)
 
 
-def _decimal_cells(path, data: bytes, ends: np.ndarray, lens: np.ndarray,
+def _decimal_cells(path, data: bytes, starts: np.ndarray, ends: np.ndarray,
                    lines=None) -> np.ndarray:
-    """float() of each cell ``data[ends - lens:ends]``, every cell ending at
-    byte 24 or later: the decimal kernel reads them a chunk at a time, on the
-    writer's pool when there is more than one, and ``float`` each cell the
-    kernel does not certify, on the calling thread in file order, so the
-    first it refuses is named, by lines[i] if given."""
+    """float() of each cell ``data[starts[i]:ends[i]]``, in file order: the decimal kernel
+    reads them a chunk at a time, on the writer's pool when there is more
+    than one, and ``float`` each cell the kernel does not certify, on the
+    calling thread in file order, so the first it refuses is named, by
+    lines[i] if given."""
+    if ends.size and ends[0] < _WIDTH:  # the kernel reads the 24 bytes that end each cell
+        data, starts, ends = bytes(_WIDTH) + data, starts + _WIDTH, ends + _WIDTH
     out = np.empty(ends.size)
 
     def read(start):
         part = slice(start, start + CHUNK)
-        return part, *_decimals(data, ends[part], lens[part])
+        return part, *_decimals(data, ends[part], ends[part] - starts[part])
 
     def take(chunk):
         part, values, exact = chunk
         for i in np.flatnonzero(~exact).tolist():
             j = part.start + i
-            values[i] = _float(path, data[ends[j] - lens[j]:ends[j]].decode(),
+            values[i] = _float(path, data[starts[j]:ends[j]].decode(),
                                "" if lines is None else f"line {lines[j]}: ")
         out[part] = values
 

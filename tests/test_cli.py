@@ -351,6 +351,23 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, daily_csv, command, newl
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_analyze_writes_the_same_files_for_crlf_and_lf_copies(tmp_path, daily_csv):
+    # the line ends change no output; the manifests name their input files
+    outs = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(daily_csv.read_text().replace("\n", newline).encode())
+        outs.append(tmp_path / name)
+        assert run("analyze", "--input", str(src), "--out", str(outs[-1])) == 0
+    lf, crlf = (outputs(out) for out in outs)
+    assert sorted(lf) == sorted(crlf) and "manifest.txt" in lf
+    for name in lf:
+        a, b = lf[name], crlf[name]
+        if name == "manifest.txt":
+            a, b = ([ln for ln in m.splitlines() if not ln.startswith(b"input=")] for m in (a, b))
+        assert a == b, name
+
+
 # per command: the .csv files, the .svg files and the .txt files it writes
 OUTPUTS = {
     "meplot": ({"me_plot.csv"}, {"me_plot.svg"}, {"summary.txt", "manifest.txt"}),

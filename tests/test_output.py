@@ -758,16 +758,15 @@ def old_cells(xy):
     return first[order], count[order]
 
 
-# few values per axis, so long runs and repeated cells; NaN and inf as a
-# degenerate axis makes them
-AXIS = st.sampled_from([100.0, 100.1, 100.2, 300.0, math.nan, math.inf, -math.inf])
+# few values per axis, so long runs and repeated cells; every axis is
+# finite, so are the screen coordinates that reach _cells
+AXIS = st.sampled_from([100.0, 100.1, 100.2, 300.0, 62.0, 623.9])
 
 
 @given(xy=st.integers(0, 40).flatmap(
     lambda n: st.tuples(*[hnp.arrays(np.float64, n, elements=AXIS)] * 2)))
 def test_cells_match_one_stable_sort(xy):
-    with np.errstate(invalid="ignore"):  # inf * 2^32 + -inf
-        want, got = old_cells(list(xy)), _cells(list(xy))
+    want, got = old_cells(list(xy)), _cells(list(xy))
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -846,6 +845,46 @@ class TestNiceTicks:
         assert _nice_ticks(1e16, 1e16 + 12) == [1e16 + 2 * i for i in range(7)]
 
 
+class TestExtremeAxes:
+    """Axes whose span overflows, or whose +-0.5 pad is absorbed, stay finite."""
+
+    @pytest.mark.parametrize("pts", [
+        [[-1e308, 0.0], [1e308, 1.0], [0.0, 5.0]],  # x spans more than the double range
+        [[1e17, 0.0], [1e17, 1.0]],  # x beyond 2^53 at every point
+        [[0.0, 1.7976931348623157e308], [1.0, 1.7976931348623157e308]],  # y the largest double
+        [[-1.7976931348623157e308, 1.0], [1.7976931348623157e308, -1e-300]],
+    ], ids=["span", "constant-1e17", "constant-max", "full-range"])
+    def test_ticks_and_marks_are_finite(self, tmp_path, pts):
+        path = tmp_path / "p.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_plot(path, [Series(np.array(pts), "scatter"), Series(np.array(pts), "line")])
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        numbers = re.findall(r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]*)"', text)
+        numbers += re.findall(r'points="([^"]*)"', text)[0].replace(",", " ").split()
+        assert all(0.0 <= float(v) <= 640.0 for v in numbers)
+        # %.4g of the largest double reads 1.798e+308, past it: match the text
+        labels = re.findall(r'text-anchor="(?:middle|end)">([^<]*)</text>', text)
+        assert labels and all(re.fullmatch(r"-?\d(\.\d+)?(e[-+]\d+)?|-?\d+(\.\d+)?", v)
+                              for v in labels)
+
+    def test_span_of_the_double_range_ticks_round_numbers(self, tmp_path):
+        path = tmp_path / "p.svg"
+        render_plot(path, [Series(np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 5.0]]))])
+        labels = re.findall(r'text-anchor="middle">([^<]*)</text>', path.read_text())
+        assert labels == ["-8e+307", "-4e+307", "0", "4e+307", "8e+307"]
+
+    def test_meplot_of_a_sample_past_the_double_range(self, tmp_path):
+        src = tmp_path / "big.csv"
+        src.write_text("value\n-1e308\n1e308\n0\n5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the mean excess overflows; out of the plot's scope
+            assert main(["meplot", "--input", str(src), "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "me_plot.svg").read_text()
+        assert "nan" not in text.split('class="annotation"')[0]
+
+
 # ---------------------------------------------------------------------------
 # reader
 
@@ -918,7 +957,7 @@ class TestCsvReader:
         # only a CR right before a newline keeps a file plain
         path = tmp_path / "v.csv"
         path.write_bytes(text.encode())
-        plain = tabular._plain_lines(b"\n" * tabular._WIDTH + text.encode(), "value") is not None
+        plain = tabular._plain_cells(text.encode()) is not None
         assert plain == (text.replace("\r\n", "\n").count("\r") == 0)
         try:
             old = old_read_values_csv(path)
@@ -929,6 +968,50 @@ class TestCsvReader:
             return
         got = read_csv(path, "value")
         assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+
+    @pytest.mark.parametrize("text", [
+        "value\n1.5\r2.5\n",  # a lone CR
+        "value\r\n1.5\r\n2.5\r",  # a final CR
+        'value\n"1.5"\n2.5\n',  # a quote
+        "value\n1.5\x00\n2.5\n",  # a NUL byte
+    ], ids=["lone-cr", "final-cr", "quote", "nul"])
+    def test_off_the_byte_path(self, tmp_path, monkeypatch, text):
+        # such a file is not plain: it is read as text, as the old reader read it
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode())
+        assert tabular._plain_cells(text.encode()) is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decimal kernel called on a file that is not plain")
+
+        monkeypatch.setattr(tabular, "_decimal_cells", refuse)
+        try:
+            old = old_read_values_csv(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as new:
+                read_csv(path, "value")
+            assert str(new.value) == str(exc)
+            return
+        assert np.array_equal(read_csv(path, "value").view(np.uint64), old.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        st.floats(allow_nan=False).map(repr), st.integers(-99, 99).map(str),
+        st.sampled_from(["", "value", "1_000", "abc", "-0", "nan", "inf", " 2.5", "3,x",
+                         '"4"', "\u0661"])), max_size=8),
+        final=st.booleans())
+    def test_crlf_reads_as_lf(self, lines, final, tmp_path_factory):
+        # the same bits, or the same message, with either line end
+        path = tmp_path_factory.mktemp("crlf") / "v.csv"
+        lf = "value\n" + "\n".join(lines) + "\n" * final
+        got = []
+        for text in (lf, lf.replace("\n", "\r\n")):
+            path.write_bytes(text.encode())
+            try:
+                got.append(read_csv(path, "value").view(np.uint64).tolist())
+            except ParseError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1]
 
     def test_no_values_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "v.csv"

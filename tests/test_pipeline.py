@@ -125,6 +125,23 @@ def old_load_csv(path, date_col="date", value_col="value", date_format="%Y-%m-%d
     return ts.TimeSeries(dates_arr, values_arr)
 
 
+def outcome_and_reader(monkeypatch, path):
+    """The outcome of ``ts.load_csv`` on path, then "csv.reader" if it called
+    ``csv.reader``."""
+    calls = []
+    real = pipeline.csv.reader
+
+    def reader(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.csv, "reader", reader)
+    try:
+        return outcome(ts.load_csv, path) + ("csv.reader",) * bool(calls)
+    finally:
+        monkeypatch.setattr(pipeline.csv, "reader", real)
+
+
 def names(path, message):
     """The pattern of a ParseError that leads with path, then says message."""
     return f"^{re.escape(str(path))}: {re.escape(message)}$"
@@ -386,7 +403,7 @@ class TestLoadCsv:
                                                                  tmp_path_factory):
         p = tmp_path_factory.mktemp("plain") / "s.csv"
         p.write_bytes(text.encode())
-        assert pipeline._plain_cells(p.read_bytes()) is not None
+        assert tabular._plain_cells(p.read_bytes()) is not None
         with mock.patch.object(tabular, "CHUNK", chunk):
             assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
 
@@ -399,10 +416,59 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=names(p, "not utf-8 text (byte 0xe9)")):
             ts.load_csv(p, date_col="day")
 
-    def test_cell_past_the_csv_field_limit_is_read_by_csv_reader(self, tmp_path):
+    def test_cell_past_the_csv_field_limit_is_read_by_csv_reader(self, tmp_path, monkeypatch):
         p = write_series_csv(tmp_path / "s.csv", ["2001-01-01,1", "2001-01-02," + "2" * 200_000])
-        assert pipeline._plain_cells(p.read_bytes()) is None
-        assert outcome(ts.load_csv, p) == outcome(old_load_csv, p)
+        # the file is plain, but csv.reader refuses the long cell
+        assert tabular._plain_cells(p.read_bytes()) is not None
+        want = outcome(old_load_csv, p)
+        assert outcome_and_reader(monkeypatch, p) == want + ("csv.reader",)
+
+    def test_crlf_file_does_not_reach_csv_reader(self, tmp_path, monkeypatch):
+        # as spreadsheet programs write a daily series
+        p = tmp_path / "s.csv"
+        p.write_bytes(_daily_text(3 * CHUNK).replace("\n", "\r\n").encode())
+        lf = tmp_path / "lf.csv"
+        lf.write_text(_daily_text(3 * CHUNK))
+        want = ts.load_csv(lf)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a CRLF plain file")
+
+        monkeypatch.setattr(pipeline.csv, "reader", refuse)
+        got = ts.load_csv(p)
+        assert got.dates.tolist() == want.dates.tolist()
+        assert got.values.view(np.uint64).tolist() == want.values.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("text", [
+        "date,value\n2001-01-01,1\r2001-01-02,2\n2001-01-03,3\n",  # a lone CR
+        "date,value\r\n2001-01-01,1\r\n2001-01-02,2\r",  # a final CR
+        "date,value\n2001-01-01,1\r,\n2001-01-02,2\n",  # a CR before a comma
+        'date,value\n2001-01-01,"1"\n2001-01-02,2\n',  # a quote
+        "date,value\n2001-01-01,1\x00\n2001-01-02,2\n",  # a NUL byte
+    ], ids=["lone-cr", "final-cr", "cr-comma", "quote", "nul"])
+    def test_off_the_byte_path(self, text, tmp_path, monkeypatch):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        assert tabular._plain_cells(text.encode()) is None
+        want = outcome(old_load_csv, p)
+        assert outcome_and_reader(monkeypatch, p) == want + ("csv.reader",)
+
+    @settings(max_examples=200)
+    @given(text=st.one_of(plain_daily_file(),
+                          csv_file().map(lambda f: f[0] + "\n" + "\n".join(f[1]) + "\n")))
+    def test_crlf_reads_as_lf(self, text, tmp_path_factory):
+        # the same dates and value bits, or the same error, with either line end
+        p = tmp_path_factory.mktemp("crlf") / "s.csv"
+        got = []
+        for data in (text, text.replace("\n", "\r\n")):
+            p.write_bytes(data.encode())
+            try:
+                series = ts.load_csv(p)
+            except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+                got.append((type(exc), str(exc)))
+                continue
+            got.append((series.dates.tolist(), series.values.view(np.uint64).tolist()))
+        assert got[0] == got[1]
 
     def test_plain_file_does_not_reach_csv_reader(self, tmp_path, monkeypatch):
         start = np.datetime64("1990-01-01")
