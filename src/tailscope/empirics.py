@@ -138,20 +138,36 @@ def _order_counts(values_desc: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.maximum.accumulate(starts, out=starts)
 
 
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v / 2^e, in place, and e, with e from ``frexp`` of max |v|, so the largest
+    magnitude lies in [1/2, 1): the scaling is exact, and squares of the scaled
+    values neither overflow nor vanish where those of v would."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -e, out=v), e
+
+
 def _mean_excess(values_desc: np.ndarray, u, c: np.ndarray) -> np.ndarray:
     """Mean excesses at the thresholds u, given their strict exceedance counts c.
 
     ME(u) = sum_{i <= c} (X_(i) - p)/c - (u - p) with the pivot p = min(u),
     cumulated over the max(c) largest observations only: data far from 0
-    lose no digits, and a top-k plot costs O(k).  ME is +inf where c = 0.
+    lose no digits, and a top-k plot costs O(k).  The sums are taken on the
+    values and thresholds after ``_unit_scaled``, where none overflows, so x
+    times 2^j gives ME times 2^j.  ME is +inf where c = 0, or past the
+    double range.
     """
     if not c.any():
         raise EmptyExceedanceError(f"no observation exceeds u={float(np.min(u))!r}")
+    top = values_desc[: c.max()]
     pivot = np.min(u)
-    csum = values_desc[: c.max()] - pivot
+    # every value and threshold lies in [pivot, top[0]]
+    e = _unit_scaled(np.array([pivot, top[0]]))[1]
+    pivot = np.ldexp(pivot, -e)
+    csum = np.ldexp(top, -e)
+    csum -= pivot
     np.cumsum(csum, out=csum)
-    with np.errstate(divide="ignore"):
-        return csum[c - 1] / c - (u - pivot)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.ldexp(csum[c - 1] / c - (np.ldexp(u, -e) - pivot), e)
 
 
 def empirical_me(sample: OrderedSample, u: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import GPD
-from .empirics import OrderedSample, PointSet2D
+from .empirics import OrderedSample, PointSet2D, _unit_scaled
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -54,33 +54,27 @@ class FitResult:
     xi_hat: float | None = None
 
 
-def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """v / 2^e, in place, and e, with e from ``frexp`` of max |v|, so the largest
-    magnitude lies in [1/2, 1): the scaling is exact, and squares of the scaled
-    values neither overflow nor vanish where those of v would."""
-    e = int(np.frexp(np.max(np.abs(v)))[1])
-    return np.ldexp(v, -e, out=v), e
-
-
 def ls_fit(points: PointSet2D | np.ndarray, plot_kind: str = "raw") -> FitResult:
     """Ordinary least squares line y = a + b x through a point set.
 
-    Deviations and residuals are squared only after ``_unit_scaled``, so the
-    points times 2^j give the same slope, bit for bit, wherever they are normal."""
+    Means are taken, and deviations and residuals squared, only after
+    ``_unit_scaled``, so no sum overflows, and the points times 2^j give the
+    same slope, bit for bit, wherever they are normal."""
     if plot_kind not in PLOT_KINDS:
         raise ParameterError(f"plot_kind must be one of {PLOT_KINDS}")
     pts = points.points if isinstance(points, PointSet2D) else np.asarray(points, float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise SingularDesignError("need at least two (x, y) points")
     x, y = pts[:, 0], pts[:, 1]
-    xm, ym = x.mean(), y.mean()
-    dx, ex = _unit_scaled(x - xm)
-    dy, ey = _unit_scaled(y - ym)
+    (xs, fx), (ys, fy) = _unit_scaled(x.copy()), _unit_scaled(y.copy())
+    xm, ym = xs.mean(), ys.mean()
+    dx, ex = _unit_scaled(np.subtract(xs, xm, out=xs))
+    dy, ey = _unit_scaled(np.subtract(ys, ym, out=ys))
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise SingularDesignError("all abscissae coincide")
-    slope = float(np.ldexp(float(dx @ dy) / sxx, ey - ex))
-    intercept = ym - slope * xm
+    slope = float(np.ldexp(float(dx @ dy) / sxx, (ey + fy) - (ex + fx)))
+    intercept = np.ldexp(ym, fy) - slope * np.ldexp(xm, fx)
     resid, er = _unit_scaled(y - (intercept + slope * x))
     with np.errstate(over="ignore"):  # past about 2^510 the true rss is not a double
         rss = float(np.ldexp(resid @ resid, 2 * er))

@@ -17,15 +17,15 @@ from datetime import date, datetime
 import numpy as np
 
 from .dist import DistributionModel, RandomSeed
-from .empirics import (OrderedSample, PointSet2D, default_trim, me_plot, order_statistics,
-                       plotted_trim)
+from .empirics import (OrderedSample, PointSet2D, _unit_scaled, default_trim, me_plot,
+                       order_statistics, plotted_trim)
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
     ParseError,
 )
-from .estimators import FitResult, _unit_scaled, ls_fit
+from .estimators import FitResult, ls_fit
 from .tabular import (_byte_rows, _decimal_cells, _float, _floats, _plain_cells, _read_bytes,
                       _text_lines)
 

@@ -83,6 +83,16 @@ def _axis(lo: float, hi: float) -> tuple[float, float, float, float]:
             return lo_s - pad, hi_s + pad, pad, s
 
 
+def _labels(ticks: list[float], s: float) -> list[str]:
+    """Each tick t printed as t / s with ``%.4g``, or with more significant
+    digits, up to 17, while two ticks print alike."""
+    for digits in range(4, 18):
+        labels = [f"{t / s:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -196,23 +206,25 @@ def render_plot(
     ]
 
     out.append('<g class="ticks" font-family="monospace" font-size="11" fill="#333333">')
-    for t in _nice_ticks(x_lo + padx, x_hi - padx):
+    ticks = _nice_ticks(x_lo + padx, x_hi - padx)
+    for t, label in zip(ticks, _labels(ticks, x_s)):
         px = sx(t, 1.0)
         out.append(
             f'<line x1="{_fmt(px)}" y1="{mt + ph}" x2="{_fmt(px)}" y2="{mt + ph + 4}" '
             'stroke="#444444" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(px)}" y="{mt + ph + 17}" text-anchor="middle">{t / x_s:.4g}</text>'
+            f'<text x="{_fmt(px)}" y="{mt + ph + 17}" text-anchor="middle">{label}</text>'
         )
-    for t in _nice_ticks(y_lo + pady, y_hi - pady):
+    ticks = _nice_ticks(y_lo + pady, y_hi - pady)
+    for t, label in zip(ticks, _labels(ticks, y_s)):
         py = sy(t, 1.0)
         out.append(
             f'<line x1="{ml - 4}" y1="{_fmt(py)}" x2="{ml}" y2="{_fmt(py)}" '
             'stroke="#444444" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{ml - 7}" y="{_fmt(py + 4)}" text-anchor="end">{t / y_s:.4g}</text>'
+            f'<text x="{ml - 7}" y="{_fmt(py + 4)}" text-anchor="end">{label}</text>'
         )
     out.append("</g>")
 

@@ -11,14 +11,14 @@ no Python object per field.  A row is a list of segments: literal bytes,
 the same in every row (a CSV file's ``,`` and ``\n``, an SVG circle's
 ``<circle cx="`` and the rest), and fields, each a block of fixed-width
 columns: 24 bytes (three little-endian words) for ``%.17g``, whose longest
-output is 24 bytes; eight digits per word for ``%d``, as many words as the
-chunk's largest |v| needs, after a sign word if any v < 0; one word for
-``%.2f`` below 1e5; and for a field of a few distinct texts, each laid out
-once and gathered by index, as many words as the longest needs.  Rows may
-be joined by a separator, as a polyline's vertices are by spaces.  A
-field's unused bytes are NUL, and they may sit anywhere in it: no byte of a
-number, a literal or a separator is ever 0, so dropping every NUL of the
-matrix (``rows[rows != 0]``) leaves the lines.
+output is 24 bytes; one word for ``%d`` where 0 <= v < 10^8 and for
+``%.2f`` below 1e5, and where a chunk holds any other value, as many words
+as the longest of Python's texts needs; and for a field of a few distinct
+texts, each laid out once and gathered by index, as many words as the
+longest needs.  Rows may be joined by a separator, as a polyline's
+vertices are by spaces.  A field's unused bytes are NUL, and they may sit
+anywhere in it: no byte of a number, a literal or a separator is ever 0,
+so dropping every NUL of the matrix (``rows[rows != 0]``) leaves the lines.
 
 A float column is formatted in numpy, to the bytes of ``"%.17g" % v``.
 For 1e-4 <= |v| < 1e17, ``%.17g`` writes fixed notation: the 17 significant
@@ -45,10 +45,10 @@ SVG writer also compares to thin a polyline.  For 0 <= v < 1e7 the product
 100 v is off the exact one by less than 1e-7, so where it lies more than
 1e-6 from a half-integer rint rounds the exact decimal as ``%.2f`` does,
 and D's digits, the point before the last two, are the text.  A D below
-1e7 fills one word: eight digits, the first 0, whose five integer digits
-move one byte down, each leading zero a NUL but the units, so the point
-takes the byte they free.  Every other value, a half-cent neighbour, -0.0,
-a negative, 1e5 or more, or not finite, goes through Python's ``%.2f``.
+1e7 is the digit word (below) with its units at byte 5, whose first byte
+is then a NUL: bytes 1-5 move one byte down, and the point takes byte 5.
+Every other value, a half-cent neighbour, -0.0, a negative, 1e5 or more,
+or not finite, goes through Python's ``%.2f``.
 
 The digits become bytes eight at a time in a word, by multiply-shift
 divisions on its lanes (the reverse of the reader's SWAR step below).  The
@@ -57,7 +57,11 @@ that order.  A byte smear over the last 16 digits keeps each byte that is,
 or is followed by, a digit other than 0, so the trailing zeros of the
 fraction become NUL.  One masked byte shift then moves the integer part one
 byte left, and the point takes the byte it frees when a digit follows it.
-An integer column takes the same words, with each leading zero a NUL.
+The one digit word of ``%d`` and ``%.2f`` holds the eight digits of a
+d < 10^8, each leading zero before a given units byte a NUL: byte 7 for
+``%d``, byte 5 for ``%.2f``.  An integer outside [0, 10^8) goes through
+Python's ``%d``, and ``_python_fields`` writes Python's text of each value
+a kernel leaves, for all three formats.
 
 A file of more than one chunk has its chunks formatted on a pool of threads,
 one per CPU this process may run on (``os.sched_getaffinity``), while the
@@ -369,38 +373,31 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     spot = _SPOT.take(p, axis=1)
     dots = (words >> 5) & spot & _ONES  # 1 where that byte is a digit
     words ^= (words ^ dots * ord(".")) & spot
+    return _python_fields(words, b"%.17g", x, np.flatnonzero(~fixed))
 
-    slow = np.flatnonzero(~fixed)
-    if slow.size:
-        words[:, slow] = _text_fields([b"%.17g" % v for v in x[slow].tolist()], _WIDTH)
-    return words
+
+def _digit_word(d: np.ndarray, units: int) -> np.ndarray:
+    """The eight decimal digits of each d < 10^8 as the ASCII bytes of a
+    little-endian word, most significant first, as (1, d.size) words: each
+    leading zero before byte units a NUL."""
+    digits = _ascii8(d.reshape(1, -1))
+    seen = digits | np.uint64(1 << 8 * units)  # not 0 from the first digit that shows
+    seen |= seen << 8
+    seen |= seen << 16
+    seen |= seen << 32
+    digits += _ZEROS
+    digits &= _nonzero_bytes(seen)
+    return digits
 
 
 def _int_fields(x: np.ndarray) -> np.ndarray:
     """``b"%d" % v`` for each v of x, padded with NUL bytes, as (k, x.size)
-    little-endian words: eight digits per word, as few words as the largest
-    |v| needs, after a word for the sign if any v < 0."""
-    u = x.astype(np.uint64)
-    neg = x < 0
-    np.negative(u, out=u, where=neg)  # |v| of the least int64 too
-    top = int(u.max(initial=0))
-    words = np.empty((1 + (top >= 10**8) + (top >= 10**16), x.size), np.uint64)
-    for j in range(len(words) - 1, 0, -1):
-        q = u // 10**8
-        words[j] = u - q * 10**8
-        u = q
-    words[0] = u
-    words = _ascii8(words)
-    seen = words | (words << 8)  # a byte is not 0 when it or one before it is not 0
-    seen |= seen << 16
-    seen |= seen << 32
-    for j in range(1, len(words)):
-        seen[j] |= (seen[j - 1] >> 56) * _ONES
-    seen[-1] |= np.uint64(1 << 56)  # the last digit, 0 included
-    words = (words + _ZEROS) & _nonzero_bytes(seen)
-    if neg.any():
-        words = np.vstack([neg.view(np.uint8) * np.uint64(ord("-") << 56), words])
-    return words
+    little-endian words: one word when every 0 <= v < 10^8, and else as
+    many as the longest of Python's texts for the others needs."""
+    d = x.astype(np.uint64)  # a negative v is 2^64 + v
+    slow = np.flatnonzero(d >= 10**8)
+    d[slow] = 0
+    return _python_fields(_digit_word(d, 7), b"%d", x, slow)
 
 
 def cents(v: np.ndarray) -> np.ndarray:
@@ -436,36 +433,28 @@ _CENT_TOP = np.float64(1e9).view(np.uint64)
 
 def _cent_fields(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``b"%.2f" % v`` for each v of x, given keys = cents(x), padded with NUL
-    bytes, as (k, x.size) little-endian words: one word for a key below 1e7,
-    as many as the longest other text needs."""
-    slow = np.flatnonzero((keys < 0) | (keys >= 10**7))
-    d = keys.astype(np.int64).view(np.uint64)
+    bytes, as (k, x.size) little-endian words: one word when every key is
+    below 1e7, and else as many as the longest of Python's texts needs."""
+    d = keys.astype(np.uint64)  # a key of -1 is 2^64 - 1
+    slow = np.flatnonzero(d >= 10**7)
     d[slow] = 0
-    # the eight digits of d, the first 0; the five before the cents move one
-    # byte down, each leading zero a NUL but the units, and the point
-    # takes the byte they free
-    digits = _ascii8(d)
-    head = digits >> 8
-    head &= _HEAD5
-    seen = head | (head << 8)  # a byte is not 0 when it or one before it is not 0
-    seen |= seen << 16
-    seen |= seen << 32
-    seen |= np.uint64(1 << 32)
-    head += _ZEROS & _HEAD5
-    head &= _nonzero_bytes(seen)
-    digits &= ~_HEAD6
-    digits += _POINT_CENTS
-    digits |= head
+    # with the units at byte 5, bytes 1-5 move one byte down and the point
+    # takes byte 5, before the cents
+    digits = _digit_word(d, 5)
+    digits = (digits >> 8 & _FIRST[0, 5]) | (digits & ~_FIRST[0, 6]) | np.uint64(ord(".") << 40)
+    return _python_fields(digits, b"%.2f", x, slow)
+
+
+def _python_fields(words: np.ndarray, fmt: bytes, x: np.ndarray, slow: np.ndarray):
+    """words, with column i replaced by Python's ``fmt % x[i]`` padded with
+    NUL bytes for each i of slow: as many words as the longest text needs,
+    and at least as many as words has."""
     if slow.size:
-        text = _text_fields([b"%.2f" % v for v in x[slow].tolist()])
-        digits = np.vstack([digits, np.zeros((len(text) - 1, x.size), np.uint64)])
-        digits[:, slow] = text
-    return digits.reshape(-1, x.size)
-
-
-_HEAD5 = np.uint64((1 << 40) - 1)  # bytes 0-4
-_HEAD6 = np.uint64((1 << 48) - 1)  # bytes 0-5
-_POINT_CENTS = np.uint64(int.from_bytes(b"\0" * 5 + b".00", "little"))
+        text = _text_fields([fmt % v for v in x[slow].tolist()], 8 * len(words))
+        if len(text) > len(words):
+            words = np.vstack([words, np.zeros((len(text) - len(words), x.size), np.uint64)])
+        words[:, slow] = text
+    return words
 
 
 def _text_fields(texts: list, width: int = 8) -> np.ndarray:

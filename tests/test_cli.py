@@ -970,3 +970,33 @@ def test_bytes_are_those_of_one_blas_thread(tmp_path, command):
     for threads in (None, "1"):
         run_process([command, "--input", src.name, "--out", f"out-{threads}"], tmp_path, threads)
     assert outputs(tmp_path / "out-None") == outputs(tmp_path / "out-1")
+
+
+# ---------------------------------------------------------------------------
+# finite in, finite out, with every warning an error
+
+
+@pytest.mark.parametrize("values", [
+    [-1e308, 1e308, 0.0, 5.0],  # a span past the double range
+    [1e308 * (1 - i * 1e-3) for i in range(100)],  # sums past it
+], ids=["span", "sums"])
+@pytest.mark.parametrize("command", ["meplot", "estimate"])
+def test_samples_near_the_double_range_give_finite_numbers(tmp_path, command, values):
+    # exit 0 with only finite numbers, rss aside where its true value is past
+    # the double range, or exit 3 and say why
+    (tmp_path / "big.csv").write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tailscope.cli", command, "--input", "big.csv",
+         "--out", "o"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=120)
+    if proc.returncode == 3:
+        assert proc.stderr.startswith("tailscope: data error: "), proc.stderr
+        return
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for path in (tmp_path / "o").glob("*.csv"):
+        cells = path.read_text().split("\n", 1)[1].replace("\n", ",").split(",")[:-1]
+        assert cells and all(math.isfinite(float(c)) for c in cells), path.name
+    for line in (tmp_path / "o" / "summary.txt").read_text().splitlines():
+        if not line.startswith("rss="):
+            assert "nan" not in line and "inf" not in line, line

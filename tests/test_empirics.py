@@ -251,13 +251,24 @@ class TestMeanExcessProperties:
         np.testing.assert_array_equal(b.y, a.y)
 
     @given(data=hnp.arrays(np.float64, st.integers(2, 60), elements=INTS),
-           scale=st.floats(1e-6, 1e6))
-    def test_scale_equivariant(self, data, scale):
+           scale=st.floats(1e-6, 1e6),
+           # and near 2^1003, where a span of 2^21 passes the double range
+           j=st.integers(-1074, 1023) | st.integers(995, 1003))
+    def test_scale_equivariant(self, data, scale, j):
         assume(np.ptp(data) > 0)
         a = ts.me_plot(ts.order_statistics(data))
         b = ts.me_plot(ts.order_statistics(scale * data))
         np.testing.assert_array_equal(b.x, scale * a.x)
         np.testing.assert_allclose(b.y, scale * a.y, rtol=0, atol=1e-13 * scale * np.ptp(data))
+        # times 2^j, bit for bit, for every j that keeps x normal: a mean
+        # excess past the double range is inf, and one below it rounds once
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(data, j)
+            big = np.abs(scaled).max()
+            assume(big < np.inf and (np.abs(scaled[data != 0]) >= 2.0**-1022).all())
+            c = ts.me_plot(ts.order_statistics(scaled))
+            np.testing.assert_array_equal(c.x, np.ldexp(a.x, j))
+            np.testing.assert_array_equal(c.y, np.ldexp(a.y, j))
 
     @given(data=hnp.arrays(np.float64, st.integers(2, 60), elements=st.floats(0, 1)),
            offset=st.floats(-1e12, 1e12), spread=st.floats(1e-6, 1e6))

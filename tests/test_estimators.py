@@ -68,10 +68,11 @@ class TestLsFit:
         with pytest.raises(ParameterError):
             ts.ls_fit(np.array([[1.0, 2.0], [2.0, 3.0]]), "bogus")
 
-    @pytest.mark.parametrize("j", [-900, -565, -300, 300, 505, 510])
+    @pytest.mark.parametrize("j", [-900, -565, -300, 300, 505, 510, 700, 1000, 1016, 1019])
     def test_fit_scales_exactly_by_powers_of_two(self, j):
         # x and y times 2^j: the same slope, the intercept times 2^j and the
-        # rss times 2^2j, bit for bit, or inf where that is not a double
+        # rss times 2^2j, bit for bit, or inf where that is not a double;
+        # from 2^1015 the sum of the 300 values is not a double either
         rng = np.random.default_rng(5)
         x = rng.pareto(2.0, 300) + 1.0
         pts = np.column_stack([x, 0.8 * x + rng.standard_normal(300)])

@@ -372,11 +372,14 @@ class TestFixedNotationKernel:
                    lambda p: old_write_values_csv(p, v), tmp_path)
 
     def test_int64_extremes_in_a_d_column(self, tmp_path):
-        m = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
+        # and the edges of the one-word digit layout, [0, 10^8)
+        m = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max,
+                      10**8 - 1, 10**8, -1, 0])
         path = tmp_path / "t.csv"
-        write_csv(path, "m,value", [m, np.array([0.5, 1e-4, -3.0])])
+        write_csv(path, "m,value", [m, np.array([0.5, 1e-4, -3.0, 1.0, 2.0, 3.0, 4.0])])
         assert path.read_text() == ("m,value\n-9223372036854775808,0.5\n0,0.0001\n"
-                                    "9223372036854775807,-3\n")
+                                    "9223372036854775807,-3\n99999999,1\n100000000,2\n"
+                                    "-1,3\n0,4\n")
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -416,7 +419,8 @@ def test_float_columns_match_the_fstring_writers(tmp_path_factory, x, y, chunk):
         same_bytes(pts.write_csv, lambda p: old_point_set_write_csv(pts, p), tmp)
 
 
-# any int64, and magnitudes about the 8 and 16 digits that one and two words hold
+# any int64, and values about the edges of the one-word digit layout, 0 and
+# 10^8, and about 10^16, where Python's text takes a third word
 INT64S = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-10**8, 10**8),
                    st.integers(-10**16, 10**16))
 
@@ -869,6 +873,19 @@ class TestExtremeAxes:
         assert labels and all(re.fullmatch(r"-?\d(\.\d+)?(e[-+]\d+)?|-?\d+(\.\d+)?", v)
                               for v in labels)
 
+    @pytest.mark.parametrize("pts", [
+        [[12345.678, 0.0], [12345.678, 1.0]],  # five ticks, %.4g 1.235e+04 each
+        [[1e17, 0.0], [1e17, 1.0]],  # three ticks, %.4g 1e+17 each
+        [[0.0, 12345.678], [1.0, 12345.678]],
+    ], ids=["constant-12345.678", "constant-1e17", "constant-y"])
+    def test_each_axis_labels_its_ticks_apart(self, tmp_path, pts):
+        path = tmp_path / "p.svg"
+        render_plot(path, [Series(np.array(pts))])
+        text = path.read_text()
+        for anchor in ("middle", "end"):  # x, then y
+            labels = re.findall(f'text-anchor="{anchor}">([^<]*)</text>', text)
+            assert len(labels) > 1 and len(set(labels)) == len(labels), labels
+
     def test_span_of_the_double_range_ticks_round_numbers(self, tmp_path):
         path = tmp_path / "p.svg"
         render_plot(path, [Series(np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 5.0]]))])
@@ -879,7 +896,7 @@ class TestExtremeAxes:
         src = tmp_path / "big.csv"
         src.write_text("value\n-1e308\n1e308\n0\n5\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the mean excess overflows; out of the plot's scope
+            warnings.simplefilter("error")
             assert main(["meplot", "--input", str(src), "--out", str(tmp_path / "o")]) == 0
         text = (tmp_path / "o" / "me_plot.svg").read_text()
         assert "nan" not in text.split('class="annotation"')[0]
