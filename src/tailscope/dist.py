@@ -110,21 +110,21 @@ def _uniform_open(rng: np.random.Generator, n: int, k: int | None = None) -> np.
     """Uniforms ``_open_unit(i)`` for n integers i drawn from rng, or with k
     given for only the k largest of them, in no set order.
 
-    The integers are ``rng.integers(0, 2**53, n)``: each is the stream's next
-    64-bit word shifted right by 11, as Lemire's bounded draw never rejects
-    for a range of 2^53.  With k the words are drawn ``_DRAW`` at a time.
-    One buffer keeps the k largest so far at its end, and of each block only
-    the words above the least of them are partitioned in.  The shift is
-    nondecreasing, so the k largest words give the k largest integers.  A
-    draw holds O(k + ``_DRAW``) words, not n, and leaves the stream where
-    drawing all n at once would.
+    Each integer is the stream's next 64-bit word (``random_raw``) shifted
+    right by 11, the integer that ``rng.integers(0, 2**53)`` draws.  Without
+    k, k = n keeps every word, in stream order.  Otherwise the words are
+    drawn ``_DRAW`` at a time.  One buffer keeps the k largest so far at its
+    end, and of each block only the words above the least of them are
+    partitioned in.  The shift is nondecreasing, so the k largest words give
+    the k largest integers.  A draw holds O(k + ``_DRAW``) words, and leaves
+    the stream where drawing all n at once would.
     """
-    if k is None:
-        return _open_unit(rng.integers(0, 1 << 53, size=n))
+    k = n if k is None else k
     words = rng.bit_generator.random_raw
     block = min(_DRAW, n - k)
     top = words(block + k)
-    top.partition(block)
+    if block:
+        top.partition(block)
     for drawn in range(block + k, n, _DRAW):
         new = words(min(block, n - drawn))
         new = new.compress(new > top[block])

@@ -59,12 +59,17 @@ def ls_fit(points: PointSet2D | np.ndarray, plot_kind: str = "raw") -> FitResult
 
     Means are taken, and deviations and residuals squared, only after
     ``_unit_scaled``, so no sum overflows, and the points times 2^j give the
-    same slope, bit for bit, wherever they are normal."""
+    same slope, bit for bit, wherever they are normal.  A point that is not
+    finite, as a mean excess past the double range, has no line: the first
+    one is named in a ``DegenerateDataError``."""
     if plot_kind not in PLOT_KINDS:
         raise ParameterError(f"plot_kind must be one of {PLOT_KINDS}")
     pts = points.points if isinstance(points, PointSet2D) else np.asarray(points, float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise SingularDesignError("need at least two (x, y) points")
+    if not np.isfinite(pts).all():
+        i = int(np.argmin(np.isfinite(pts))) // 2  # the first False in row-major order
+        raise DegenerateDataError(f"fit point {i + 1} is not finite: {tuple(pts[i].tolist())}")
     x, y = pts[:, 0], pts[:, 1]
     (xs, fx), (ys, fy) = _unit_scaled(x.copy()), _unit_scaled(y.copy())
     xm, ym = xs.mean(), ys.mean()

@@ -333,10 +333,11 @@ def _top_k(k_fn: Callable[[int], int], n: int) -> int:
 
 
 def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: RandomSeed,
-           k_fn: Callable[[int], int]):
-    """Yield (r, j, k, draw) for every replication r and grid index j, in that
-    order, with k = k_fn(n_grid[j]) checked as the cell is yielded, before
-    its draw; draw() returns the top k order statistics of an n_grid[j]-sample.
+           k_fn: Callable[[int], int]) -> list:
+    """The (r, j, k, draw) cell of every replication r and grid index j, in
+    that order, with k = k_fn(n_grid[j]); draw() returns the top k order
+    statistics of an n_grid[j]-sample.  Every n and k, in grid order, and
+    then every cell's stream are checked here, before any cell is drawn.
 
     Each (r, j) cell draws from its own Philox stream, seed.stream + r *
     len(n_grid) + j, so the result does not depend on evaluation order.  A
@@ -349,11 +350,10 @@ def _cells(model: DistributionModel, n_grid: Sequence[int], reps: int, seed: Ran
     are the full sample's k largest, so each distance, slope and intercept is
     bit for bit that of all n values.
     """
-    for r in range(reps):
-        for j, n in enumerate(n_grid):
-            k = _top_k(k_fn, int(n))
-            cell = seed.with_stream(seed.stream + r * len(n_grid) + j)
-            yield r, j, k, partial(_draw, model, int(n), cell, k)
+    ks = [_top_k(k_fn, int(n)) for n in n_grid]
+    return [(r, j, k, partial(_draw, model, int(n),
+                              seed.with_stream(seed.stream + r * len(ks) + j), k))
+            for r in range(reps) for j, (n, k) in enumerate(zip(n_grid, ks))]
 
 
 def _draw(model: DistributionModel, n: int, cell: RandomSeed, k: int) -> np.ndarray:
@@ -373,10 +373,10 @@ def _replicate(model: DistributionModel, n_grid: Sequence[int], reps: int, seed:
 
     Cells run on ``tabular``'s pool, one worker per CPU, each cell's draw
     and measure together; the results are taken in (r, j) order on the
-    calling thread, so they do not depend on the number of workers.  The
-    first cell in that order that fails, at its k check, its draw or its
-    measure, raises, as it would in a loop over the cells: every cell before
-    it runs to completion, and no cell after a failed check is drawn.
+    calling thread, so they do not depend on the number of workers.  A bad
+    n, k or stream is refused before any cell is drawn.  Otherwise the first
+    cell in that order whose draw or measure fails raises, as it would in a
+    loop over the cells: every cell before it runs to completion.
     """
     out = []
     pooled = reps * sum(map(int, n_grid)) >= _POOLED

@@ -180,12 +180,10 @@ def _in_order(work, parts, take, pooled: bool) -> None:
 
     If pooled and ``_workers()`` is more than one, work runs on a pool of
     that many threads, with at most two parts per worker in flight, and take
-    on the calling thread.  parts may be any iterable; the next part is
-    drawn from it only when it can be submitted, and an error that drawing
-    it raises is raised once every part before it has been taken.  So the
-    error raised, unchanged, is the first in order of take, work and the
-    iteration, as a plain loop over the parts would raise it.  The pool is
-    joined before this returns or raises.
+    on the calling thread.  Iterating parts must not fail: callers check
+    their plan before they call.  The error raised, unchanged, is the first
+    in order of take and work, as a plain loop over the parts would raise
+    it.  The pool is joined before this returns or raises.
     """
     workers = _workers() if pooled else 1
     if workers == 1:
@@ -196,17 +194,8 @@ def _in_order(work, parts, take, pooled: bool) -> None:
 
     pool = ThreadPoolExecutor(workers)
     pending = deque()
-    failed = None
     try:
-        parts = iter(parts)
-        while True:
-            try:
-                p = next(parts)
-            except StopIteration:
-                break
-            except Exception as exc:  # raised once the parts before it are taken
-                failed = exc
-                break
+        for p in parts:
             if len(pending) == 2 * workers:
                 take(pending.popleft().result())
             pending.append(pool.submit(work, p))
@@ -214,8 +203,6 @@ def _in_order(work, parts, take, pooled: bool) -> None:
             take(pending.popleft().result())
     finally:
         pool.shutdown(cancel_futures=True)
-    if failed is not None:
-        raise failed
 
 
 def _rows(fields, n: int, start: int) -> np.ndarray:

@@ -976,27 +976,56 @@ def test_bytes_are_those_of_one_blas_thread(tmp_path, command):
 # finite in, finite out, with every warning an error
 
 
+def run_warnings_as_errors(cwd, *argv):
+    """python -W error -m tailscope.cli argv in cwd, with --out o."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tailscope.cli", *argv, "--out", "o"],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=120)
+
+
+def assert_finite_outputs(out):
+    """Only finite numbers in every CSV and in summary.txt, rss aside."""
+    for path in out.glob("*.csv"):
+        cells = path.read_text().split("\n", 1)[1].replace("\n", ",").split(",")[:-1]
+        assert cells and all(math.isfinite(float(c)) for c in cells), path.name
+    for line in (out / "summary.txt").read_text().splitlines():
+        if not line.startswith("rss="):
+            assert "nan" not in line and "inf" not in line, line
+
+
 @pytest.mark.parametrize("values", [
     [-1e308, 1e308, 0.0, 5.0],  # a span past the double range
     [1e308 * (1 - i * 1e-3) for i in range(100)],  # sums past it
-], ids=["span", "sums"])
+    [-1.7e308, 1.7e308, 0.0, 5.0],  # a mean excess past it
+], ids=["span", "sums", "mean-excess"])
 @pytest.mark.parametrize("command", ["meplot", "estimate"])
 def test_samples_near_the_double_range_give_finite_numbers(tmp_path, command, values):
     # exit 0 with only finite numbers, rss aside where its true value is past
     # the double range, or exit 3 and say why
     (tmp_path / "big.csv").write_text("value\n" + "".join(f"{v!r}\n" for v in values))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "tailscope.cli", command, "--input", "big.csv",
-         "--out", "o"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-        text=True, timeout=120)
+    proc = run_warnings_as_errors(tmp_path, command, "--input", "big.csv")
     if proc.returncode == 3:
         assert proc.stderr.startswith("tailscope: data error: "), proc.stderr
+        if command == "meplot":  # the fit names the mean excess past the double range
+            assert proc.stderr.endswith(": fit point 3 is not finite: (-1.7e+308, inf)\n")
+        assert not (tmp_path / "o").exists()
         return
     assert (proc.returncode, proc.stderr) == (0, "")
-    for path in (tmp_path / "o").glob("*.csv"):
-        cells = path.read_text().split("\n", 1)[1].replace("\n", ",").split(",")[:-1]
-        assert cells and all(math.isfinite(float(c)) for c in cells), path.name
-    for line in (tmp_path / "o" / "summary.txt").read_text().splitlines():
-        if not line.startswith("rss="):
-            assert "nan" not in line and "inf" not in line, line
+    assert_finite_outputs(tmp_path / "o")
+
+
+@pytest.mark.parametrize("change", ["times 2^1000", "times 2^-1000", "two days at +-1.7e308"])
+def test_daily_series_near_the_double_range_give_finite_numbers(tmp_path, change):
+    # ten years of seasonal AR(2) with Pareto(5) innovations, as the benchmark draws them
+    comp = ts.synthetic_composite(10, (0.5, -0.3), ts.Pareto(5), ts.RandomSeed(1))
+    values = comp.values.copy()
+    if change == "two days at +-1.7e308":
+        values[[1000, 2000]] = 1.7e308, -1.7e308
+    else:
+        values = np.ldexp(values, 1000 if change == "times 2^1000" else -1000)
+    (tmp_path / "daily.csv").write_text(
+        "date,value\n" + "".join(f"{d},{v!r}\n" for d, v in zip(comp.dates, values.tolist())))
+    proc = run_warnings_as_errors(tmp_path, "analyze", "--input", "daily.csv")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_finite_outputs(tmp_path / "o")

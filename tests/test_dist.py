@@ -688,12 +688,14 @@ def test_open_unit_keeps_the_top_integer_below_one():
 
 
 def test_top_integer_draw_samples(monkeypatch):
-    # every integer of the draw is 2^53 - 1, whose (i + 0.5) / 2^53 is 1.0
-    class TopIntegers:
-        def integers(self, lo, hi, size):
-            return np.full(size, hi - 1, dtype=np.int64)
+    # every word of the draw is 2^64 - 1, whose integer 2^53 - 1 gives (i + 0.5) / 2^53 = 1.0
+    class TopWords:
+        class bit_generator:
+            @staticmethod
+            def random_raw(size):
+                return np.full(size, 2**64 - 1, dtype=np.uint64)
 
-    monkeypatch.setattr(ts.RandomSeed, "generator", lambda self: TopIntegers())
+    monkeypatch.setattr(ts.RandomSeed, "generator", lambda self: TopWords())
     for spec in SPECS:
         model = parse_model(spec)
         if not isinstance(model, ts.StableSkewed):  # sampled by CMS, not inversion

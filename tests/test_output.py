@@ -501,6 +501,41 @@ class TestWorkers:
         assert threading.active_count() == before
 
 
+class PartError(Exception):
+    pass
+
+
+@settings(max_examples=80)
+@given(n=st.integers(0, 40), workers=st.integers(1, 3),
+       fails=st.sets(st.integers(0, 39), max_size=3), take_fails=st.none() | st.integers(0, 39))
+def test_in_order_raises_the_first_error_in_part_order(n, workers, fails, take_fails):
+    # work fails at each part in fails, take at take_fails; work(p) comes before take(p)
+    taken = []
+
+    def work(p):
+        if p in fails:
+            raise PartError("work", p)
+        return p
+
+    def take(p):
+        if p == take_fails:
+            raise PartError("take", p)
+        taken.append(p)
+
+    first = min((p for p in range(n) if p in fails or p == take_fails), default=None)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "_workers", lambda: workers)
+        if first is None:
+            tabular._in_order(work, range(n), take, True)
+        else:
+            with pytest.raises(PartError) as exc:
+                tabular._in_order(work, range(n), take, True)
+            assert exc.value.args == ("work" if first in fails else "take", first)
+    assert taken == list(range(n if first is None else first))
+    assert threading.active_count() == before
+
+
 class TestKeyvalWriterBytes:
     def test_lines_match_the_per_line_formats(self, tmp_path):
         """Each line reads as its f-string would: floats %.17g, anything else by

@@ -187,6 +187,18 @@ def test_commands_load_no_scipy_stats(argv, tmp_path):
     assert "stats" not in loaded and "spatial" not in loaded
 
 
+def test_a_bad_grid_is_refused_before_scipy_loads(tmp_path):
+    # Beta's quantile loads scipy.special, but n = 2 is refused before any cell is drawn
+    argv = ["converge", "--model", "beta:2,2", "--case", "negative", "--n-grid", "1000000,2",
+            "--reps", "4", "--out", "c"]
+    code = ("import contextlib, io, sys\nfrom tailscope.cli import main\nerr = io.StringIO()\n"
+            f"with contextlib.redirect_stderr(err):\n    code = main({argv!r})\n"
+            "print(code, 'scipy.special' in sys.modules, repr(err.getvalue()))\n")
+    assert (_run_python(code, tmp_path)
+            == "3 False 'tailscope: data error: k=1 outside 2..2\\n'")
+    assert not (tmp_path / "c").exists()
+
+
 # converge measures its distances to the limit line with numpy alone, so on a law
 # with a closed-form quantile it loads no scipy module at all
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,6 @@ import tailscope as ts
 from tailscope import randset, tabular
 from tailscope.errors import (
     ConfigError,
-    EmptyExceedanceError,
     EmptyWindowError,
     IndexRangeError,
     InsufficientDataError,
@@ -541,8 +540,7 @@ class TestRunConvergence:
                           resolution)
 
     def test_k_is_checked_against_n_before_its_draw(self, monkeypatch):
-        # each n is checked just before its own cells: the cells before it run,
-        # no value is drawn for it
+        # every n of the grid is checked before any cell is drawn
         model = ts.Pareto(2)
         drawn = []
         sample = model.sample
@@ -552,22 +550,22 @@ class TestRunConvergence:
             return sample(n, seed, k)
 
         monkeypatch.setattr(model, "sample", spy)
-        for grid, k_rule, err, message, before in [
-            ((1000,), 0.1, IndexRangeError, "k=1 outside 2..1000", []),
-            ((5000, 2), None, IndexRangeError, "k=1 outside 2..2", [5000]),
-            ((1, 1000), 0.1, InsufficientDataError, "need at least two observations", []),
-            ((1000, 0), None, ParameterError, "n must be positive", [1000]),
+        for grid, k_rule, err, message in [
+            ((1000,), 0.1, IndexRangeError, "k=1 outside 2..1000"),
+            ((5000, 2), None, IndexRangeError, "k=1 outside 2..2"),
+            ((1, 1000), 0.1, InsufficientDataError, "need at least two observations"),
+            ((1000, 0), None, ParameterError, "n must be positive"),
         ]:
             drawn.clear()
             with pytest.raises(err) as caught:
                 ts.run_convergence(model, "positive", grid, 2, ts.RandomSeed(0), k_rule=k_rule)
             assert str(caught.value) == message
-            assert drawn == before
+            assert drawn == []
 
-    def test_an_earlier_cell_error_comes_before_a_bad_k(self):
+    def test_a_bad_k_wins_over_an_earlier_cell_error(self):
         # GPD(-5)'s top values tie at its endpoint, so the first cell's
-        # normalization fails before n = 2 is reached
-        with pytest.raises(EmptyExceedanceError, match="tied maxima leave no strict exceedances"):
+        # normalization would fail, but n = 2 is refused before any cell is drawn
+        with pytest.raises(IndexRangeError, match=r"^k=1 outside 2\.\.2$"):
             ts.run_convergence(ts.GPD(-5.0), "negative", (1000, 2), 1, ts.RandomSeed(0))
 
     def test_a_cloud_that_misses_the_window_reads_its_diagonal(self):
@@ -614,7 +612,7 @@ class TestRunConvergence:
             assert threading.main_thread() not in threads
 
     def test_k_is_checked_against_n_before_its_draw_on_two_workers(self, on_pool, monkeypatch):
-        # the cells before a bad n run to completion on the pool; none after it is drawn
+        # every n of the grid is checked before any cell reaches the pool
         on_pool(2)
         model = ts.Pareto(2)
         drawn = []
@@ -625,24 +623,33 @@ class TestRunConvergence:
             return sample(n, seed, k)
 
         monkeypatch.setattr(model, "sample", spy)
-        for grid, k_rule, err, message, before in [
-            ((1000,), 0.1, IndexRangeError, "k=1 outside 2..1000", []),
-            ((5000, 2), None, IndexRangeError, "k=1 outside 2..2", [5000]),
-            ((1, 1000), 0.1, InsufficientDataError, "need at least two observations", []),
-            ((1000, 0), None, ParameterError, "n must be positive", [1000]),
-            ((1000, 3000, 5000, 2), None, IndexRangeError, "k=1 outside 2..2",
-             [1000, 3000, 5000]),
+        for grid, k_rule, err, message in [
+            ((1000,), 0.1, IndexRangeError, "k=1 outside 2..1000"),
+            ((5000, 2), None, IndexRangeError, "k=1 outside 2..2"),
+            ((1, 1000), 0.1, InsufficientDataError, "need at least two observations"),
+            ((1000, 0), None, ParameterError, "n must be positive"),
+            ((1000, 3000, 5000, 2), None, IndexRangeError, "k=1 outside 2..2"),
         ]:
             drawn.clear()
             with pytest.raises(err) as caught:
                 ts.run_convergence(model, "positive", grid, 2, ts.RandomSeed(0), k_rule=k_rule)
             assert str(caught.value) == message
-            assert sorted(drawn) == before  # the workers append in any order
+            assert drawn == []
 
-    def test_an_earlier_cell_error_comes_before_a_bad_k_on_two_workers(self, on_pool):
+    def test_a_bad_k_wins_over_an_earlier_cell_error_on_two_workers(self, on_pool):
         on_pool(2)
-        with pytest.raises(EmptyExceedanceError, match="tied maxima leave no strict exceedances"):
+        with pytest.raises(IndexRangeError, match=r"^k=1 outside 2\.\.2$"):
             ts.run_convergence(ts.GPD(-5.0), "negative", (1000, 2), 1, ts.RandomSeed(0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stream_past_64_bits_is_refused_before_any_draw(self, on_pool, monkeypatch,
+                                                              workers):
+        # 2 reps of 2 grid sizes take streams 2^64 - 3 to 2^64: the last one is refused
+        on_pool(workers)
+        model = ts.Pareto(2)
+        monkeypatch.setattr(model, "sample", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ParameterError, match="^stream must fit in 64 bits$"):
+            ts.run_convergence(model, "positive", (1000, 2000), 2, ts.RandomSeed(0, 2**64 - 3))
 
     def test_the_first_failing_cell_in_order_is_the_error(self, on_pool, monkeypatch):
         # cell 1 fails slowly and cell 2 at once: cell 1's error is the one raised
