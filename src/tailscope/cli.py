@@ -72,7 +72,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, ParseError, TailscopeError
+from .errors import ConfigError, ParameterError, ParseError, TailscopeError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -213,7 +213,9 @@ def _parse_window(raw: str | None) -> randset.Window | None:
     try:
         x0, x1, y0, y1 = (float(tok) for tok in raw.split(","))
         return randset.Window(x0, x1, y0, y1)
-    except (ValueError, TailscopeError) as exc:
+    except ParameterError as exc:  # four floats that Window refuses; also a ValueError
+        raise ConfigError(f"bad window {raw!r}: {exc}") from exc
+    except ValueError as exc:
         raise ConfigError(f"bad window {raw!r}; expected x0,x1,y0,y1") from exc
 
 

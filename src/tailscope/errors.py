@@ -68,14 +68,7 @@ class NormalizationError(TailscopeError):
 
 
 class EmptyWindowError(TailscopeError):
-    """A point set restricted to a window is empty.
-
-    ``side`` records which operand was empty ("first", "second" or "both").
-    """
-
-    def __init__(self, message: str, side: str = "both"):
-        super().__init__(message)
-        self.side = side
+    """A point set restricted to a window is empty."""
 
 
 class IndexRangeError(TailscopeError, ValueError):

@@ -393,29 +393,24 @@ def synthetic_composite(
     phi,
     innovations: DistributionModel,
     seed: RandomSeed,
-    start_year: int = 2001,
-    amplitude: float = 0.75,
 ) -> TimeSeries:
     """Seasonal-scale times AR series with the given innovation law.
 
     The latent series follows x_t = sum_j phi_j x_{t-j} + eps_t with
     mean-zero innovations (draws are centered by their sample mean, so
-    one-sided laws work too), run for 1000 days before the first date;
-    each day's value is multiplied by a smooth positive annual scale
-    profile.  Useful for exercising the full pipeline against a known
-    ground truth.
+    one-sided laws work too), run for 1000 days before the first date,
+    2001-01-01; each day's value is multiplied by the annual scale profile
+    1 + 0.75 sin(2 pi d / 365.25), d the day of the year from 0.  Useful
+    for exercising the full pipeline against a known ground truth.
     """
     from scipy.signal import lfilter
 
     phi = np.asarray(phi, dtype=float)
     if years < 2:
         raise ParameterError("need at least two years")
-    if not 0 <= amplitude < 1:
-        raise ParameterError("amplitude must lie in [0, 1)")
     if not innovations.has_finite_mean:
         raise ParameterError("innovation law must have a finite mean to be centered")
-    dates = np.arange(np.datetime64(date(start_year, 1, 1)),
-                      np.datetime64(date(start_year + years, 1, 1)))
+    dates = np.arange(np.datetime64(date(2001, 1, 1)), np.datetime64(date(2001 + years, 1, 1)))
     n_days = dates.size
     burn_in = 1000
     eps = innovations.sample(n_days + burn_in, seed)
@@ -423,5 +418,5 @@ def synthetic_composite(
     # x_t = sum_j phi_j x_{t-j} + eps_t with zero initial state
     latent = lfilter([1.0], np.concatenate([[1.0], -phi]), eps)[burn_in:]
     day_of_year = (dates - dates.astype("datetime64[Y]")).astype(int)
-    profile = 1.0 + amplitude * np.sin(2.0 * math.pi * day_of_year / 365.25)
+    profile = 1.0 + 0.75 * np.sin(2.0 * math.pi * day_of_year / 365.25)
     return TimeSeries(dates, profile * latent)

@@ -20,7 +20,6 @@ from .empirics import (
     PointSet2D,
     _check_count,
     _check_top_k,
-    default_k,
     normalize_negative,
     normalize_positive,
     normalize_heavy,
@@ -173,11 +172,11 @@ def hausdorff_window(a: PointSet2D, b: PointSet2D, window: Window) -> float:
     """
     pa, pb = a.restrict(window), b.restrict(window)
     if len(pa) == 0 and len(pb) == 0:
-        raise EmptyWindowError("both point sets miss the window", side="both")
+        raise EmptyWindowError("both point sets miss the window")
     if len(pa) == 0:
-        raise EmptyWindowError("first point set misses the window", side="first")
+        raise EmptyWindowError("first point set misses the window")
     if len(pb) == 0:
-        raise EmptyWindowError("second point set misses the window", side="second")
+        raise EmptyWindowError("second point set misses the window")
     e = math.frexp(window.diag)[1]
     pa, pb = (replace(p, points=np.ldexp(p.points, -e)) for p in (pa, pb))
     grid, cloud = (pa, pb) if isinstance(pa, LineGrid) else (pb, pa)
@@ -310,10 +309,14 @@ def limit_set(case: str, xi: float) -> LimitLine:
     return spec.limit(xi)
 
 
-def _resolve_k_rule(k_rule) -> tuple[Callable[[int], int], str]:
-    """k = floor(n**exponent), default_k unless an exponent is given, and its description."""
+def _plan(reps: int, n_grid: Sequence[int], k_rule) -> tuple[Callable[[int], int], str]:
+    """Both experiments' front end: refuse reps < 1 or an empty grid, and
+    resolve the k rule, k = floor(n**exponent) with exponent 0.7 unless
+    another is given, with its description."""
+    if reps < 1 or len(n_grid) == 0:
+        raise ConfigError("need reps >= 1 and a nonempty n grid")
     if k_rule is None:
-        return default_k, "floor(n**0.7)"
+        k_rule = 0.7
     if isinstance(k_rule, bool) or not isinstance(k_rule, (int, float)):
         raise ConfigError("k_rule must be an exponent")
     exponent = float(k_rule)
@@ -455,15 +458,12 @@ def run_convergence(
         raise ConfigError(f"{model.label()} has no declared shape")
     if not spec.covers(xi):
         raise ConfigError(f"{case} case needs {spec.needs}, model has {xi:g}")
-    if reps < 1 or len(n_grid) == 0:
-        raise ConfigError("need reps >= 1 and a nonempty n grid")
+    k_fn, k_desc = _plan(reps, n_grid, k_rule)
     if resolution < 1:
         raise ConfigError("resolution must be positive")
-
-    k_fn, k_desc = _resolve_k_rule(k_rule)
     if window is None:
         window = spec.window(xi)
-    limit_pts = discretize(limit_set(case, xi), window, resolution)
+    limit_pts = discretize(spec.limit(xi), window, resolution)
     if len(limit_pts) == 0:
         w = ",".join(f"{v:g}" for v in window.as_tuple())
         raise ConfigError(f"the {case} limit for shape {xi:g} misses the window {w}; "
@@ -516,19 +516,17 @@ def intercept_experiment(
     xi = model.domain_shape
     if xi is None or not xi > 1:
         raise ConfigError("intercept experiment needs a model with shape > 1")
-    k_fn, _ = _resolve_k_rule(k_rule)
-    k = _top_k(k_fn, int(n))
-    b_nk = quantile_b(model, n / k)
-    b_n = quantile_b(model, float(n))
+    k_fn, _ = _plan(reps, (n,), k_rule)
+    reference_seed = seed.with_stream(seed.stream + reps)
 
     def measure(k, sample):
-        cloud = normalize_heavy(sample, k, b_nk, b_n)
+        cloud = normalize_heavy(sample, k, quantile_b(model, n / k), quantile_b(model, float(n)))
         ok = (cloud.x > 0) & (cloud.y > 0)
         fit = ls_fit(np.column_stack([np.log(cloud.x[ok]), np.log(cloud.y[ok])]), "raw")
         return fit.slope, fit.intercept, int(np.count_nonzero(~ok))
 
     slopes, intercepts, dropped = zip(*_replicate(model, (n,), reps, seed, k_fn, measure))
     limit_law = PositiveStable(xi)
-    reference = np.log(limit_law.sample(reps, seed.with_stream(seed.stream + reps)))
+    reference = np.log(limit_law.sample(reps, reference_seed))
     return InterceptResult(np.array(slopes, dtype=float), np.array(intercepts, dtype=float),
                            reference, np.array(dropped, dtype=int))

@@ -495,13 +495,26 @@ class TestConverge:
                    "--n-grid", "1000", "--reps", "1", "--window", "1,2,3",
                    "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("raw, why", [
+        ("1,0,0,1", ": window must have positive extent"),
+        ("1,2", "; expected x0,x1,y0,y1"),
+        ("a,b,c,d", "; expected x0,x1,y0,y1"),
+    ])
+    def test_bad_window_says_why(self, tmp_path, capsys, raw, why):
+        # four floats that Window refuses carry its reason; other text, the format
+        assert run("converge", "--model", "pareto:2", "--case", "positive",
+                   "--n-grid", "1000", "--reps", "1", "--window", raw,
+                   "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"tailscope: config error: bad window {raw!r}{why}\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_infinite_window_bound_is_bad_window(self, tmp_path, capsys):
         assert run("converge", "--model", "pareto:2", "--case", "positive",
                    "--n-grid", "1000", "--reps", "1", "--window", "1,inf,0,4",
                    "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == ("tailscope: config error: bad window '1,inf,0,4'; "
-                                           "expected x0,x1,y0,y1\n")
+        assert capsys.readouterr().err == ("tailscope: config error: bad window '1,inf,0,4': "
+                                           "window bounds must be finite\n")
         assert not (tmp_path / "x").exists()
 
     def test_overflowing_window_is_bad_window(self, tmp_path, capsys):
@@ -510,7 +523,7 @@ class TestConverge:
                    "--n-grid", "1000", "--reps", "1", "--window=-1e308,1e308,1e5,1e6",
                    "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == ("tailscope: config error: bad window "
-                                           "'-1e308,1e308,1e5,1e6'; expected x0,x1,y0,y1\n")
+                                           "'-1e308,1e308,1e5,1e6': window extent must be finite\n")
         assert not (tmp_path / "x").exists()
 
     def test_window_whose_squared_diagonal_overflows_is_bad_window(self, tmp_path, capsys):
@@ -520,7 +533,7 @@ class TestConverge:
                    "--n-grid", "1000", "--reps", "1", "--window=0,1e154,0,1e154",
                    "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == ("tailscope: config error: bad window "
-                                           "'0,1e154,0,1e154'; expected x0,x1,y0,y1\n")
+                                           "'0,1e154,0,1e154': window extent must be finite\n")
         assert not (tmp_path / "x").exists()
 
     def test_cloud_missing_the_window_reads_the_diagonal(self, tmp_path, capsys):

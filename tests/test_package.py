@@ -59,6 +59,8 @@ def test_deleted_names_are_gone():
     (Series, "color"),
     (Series, "radius"),
     (ts.synthetic_composite, "burn_in"),
+    (ts.synthetic_composite, "start_year"),
+    (ts.synthetic_composite, "amplitude"),
     (write_csv, "formats"),
     (ts.ConvergenceReport, "manifest_version"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)

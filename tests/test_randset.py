@@ -409,15 +409,15 @@ class TestHausdorff:
     def test_empty_window_sides(self):
         w = ts.Window(0.0, 1.0, 0.0, 1.0)
         inside, outside = pset([[0.5, 0.5]]), pset([[5.0, 5.0]])
-        with pytest.raises(EmptyWindowError) as err:
-            ts.hausdorff_window(outside, inside, w)
-        assert err.value.side == "first"
-        with pytest.raises(EmptyWindowError) as err:
-            ts.hausdorff_window(inside, outside, w)
-        assert err.value.side == "second"
-        with pytest.raises(EmptyWindowError) as err:
-            ts.hausdorff_window(outside, outside, w)
-        assert err.value.side == "both"
+        for a, b, message in [
+            (outside, inside, "first point set misses the window"),
+            (inside, outside, "second point set misses the window"),
+            (outside, outside, "both point sets miss the window"),
+        ]:
+            with pytest.raises(EmptyWindowError) as err:
+                ts.hausdorff_window(a, b, w)
+            assert str(err.value) == message
+            assert not hasattr(err.value, "side")
 
 
 class TestDefaultWindow:
@@ -830,3 +830,52 @@ class TestInterceptExperiment:
     def test_requires_heavy_shape(self):
         with pytest.raises(ConfigError):
             ts.intercept_experiment(ts.Pareto(2), 1000, 2, ts.RandomSeed(0))
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_below_one_is_config_error_before_any_draw(self, monkeypatch, reps):
+        model = ts.Pareto(0.5)
+        monkeypatch.setattr(model, "sample", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ConfigError, match="^need reps >= 1 and a nonempty n grid$"):
+            ts.intercept_experiment(model, 1000, reps, ts.RandomSeed(1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_reference_stream_past_64_bits_is_refused_before_any_draw(
+            self, on_pool, monkeypatch, workers):
+        # 3 reps take cell streams 2^64 - 3 to 2^64 - 1; the reference's, 2^64, is
+        # refused before any cell is drawn, and before a bad n is
+        on_pool(workers)
+        model = ts.Pareto(0.5)
+        monkeypatch.setattr(model, "sample", lambda *a: pytest.fail("sampled"))
+        for n in (100_000, 0):
+            with pytest.raises(ParameterError, match="^stream must fit in 64 bits$"):
+                ts.intercept_experiment(model, n, 3, ts.RandomSeed(1, 2**64 - 3))
+
+
+@pytest.mark.parametrize("run, grid", [
+    (lambda: ts.run_convergence(ts.Pareto(2), "positive", (1000, 3000, 5000), 2,
+                                ts.RandomSeed(1)), [1000, 3000, 5000]),
+    (lambda: ts.intercept_experiment(ts.Pareto(0.5), 5000, 3, ts.RandomSeed(1)), [5000]),
+], ids=["run_convergence", "intercept_experiment"])
+def test_each_grid_size_is_checked_once(monkeypatch, run, grid):
+    checked = []
+    top_k = randset._top_k
+
+    def spy(k_fn, n):
+        checked.append(n)
+        return top_k(k_fn, n)
+
+    monkeypatch.setattr(randset, "_top_k", spy)
+    run()
+    assert checked == grid
+
+
+def test_no_k_rule_is_the_exponent_0_7():
+    args = (ts.Pareto(2), "positive", (1000, 5000), 3, ts.RandomSeed(2))
+    none, point7 = ts.run_convergence(*args), ts.run_convergence(*args, k_rule=0.7)
+    assert (digest(none.distances), none.k_rule) == (digest(point7.distances), point7.k_rule)
+    assert none.k_rule == "floor(n**0.7)"
+    args = (ts.Pareto(0.5), 5000, 4, ts.RandomSeed(3))
+    fields = ("slopes", "intercepts", "reference", "dropped")
+    none, point7 = ts.intercept_experiment(*args), ts.intercept_experiment(*args, k_rule=0.7)
+    for f in fields:
+        np.testing.assert_array_equal(getattr(none, f), getattr(point7, f))
