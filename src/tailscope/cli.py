@@ -6,8 +6,9 @@ A config file (--config), read as input files are (a leading byte order mark
 is dropped), holds key=value lines and ``#`` comments, with ``-`` or ``_``
 alike in keys; the keys that name an option of the subcommand become its
 argparse defaults, so flags win, argparse converts the values as it
-converts flags, and other keys are ignored.  The seed falls back to the
-TAILSCOPE_SEED environment variable, then 0.  ``meplot`` and ``estimate``
+converts flags, and other keys are ignored.  The seed is --seed, else 0.
+No exported variable sets an option, so a command's outputs depend only on
+its arguments and its input files.  ``meplot`` and ``estimate``
 read --input or draw from --model/--n/--seed/--stream, and refuse a run that
 gives both.  ``analyze`` draws nothing and takes no --seed or --stream.  Exit
 codes: 0 success, 2 configuration problem, 3 data or degeneracy problem, 4
@@ -37,19 +38,18 @@ read, through ``tabular``.  ``simulate`` runs ``dist`` and ``tabular``;
 import it themselves.
 
 BLAS runs on one thread.  Importing this module sets
-OPENBLAS_NUM_THREADS=1, unless the variable is already set, and numpy
+OPENBLAS_NUM_THREADS=1, over any value the shell exported, and numpy
 loads later, with the first library module that runs, so OpenBLAS starts
 no worker threads: they would spin beside the command and cost CPU time,
-and its dot products of more than 10 000 values would split across as many
-threads as the host has cores, making the output bytes depend on the core
-count.  CSV files of more than one chunk are formatted, and --input
-samples read, on one worker thread per CPU (``tailscope.tabular``), and
-``converge`` runs the replicate cells of a large grid on the same pool;
-those workers block when idle, and the bytes do not depend on their number
-either.  ``import tailscope`` loads no numpy, so the entry points
-(``python -m tailscope.cli``, the ``tailscope`` script) set the variable
-first; a program that imports numpy before ``tailscope.cli`` keeps numpy's
-own thread count.
+and its dot products of more than 10 000 values would split across them,
+making the output bytes depend on their count.  CSV files of more than
+one chunk are formatted, and --input samples read, on one worker thread
+per CPU (``tailscope.tabular``), and ``converge`` runs the replicate cells
+of a large grid on the same pool; those workers block when idle, and the
+bytes do not depend on their number either.  ``import tailscope`` loads
+no numpy, so the entry points (``python -m tailscope.cli``, the
+``tailscope`` script) set the variable first; a program that imports numpy
+before ``tailscope.cli`` keeps numpy's own thread count.
 
 The heap the imports build is frozen.  ``main()`` with no argv runs
 ``sys.argv[1:]`` as the process's own command, as both entry points call
@@ -78,7 +78,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # before numpy loads: each command runs on one thread, so BLAS gets one too
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def _lazy(name: str):
@@ -98,8 +98,6 @@ def _lazy(name: str):
 
 dist, empirics, estimators, pipeline, randset, svgplot, tabular = map(
     _lazy, ("dist", "empirics", "estimators", "pipeline", "randset", "svgplot", "tabular"))
-
-ENV_SEED = "TAILSCOPE_SEED"
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +170,11 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def _seed(args: argparse.Namespace) -> dist.RandomSeed:
-    """--seed, else $TAILSCOPE_SEED, else 0, in stream --stream, else 0."""
-    env = os.environ.get(ENV_SEED, "0")
+    """--seed, else 0, in stream --stream, else 0."""
     try:
-        return dist.RandomSeed(int(env) if args.seed is None else args.seed, args.stream or 0)
+        return dist.RandomSeed(args.seed or 0, args.stream or 0)
     except TailscopeError as exc:
         raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad {ENV_SEED}={env!r}") from exc
 
 
 def _parse_formats(raw: str) -> set:
@@ -507,7 +502,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--out": dict(default=".", help="output directory (default %(default)s)"),
         "--format": dict(type=_parse_formats, default="csv,svg",
                          help="csv,svg subset (default %(default)s)"),
-        "--seed": dict(type=int, help=f"seed (default ${ENV_SEED}, else 0)"),
+        "--seed": dict(type=int, help="seed (default 0)"),
         "--stream": dict(type=int, help="seed stream (default 0)"),
         "--model": dict(help="model spec, e.g. pareto:2 or gpd:0.5,1"),
         "--n": dict(type=int, help="sample size"),

@@ -94,9 +94,9 @@ def ls_fit(points: PointSet2D | np.ndarray, plot_kind: str = "raw") -> FitResult
     return FitResult(slope, intercept, rss, pts.shape[0], plot_kind, xi_hat)
 
 
-def _check_m(sample: OrderedSample, m: int, upper: int) -> None:
-    if not 1 <= m <= upper:
-        raise IndexRangeError(f"m={m} outside 1..{upper}")
+def _check_m(m: int, lower: int, upper: int) -> None:
+    if not lower <= m <= upper:
+        raise IndexRangeError(f"m={m} outside {lower}..{upper}")
 
 
 def _log_spacing(v: np.ndarray, m: np.ndarray, kind: str):
@@ -136,7 +136,7 @@ def _pickands(v: np.ndarray, m: np.ndarray):
 
 def _estimate(sample: OrderedSample, m: int, kind: str) -> float:
     """The kind's trace at one m, or a typed error for an m the trace skips."""
-    _check_m(sample, m, sample.n // 4 if kind == "pickands" else sample.n - 1)
+    _check_m(m, 1, sample.n // 4 if kind == "pickands" else sample.n - 1)
     if kind == "pickands":
         est, bad = _pickands(sample.values, np.array([m]))
     elif sample.x(m + 1) <= 0:
@@ -167,9 +167,10 @@ def qq_points_pos(sample: OrderedSample, m: int) -> PointSet2D:
     """Exponential QQ plot of the top m logarithms.
 
     Points (-log(i/m), log(X_(i)/X_(m))) for 1 <= i <= m; the least squares
-    slope estimates the shape of a heavy-tailed law.
+    slope estimates the shape of a heavy-tailed law.  A line needs two
+    points, so m is at least 2.
     """
-    _check_m(sample, m, sample.n)
+    _check_m(m, 2, sample.n)
     if sample.x(m) <= 0:
         raise DomainError("X_(m) must be positive")
     i = np.arange(1, m + 1, dtype=float)

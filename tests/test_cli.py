@@ -102,15 +102,26 @@ class TestSimulate:
 
 class TestSeedResolution:
     def test_env_fallback_matches_flag(self, tmp_path, monkeypatch):
+        # an exported TAILSCOPE_SEED is not read: without --seed the run falls
+        # back to seed 0, byte for byte the run of --seed 0
         flag, env = tmp_path / "flag", tmp_path / "env"
         assert run("simulate", "--model", "exp", "--n", "50",
-                   "--seed", "9", "--out", str(flag)) == 0
+                   "--seed", "0", "--out", str(flag)) == 0
         monkeypatch.setenv("TAILSCOPE_SEED", "9")
         assert run("simulate", "--model", "exp", "--n", "50", "--out", str(env)) == 0
-        assert (flag / "sample.csv").read_bytes() == (env / "sample.csv").read_bytes()
+        assert "seed=0\n" in (env / "manifest.txt").read_text()
+        assert outputs(env) == outputs(flag)
 
-    def test_flag_beats_config_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TAILSCOPE_SEED", "1")
+    def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
+        # a TAILSCOPE_SEED that is no integer is not read either, so it is no error
+        plain, env = tmp_path / "plain", tmp_path / "env"
+        assert run("simulate", "--model", "exp", "--n", "40", "--out", str(plain)) == 0
+        monkeypatch.setenv("TAILSCOPE_SEED", "xyz")
+        assert run("simulate", "--model", "exp", "--n", "40", "--out", str(env)) == 0
+        assert capsys.readouterr().err == ""
+        assert outputs(env) == outputs(plain)
+
+    def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=2\n")
         via_cfg, via_flag, ref2, ref3 = (tmp_path / x for x in "abcd")
@@ -124,12 +135,11 @@ class TestSeedResolution:
                    "--out", str(ref3)) == 0
         assert (via_cfg / "sample.csv").read_bytes() == (ref2 / "sample.csv").read_bytes()
         assert (via_flag / "sample.csv").read_bytes() == (ref3 / "sample.csv").read_bytes()
-
-    def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TAILSCOPE_SEED", "xyz")
-        assert run("simulate", "--model", "exp", "--n", "40",
-                   "--out", str(tmp_path)) == 2
-        assert "config error" in capsys.readouterr().err
+        default, ref0 = tmp_path / "e", tmp_path / "f"
+        assert run("simulate", "--model", "exp", "--n", "40", "--out", str(default)) == 0
+        assert run("simulate", "--model", "exp", "--n", "40", "--seed", "0",
+                   "--out", str(ref0)) == 0
+        assert outputs(default) == outputs(ref0)
 
 
 class TestConfigFile:
@@ -302,6 +312,15 @@ def test_a_setting_no_sample_admits_is_a_config_error(tmp_path, capsys, command,
         assert run(command, "--model", "pareto:2", "--n", "100", *flags,
                    "--out", str(out)) == 2
         assert not out.exists()
+
+
+def test_estimate_m_below_two_names_m_and_its_range(tmp_path, capsys):
+    # m=1 is a Hill or moment estimate's smallest m, but the QQ fit needs two points
+    out = tmp_path / "x"
+    assert run("estimate", "--model", "pareto:2", "--n", "500", "--m", "1",
+               "--out", str(out)) == 3
+    assert capsys.readouterr().err == "tailscope: data error: m=1 outside 2..500\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, text, byte", [
@@ -980,9 +999,10 @@ def test_bytes_are_those_of_one_blas_thread(tmp_path, command):
         src.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
     else:
         write_composite_csv(src, 30, [0.5], ts.Exponential(1), ts.RandomSeed(2))
-    for threads in (None, "1"):
+    for threads in (None, "1", "2"):
         run_process([command, "--input", src.name, "--out", f"out-{threads}"], tmp_path, threads)
     assert outputs(tmp_path / "out-None") == outputs(tmp_path / "out-1")
+    assert outputs(tmp_path / "out-None") == outputs(tmp_path / "out-2")
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,23 @@ no scipy module, no command but those on the stable law loads
 
 `import tailscope` loads no numpy: the first public name asked for imports
 the library modules.  `import tailscope.cli` binds them all as lazy modules
-that have not run, loads no numpy, and sets OPENBLAS_NUM_THREADS=1 unless
-the variable is set, so a command runs BLAS on one thread (no worker
-spinning beside it, and dot products whose bytes do not depend on the
-host's core count), while a value the user exported is kept.  A command
-runs only the library modules it calls; `--version`, `--help` and option
-errors run none of them.
+that have not run, loads no numpy, and sets OPENBLAS_NUM_THREADS=1 over
+any exported value, so a command runs BLAS on one thread (no worker
+spinning beside it, and dot products whose bytes depend neither on the
+host's core count nor on the shell's exports).  A command runs only the
+library modules it calls; `--version`, `--help` and option errors run none
+of them.
 
 A command's own process (`python -m tailscope.cli`, the `tailscope` script)
 freezes the heap its imports built, numpy's included, so no collection
 walks it again; importing `tailscope.cli` or calling `main` with an argv
 list leaves the collector as it was."""
+import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,11 +315,12 @@ def test_cli_process_runs_one_thread(tmp_path):
             "print([ln.split()[1] for ln in open('/proc/self/status')"
             " if ln.startswith('Threads:')][0])\n")
     assert _run_with_threads(code, tmp_path, None) == "1"
+    assert _run_with_threads(code, tmp_path, "3") == "1"
 
 
-def test_exported_blas_thread_count_is_kept(tmp_path):
+def test_exported_blas_thread_count_is_replaced(tmp_path):
     code = "import os\nimport tailscope.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
-    assert _run_with_threads(code, tmp_path, "3") == "3"
+    assert _run_with_threads(code, tmp_path, "3") == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +471,26 @@ def test_failing_command_process_prints_its_message_and_exit_code(argv, code, me
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"tailscope: {message}\n")
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# the dependency floor: pyproject's scipy admits every scipy.special name used
+
+
+def _version(text: str) -> tuple:
+    return (*(int(part) for part in text.split(".")), 0, 0)[:3]
+
+
+def test_scipy_floor_admits_every_special_function_imported():
+    import scipy.special
+
+    floor = re.search(r'"scipy>=([\d.]+)"', PYPROJECT.read_text()).group(1)
+    names = {alias.name for path in (SRC / "tailscope").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+             for alias in node.names}
+    assert "betaincc" in names
+    for name in sorted(names):
+        doc = getattr(scipy.special, name).__doc__ or ""
+        for added in re.findall(r"versionadded::\s*([\d.]+)", doc):
+            assert _version(added) <= _version(floor), (name, added, floor)

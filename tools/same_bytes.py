@@ -50,7 +50,6 @@ def package_dir(path: str) -> Path:
 def run_round(ops: list, src: Path) -> list:
     """Run each command on the tree at src; (name, exit code, stdout, stderr) per command."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("TAILSCOPE_SEED", None)
     results = []
     for op in ops:
         proc = subprocess.run([sys.executable, "-m", "tailscope.cli", *op.args], env=env,
